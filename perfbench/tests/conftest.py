@@ -1,0 +1,11 @@
+"""Make the benchmark modules and the storbind sources importable.
+
+Run with: python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parent.parent / "src"))
