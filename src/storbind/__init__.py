@@ -10,7 +10,7 @@ implementations are garbage collected back to raw disks.
 
 from __future__ import annotations
 
-from .broker import ProvisionOrder, StorageBroker
+from .broker import StorageBroker
 from .cluster import ControlPlane, RequestOutcome
 from .errors import (
     ConfigError,
@@ -71,7 +71,7 @@ from .scheduler import (
     schedule_static,
 )
 from .sim import EventKind, SimEvent, SimResult, TimeSeriesPoint, run_scenario
-from .statedb import BrokerReport, ClusterSnapshot, ManagerReport, StateDatabase
+from .statedb import BrokerReport, ClusterSnapshot, StateDatabase
 from .workload import ConstantDemand, DemandStreams, TraceDemand, WalkDemand
 
 __version__ = "0.1.0"
@@ -97,12 +97,10 @@ __all__ = [
     "LayoutError",
     "LayoutKind",
     "LayoutMatch",
-    "ManagerReport",
     "Medium",
     "NotFoundError",
     "ParseError",
     "Provision",
-    "ProvisionOrder",
     "Raid",
     "Reject",
     "RejectReason",

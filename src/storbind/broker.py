@@ -7,8 +7,6 @@ disks to the pool once it has sat empty for the configured dwell time.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConflictError, InputError, LayoutError, NotFoundError
@@ -16,38 +14,15 @@ from .manager import StorageManager
 from .model import (
     ControlConfig,
     DiskSpec,
-    ErasureCodedPool,
     LayoutKind,
-    ReplicatedPool,
     StorageImplementation,
     StorageNode,
     disk_count,
     iops_budget,
     usable_capacity,
 )
+from .scheduler import Provision, candidate_disks
 from .statedb import BrokerReport, StateDatabase
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ProvisionOrder:
-    """A concrete build instruction: these disks, this layout, this budget.
-
-    The budget is injected rather than recomputed at build time so the
-    policy that sized it stays in one place.
-    """
-
-    node_id: str
-    layout: LayoutKind
-    disk_ids: tuple[str, ...]
-    total_iops_budget: int
-
-    def __post_init__(self) -> None:
-        if len(set(self.disk_ids)) != len(self.disk_ids):
-            raise InputError(f"order for {self.node_id}: duplicate disk ids")
-        if self.total_iops_budget < 0:
-            raise InputError(f"order for {self.node_id}: budget must be >= 0")
 
 
 class StorageBroker:
@@ -79,51 +54,53 @@ class StorageBroker:
         for node_id in sorted(self.nodes):
             self.publish_node(node_id, now)
 
-    def make_order(self, node_id: str, layout: LayoutKind) -> ProvisionOrder:
-        """Plan a build from the lexicographically smallest free disks."""
+    def make_order(self, node_id: str, layout: LayoutKind) -> Provision:
+        """Plan a build from the live pool's lexicographically smallest free disks."""
         free = self.free_disk_specs(node_id)
-        need = disk_count(layout)
-        if len(free) < need:
+        chosen = candidate_disks(free, layout)
+        if chosen is None:
             raise LayoutError(
-                f"node {node_id}: layout {layout} needs {need} free disks, have {len(free)}"
+                f"node {node_id}: layout {layout} needs {disk_count(layout)} free disks,"
+                f" have {len(free)}"
             )
-        chosen = free[:need]
-        return ProvisionOrder(
-            node_id=node_id,
-            layout=layout,
-            disk_ids=tuple(d.disk_id for d in chosen),
-            total_iops_budget=iops_budget(layout, chosen),
-        )
+        return Provision(node_id, layout, tuple(d.disk_id for d in chosen))
 
-    def provision(self, order: ProvisionOrder, now: float) -> StorageManager:
+    def provision(self, decision: Provision, now: float) -> StorageManager:
         """Build an implementation, or change nothing at all.
 
-        Every check runs before the first mutation: a failed order leaves
-        the free pool, the registry, and the database untouched.
+        Capacity and budget come from the named disks themselves. Every
+        check runs before the first mutation: a failed build leaves the
+        free pool, the registry, and the database untouched. A disk that
+        is no longer free (the decision came from a stale snapshot)
+        raises ConflictError.
         """
-        node = self._node(order.node_id)
+        node = self._node(decision.node_id)
+        free = self._free[decision.node_id]
+        if len(set(decision.disk_ids)) != len(decision.disk_ids):
+            raise InputError(f"provision on {decision.node_id}: duplicate disk ids")
         disks = []
-        for disk_id in order.disk_ids:
+        for disk_id in decision.disk_ids:
             disks.append(node.disk(disk_id))
-            if disk_id not in self._free[order.node_id]:
-                raise ConflictError(f"node {order.node_id}: disk {disk_id} is not free")
-        capacity = usable_capacity(order.layout, disks)
+            if disk_id not in free:
+                raise ConflictError(f"node {decision.node_id}: disk {disk_id} is not free")
+        capacity = usable_capacity(decision.layout, disks)
+        budget = iops_budget(decision.layout, disks)
 
         self._impl_seq += 1
         impl = StorageImplementation(
             impl_id=f"impl-{self._impl_seq:04d}",
-            node_id=order.node_id,
-            layout=order.layout,
-            disk_ids=tuple(sorted(order.disk_ids)),
+            node_id=decision.node_id,
+            layout=decision.layout,
+            disk_ids=tuple(sorted(decision.disk_ids)),
             usable_capacity_bytes=capacity,
-            total_iops_budget=order.total_iops_budget,
+            total_iops_budget=budget,
             idle_since=now,
         )
-        self._free[order.node_id] -= set(order.disk_ids)
+        free.difference_update(decision.disk_ids)
         manager = StorageManager(impl, self.statedb)
         self.managers[impl.impl_id] = manager
-        self.statedb.upsert_manager_report(manager.report(now))
-        self.publish_node(order.node_id, now)
+        self.statedb.upsert_manager_report(impl)
+        self.publish_node(decision.node_id, now)
         return manager
 
     def garbage_collect(self, now: float, config: ControlConfig) -> list[str]:
@@ -131,14 +108,8 @@ class StorageBroker:
         reclaimed = []
         for impl_id in sorted(self.managers):
             impl = self.managers[impl_id].impl
-            if impl.volumes or impl.idle_since is None:
+            if impl.idle_since is None or now - impl.idle_since < config.gc_dwell_s:
                 continue
-            if now - impl.idle_since < config.gc_dwell_s:
-                continue
-            if isinstance(impl.layout, (ReplicatedPool, ErasureCodedPool)):
-                logger.info(
-                    "rebalancing pool %s on %s before reclaim", impl_id, impl.node_id
-                )
             self._free[impl.node_id] |= set(impl.disk_ids)
             del self.managers[impl_id]
             self.statedb.remove_manager_report(impl_id)

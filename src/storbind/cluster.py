@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .broker import ProvisionOrder, StorageBroker
+from .broker import StorageBroker
 from .errors import ConflictError, NotFoundError
 from .manager import Admission, StorageManager
 from .model import (
@@ -21,7 +21,6 @@ from .model import (
     StorageNode,
     Volume,
     disk_count,
-    iops_budget,
 )
 from .scheduler import (
     LayoutMatch,
@@ -42,6 +41,7 @@ class RequestOutcome:
     request: VolumeRequest
     decision: ScheduleDecision
     admission: Admission | None = None
+    # the new group's record as built, before this request's admission
     provisioned: StorageImplementation | None = None
     attempts: int = 1
 
@@ -72,18 +72,11 @@ class ControlPlane:
         layout = self.static_layout
         if layout is None:
             raise ConflictError("preprovision_static requires a static layout")
-        need = disk_count(layout)
         managers = []
         for node_id in sorted(self.broker.nodes):
-            free = self.broker.free_disk_specs(node_id)
-            for start in range(0, len(free) - need + 1, need):
-                group = free[start : start + need]
-                order = ProvisionOrder(
-                    node_id=node_id,
-                    layout=layout,
-                    disk_ids=tuple(d.disk_id for d in group),
-                    total_iops_budget=iops_budget(layout, group),
-                )
+            groups = len(self.broker.free_disk_specs(node_id)) // disk_count(layout)
+            for _ in range(groups):
+                order = self.broker.make_order(node_id, layout)
                 managers.append(self.broker.provision(order, now))
         return managers
 
@@ -114,8 +107,7 @@ class ControlPlane:
             return outcome
         try:
             if isinstance(decision, Provision):
-                order = self.broker.make_order(decision.node_id, decision.layout)
-                manager = self.broker.provision(order, now)
+                manager = self.broker.provision(decision, now)
                 outcome.provisioned = manager.impl
             else:
                 manager = self.broker.manager_for(decision.impl_id)

@@ -16,7 +16,7 @@ from typing import Mapping, Union
 from .errors import ConflictError, InputError, InvalidStateError, LayoutError, NotFoundError
 from .model import ControlConfig, StorageImplementation, Volume
 from .scheduler import LayoutMatch, RejectReason, VolumeRequest, layout_admits
-from .statedb import ManagerReport, StateDatabase
+from .statedb import StateDatabase
 
 IntervalStats = Mapping[str, Union[int, float, Fraction]]
 """Observed IOPS per volume over the last control interval."""
@@ -125,11 +125,11 @@ class StorageManager:
             created_at=now,
         )
         self.volumes[volume_id] = volume
-        self.impl.volumes.add(volume_id)
-        self.impl.allocated_iops += min_iops
-        self.impl.allocated_capacity_bytes += request.size_bytes
-        self.impl.idle_since = None
-        self._publish(now)
+        self._publish(
+            allocated_iops=self.impl.allocated_iops + min_iops,
+            allocated_capacity_bytes=self.impl.allocated_capacity_bytes + request.size_bytes,
+            idle_since=None,
+        )
         return Admission(volume_id=volume_id)
 
     def delete_volume(self, volume_id: str, now: float) -> Volume:
@@ -139,12 +139,11 @@ class StorageManager:
                 f"volume {volume_id} is attached to {volume.attached_to}"
             )
         del self.volumes[volume_id]
-        self.impl.volumes.discard(volume_id)
-        self.impl.allocated_iops -= volume.min_iops
-        self.impl.allocated_capacity_bytes -= volume.size_bytes
-        if not self.impl.volumes:
-            self.impl.idle_since = now
-        self._publish(now)
+        self._publish(
+            allocated_iops=self.impl.allocated_iops - volume.min_iops,
+            allocated_capacity_bytes=self.impl.allocated_capacity_bytes - volume.size_bytes,
+            idle_since=None if self.volumes else now,
+        )
         return volume
 
     def attach(self, volume_id: str, instance_id: str) -> Volume:
@@ -184,21 +183,26 @@ class StorageManager:
         )
         return self.throttle
 
-    def report(self, now: float) -> ManagerReport:
-        return ManagerReport(
-            impl_id=self.impl.impl_id,
-            node_id=self.impl.node_id,
-            layout=self.impl.layout,
+    def _publish(
+        self, allocated_iops: int, allocated_capacity_bytes: int, idle_since: float | None
+    ) -> None:
+        """Swap in the updated record and publish that same object."""
+        impl = self.impl
+        # built directly: dataclasses.replace is ~1.5x slower, and this runs
+        # on every admit and delete
+        self.impl = StorageImplementation(
+            impl_id=impl.impl_id,
+            node_id=impl.node_id,
+            layout=impl.layout,
+            disk_ids=impl.disk_ids,
+            usable_capacity_bytes=impl.usable_capacity_bytes,
+            total_iops_budget=impl.total_iops_budget,
+            allocated_iops=allocated_iops,
+            allocated_capacity_bytes=allocated_capacity_bytes,
             volume_count=len(self.volumes),
-            total_iops_budget=self.impl.total_iops_budget,
-            allocated_iops=self.impl.allocated_iops,
-            usable_capacity_bytes=self.impl.usable_capacity_bytes,
-            allocated_capacity_bytes=self.impl.allocated_capacity_bytes,
-            timestamp=now,
+            idle_since=idle_since,
         )
-
-    def _publish(self, now: float) -> None:
-        self.statedb.upsert_manager_report(self.report(now))
+        self.statedb.upsert_manager_report(self.impl)
 
     def _get(self, volume_id: str) -> Volume:
         volume = self.volumes.get(volume_id)

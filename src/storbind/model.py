@@ -2,8 +2,8 @@
 
 Value types for disks, nodes, layouts, volume types, and volumes, plus the
 pure arithmetic that turns a layout and a set of disks into usable capacity
-and a worst-case IOPS budget. Everything here is immutable except
-StorageImplementation, which is the live ledger record owned by a manager.
+and a worst-case IOPS budget. Everything here is immutable; a manager
+replaces its StorageImplementation record on every ledger change.
 """
 
 from __future__ import annotations
@@ -285,26 +285,6 @@ def parse_volume_type(spec: Mapping[str, str], name: str = "") -> VolumeType:
     return VolumeType(name=name, layout=layout, min_iops=min_iops, io_size=io_size, extra=extra)
 
 
-def volume_type_spec(vtype: VolumeType) -> dict[str, str]:
-    """Serialize a VolumeType back to a spec map parse_volume_type accepts."""
-    out: dict[str, str] = {}
-    layout = vtype.layout
-    if isinstance(layout, Jbod):
-        out["jbod"] = "1"
-    elif isinstance(layout, Raid):
-        out["raid"] = "5" if layout.parity_count == 1 else "6"
-        out["width"] = str(layout.width)
-    elif isinstance(layout, ReplicatedPool):
-        out["replicas"] = str(layout.replicas)
-    elif isinstance(layout, ErasureCodedPool):
-        out["ec-k"] = str(layout.k)
-        out["ec-m"] = str(layout.m)
-    out["min-iops"] = str(vtype.min_iops)
-    out["iosize"] = str(vtype.io_size)
-    out.update(vtype.extra)
-    return out
-
-
 @dataclass(frozen=True)
 class Volume:
     """A logical block volume living on one implementation."""
@@ -323,12 +303,14 @@ class Volume:
             raise InputError(f"volume {self.volume_id}: min_iops must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StorageImplementation:
     """A materialized layout over concrete disks, with its admission ledger.
 
-    idle_since is set exactly while the implementation hosts no volumes;
-    the garbage collector uses it to find reclaim candidates.
+    The one record of a group: its manager swaps in a new one on each
+    admit or delete and publishes that same object to the state database.
+    idle_since is set exactly while volume_count is zero; the garbage
+    collector uses it to find reclaim candidates.
     """
 
     impl_id: str
@@ -339,7 +321,7 @@ class StorageImplementation:
     total_iops_budget: int
     allocated_iops: int = 0
     allocated_capacity_bytes: int = 0
-    volumes: set[str] = field(default_factory=set)
+    volume_count: int = 0
     idle_since: float | None = None
 
     @property

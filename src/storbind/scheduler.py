@@ -19,13 +19,14 @@ from .errors import InputError
 from .model import (
     DiskSpec,
     LayoutKind,
+    StorageImplementation,
     VolumeType,
     disk_count,
     iops_budget,
     redundancy_factor,
     usable_capacity,
 )
-from .statedb import BrokerReport, ClusterSnapshot, ManagerReport
+from .statedb import ClusterSnapshot
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,11 @@ class UseExisting:
 
 @dataclass(frozen=True)
 class Provision:
+    """Build `layout` on `node_id` from exactly these free disks."""
+
     node_id: str
     layout: LayoutKind
-    disk_count: int
+    disk_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ def layout_admits(impl_layout: LayoutKind, wanted: LayoutKind, match: LayoutMatc
 
 def _matching_impls(
     snapshot: ClusterSnapshot, wanted: LayoutKind, match: LayoutMatch
-) -> list[ManagerReport]:
+) -> list[StorageImplementation]:
     return [
         impl
         for impl in snapshot.implementations.values()
@@ -94,7 +97,9 @@ def _matching_impls(
     ]
 
 
-def _pick_existing(matches: list[ManagerReport], request: VolumeRequest) -> ManagerReport | None:
+def _pick_existing(
+    matches: list[StorageImplementation], request: VolumeRequest
+) -> StorageImplementation | None:
     eligible = [
         impl
         for impl in matches
@@ -108,17 +113,19 @@ def _pick_existing(matches: list[ManagerReport], request: VolumeRequest) -> Mana
     return eligible[0]
 
 
-def candidate_disks(node: BrokerReport, layout: LayoutKind) -> tuple[DiskSpec, ...] | None:
-    """The disks a new implementation on `node` would consume, or None.
+def candidate_disks(
+    free_disks: Sequence[DiskSpec], layout: LayoutKind
+) -> tuple[DiskSpec, ...] | None:
+    """The free disks a new implementation of `layout` would consume, or None.
 
-    Always the lexicographically smallest free disk ids, so the same
-    snapshot maps to the same disks no matter who asks.
+    Always the lexicographically smallest free disk ids, so the same free
+    set maps to the same disks no matter who asks: the scheduler against
+    a snapshot, or the broker against its live pool.
     """
     need = disk_count(layout)
-    if len(node.free_disks) < need:
+    if len(free_disks) < need:
         return None
-    chosen = sorted(node.free_disks, key=lambda d: d.disk_id)[:need]
-    return tuple(chosen)
+    return tuple(sorted(free_disks, key=lambda d: d.disk_id)[:need])
 
 
 def _provision_plan(
@@ -137,14 +144,15 @@ def _provision_plan(
     any_size_short = False
     any_budget_short = False
     for node in nodes:
-        disks = candidate_disks(node, layout)
+        disks = candidate_disks(node.free_disks, layout)
         if disks is None:
             continue
         any_count = True
         fits_size = usable_capacity(layout, disks) >= request.size_bytes
         fits_budget = iops_budget(layout, disks) >= request.volume_type.min_iops
         if fits_size and fits_budget:
-            return Provision(node.node_id, layout, len(disks)), True, any_size_short, any_budget_short
+            plan = Provision(node.node_id, layout, tuple(d.disk_id for d in disks))
+            return plan, True, any_size_short, any_budget_short
         if not fits_size:
             any_size_short = True
         if not fits_budget:

@@ -24,7 +24,7 @@ from .cluster import ControlPlane, RequestOutcome
 from .errors import InvalidStateError, NotFoundError
 from .fairshare import allocate_iops, capacity_degradation
 from .manager import StorageManager
-from .model import LayoutKind, format_layout
+from .model import LayoutKind, StorageImplementation, format_layout
 from .scenario import RequestSpec, Scenario, app_copies
 from .scheduler import Provision, Reject, UseExisting, VolumeRequest, latency_stats
 from .workload import DemandStreams
@@ -120,7 +120,7 @@ class _Engine:
 
         if self.static_layout is not None:
             for manager in self.plane.preprovision_static(0.0):
-                self._emit_provisioned(0.0, None, manager)
+                self._emit_provisioned(0.0, None, manager.impl)
 
         for k in range(n_steps):
             t = k * delta
@@ -213,8 +213,7 @@ class _Engine:
             {"request_id": req.request_id, "decision": _decision_payload(outcome)},
         )
         if outcome.provisioned is not None:
-            manager = self.plane.broker.manager_for(outcome.provisioned.impl_id)
-            self._emit_provisioned(t, req.request_id, manager)
+            self._emit_provisioned(t, req.request_id, outcome.provisioned)
 
         record: dict[str, JsonValue] = {
             "op": "create",
@@ -263,21 +262,10 @@ class _Engine:
         self.request_log.append(record)
 
     def _emit_provisioned(
-        self, t: float, request_id: str | None, manager: StorageManager
+        self, t: float, request_id: str | None, impl: StorageImplementation
     ) -> None:
-        impl = manager.impl
         self.emit(
-            t,
-            EventKind.PROVISIONED,
-            {
-                "request_id": request_id,
-                "impl_id": impl.impl_id,
-                "node_id": impl.node_id,
-                "layout": format_layout(impl.layout),
-                "disk_ids": list(impl.disk_ids),
-                "usable_capacity_bytes": impl.usable_capacity_bytes,
-                "total_iops_budget": impl.total_iops_budget,
-            },
+            t, EventKind.PROVISIONED, {"request_id": request_id, **_impl_fields(impl)}
         )
         self.counts["provisioned"] += 1
 
@@ -326,22 +314,21 @@ class _Engine:
             self.counts["throttle_released"] += 1
 
     def _summary(self) -> dict[str, JsonValue]:
-        impls: list[dict[str, JsonValue]] = []
-        for manager in self.plane.managers():
-            impl = manager.impl
-            impls.append(
-                {
-                    "impl_id": impl.impl_id,
-                    "node_id": impl.node_id,
-                    "layout": format_layout(impl.layout),
-                    "disk_ids": list(impl.disk_ids),
-                    "usable_capacity_bytes": impl.usable_capacity_bytes,
-                    "total_iops_budget": impl.total_iops_budget,
-                    "allocated_iops": impl.allocated_iops,
-                    "allocated_capacity_bytes": impl.allocated_capacity_bytes,
-                    "volumes": sorted(impl.volumes),
-                }
-            )
+        """End-of-run groups, free disks, counts, request log and overheads.
+
+        decision_latency is wall-clock time of whole ControlPlane.submit
+        calls (schedule + provision + admit), not of schedule alone, and
+        the only entry that varies between identical runs.
+        """
+        impls: list[dict[str, JsonValue]] = [
+            {
+                **_impl_fields(manager.impl),
+                "allocated_iops": manager.impl.allocated_iops,
+                "allocated_capacity_bytes": manager.impl.allocated_capacity_bytes,
+                "volumes": sorted(manager.volumes),
+            }
+            for manager in self.plane.managers()
+        ]
         overhead_by_class, overhead_total, raw, stored = self._overheads()
         latency = None
         if self.latency_samples:
@@ -391,14 +378,14 @@ class _Engine:
         total_raw = 0
         total_stored = 0
         for manager in self.plane.managers():
-            impl = manager.impl
-            if not impl.volumes:
+            if not manager.volumes:
                 continue
+            impl = manager.impl
             node = self.plane.broker.nodes[impl.node_id]
             raw = sum(node.disk(d).capacity_bytes for d in impl.disk_ids)
             total_raw += raw
             stored = {
-                vid: manager.volumes[vid].size_bytes for vid in sorted(impl.volumes)
+                vid: manager.volumes[vid].size_bytes for vid in sorted(manager.volumes)
             }
             impl_stored = sum(stored.values())
             total_stored += impl_stored
@@ -419,6 +406,18 @@ class _Engine:
         return by_class, overhead_total, total_raw, total_stored
 
 
+def _impl_fields(impl: StorageImplementation) -> dict[str, JsonValue]:
+    """The fixed facts of a group, shared by its event and its summary entry."""
+    return {
+        "impl_id": impl.impl_id,
+        "node_id": impl.node_id,
+        "layout": format_layout(impl.layout),
+        "disk_ids": list(impl.disk_ids),
+        "usable_capacity_bytes": impl.usable_capacity_bytes,
+        "total_iops_budget": impl.total_iops_budget,
+    }
+
+
 def _decision_payload(outcome: RequestOutcome) -> dict[str, JsonValue]:
     decision = outcome.decision
     if isinstance(decision, UseExisting):
@@ -428,7 +427,7 @@ def _decision_payload(outcome: RequestOutcome) -> dict[str, JsonValue]:
             "action": "provision",
             "node_id": decision.node_id,
             "layout": format_layout(decision.layout),
-            "disk_count": decision.disk_count,
+            "disk_count": len(decision.disk_ids),
         }
     assert isinstance(decision, Reject)
     return {"action": "reject", "reason": decision.reason.value}

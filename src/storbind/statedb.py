@@ -1,8 +1,9 @@
 """Cluster state database: last-writer-wins report store with snapshots.
 
-Brokers report per-node free disks, managers report per-implementation
-ledgers. Reads go through immutable snapshots so a scheduler never sees a
-half-applied update; every mutation bumps a single sequence counter.
+Brokers report per-node free disks; managers publish their frozen
+implementation records, stored as given. Reads go through immutable
+snapshots so a scheduler never sees a half-applied update; every
+mutation bumps a single sequence counter.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConsistencyError, NotFoundError
-from .model import DiskSpec, LayoutKind
+from .model import DiskSpec, StorageImplementation
 
 
 @dataclass(frozen=True)
@@ -26,34 +27,11 @@ class BrokerReport:
 
 
 @dataclass(frozen=True)
-class ManagerReport:
-    """Admission ledger of one implementation, as last reported."""
-
-    impl_id: str
-    node_id: str
-    layout: LayoutKind
-    volume_count: int
-    total_iops_budget: int
-    allocated_iops: int
-    usable_capacity_bytes: int
-    allocated_capacity_bytes: int
-    timestamp: float
-
-    @property
-    def remaining_iops(self) -> int:
-        return self.total_iops_budget - self.allocated_iops
-
-    @property
-    def remaining_capacity_bytes(self) -> int:
-        return self.usable_capacity_bytes - self.allocated_capacity_bytes
-
-
-@dataclass(frozen=True)
 class ClusterSnapshot:
     """A consistent point-in-time view of every report."""
 
     nodes: Mapping[str, BrokerReport]
-    implementations: Mapping[str, ManagerReport]
+    implementations: Mapping[str, StorageImplementation]
     seq: int
 
 
@@ -69,7 +47,7 @@ class StateDatabase:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._nodes: dict[str, BrokerReport] = {}
-        self._impls: dict[str, ManagerReport] = {}
+        self._impls: dict[str, StorageImplementation] = {}
         self._removed: set[str] = set()
         self._seq = 0
 
@@ -79,7 +57,7 @@ class StateDatabase:
             self._seq += 1
             return self._seq
 
-    def upsert_manager_report(self, report: ManagerReport) -> int:
+    def upsert_manager_report(self, report: StorageImplementation) -> int:
         if report.volume_count < 0:
             raise ConsistencyError(f"impl {report.impl_id}: negative volume_count")
         if not 0 <= report.allocated_iops <= report.total_iops_budget:

@@ -25,6 +25,7 @@ from storbind.model import (
     Jbod,
     Raid,
     ReplicatedPool,
+    StorageImplementation,
     StorageNode,
     VolumeType,
     iops_budget,
@@ -35,7 +36,7 @@ from storbind.scenario import load_scenario
 from storbind.scenarios import bundled_names, scenario_path
 from storbind.scheduler import VolumeRequest, measure_decision_latency
 from storbind.sim import EventKind, run_scenario
-from storbind.statedb import BrokerReport, ManagerReport, StateDatabase
+from storbind.statedb import BrokerReport, StateDatabase
 
 GiB = 1024**3
 TiB = 1024**4
@@ -301,16 +302,16 @@ def test_criterion_08_decision_latency():
             [DiskSpec(disk_id=f"x{j}", capacity_bytes=TiB) for j in range(max(1, getattr(layout, "width", 1)))],
         )
         db.upsert_manager_report(
-            ManagerReport(
+            StorageImplementation(
                 impl_id=f"impl-{i:04d}",
                 node_id=f"node{i:03d}",
                 layout=layout,
-                volume_count=i % 5,
+                disk_ids=(),
+                usable_capacity_bytes=4 * TiB,
                 total_iops_budget=budget,
                 allocated_iops=rng.randint(0, budget),
-                usable_capacity_bytes=4 * TiB,
                 allocated_capacity_bytes=rng.randrange(0, 4 * TiB),
-                timestamp=0.0,
+                volume_count=i % 5,
             )
         )
     snapshot = db.snapshot()
@@ -383,14 +384,12 @@ def test_criterion_10_ledger_invariant_fuzz():
             )
             assert 0 <= impl.allocated_iops <= impl.total_iops_budget
             assert 0 <= impl.allocated_capacity_bytes <= impl.usable_capacity_bytes
-            assert impl.volumes == set(manager.volumes)
-            assert not (impl.volumes and impl.idle_since is not None)
+            assert impl.volume_count == len(manager.volumes)
+            assert (impl.volume_count == 0) == (impl.idle_since is not None)
             for disk_id in impl.disk_ids:
                 assert disk_id not in held[impl.node_id], "disk owned twice"
                 held[impl.node_id].add(disk_id)
-            report = snap.implementations[impl.impl_id]
-            assert report.allocated_iops == impl.allocated_iops
-            assert report.volume_count == len(manager.volumes)
+            assert snap.implementations[impl.impl_id] is manager.impl
         free = plane.broker.free_disk_count()
         for node_id, total in total_disks.items():
             assert len(held[node_id]) + free[node_id] == total

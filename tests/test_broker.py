@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from storbind.broker import ProvisionOrder, StorageBroker
+from storbind.broker import StorageBroker
 from storbind.errors import (
     ConflictError,
     ConsistencyError,
@@ -21,7 +21,7 @@ from storbind.model import (
     StorageNode,
     VolumeType,
 )
-from storbind.scheduler import VolumeRequest
+from storbind.scheduler import Provision, VolumeRequest, schedule
 from storbind.statedb import StateDatabase
 
 TiB = 1024**4
@@ -58,8 +58,8 @@ def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRe
 def test_make_order_takes_lex_smallest_free_disks():
     broker, _ = make_broker()
     order = broker.make_order("node2", RAID6_4)
-    assert order.disk_ids == ("node2-d00", "node2-d01", "node2-d02", "node2-d03")
-    assert order.total_iops_budget == 400
+    assert order == Provision("node2", RAID6_4, ("node2-d00", "node2-d01", "node2-d02", "node2-d03"))
+    assert broker.provision(order, now=0.0).impl.total_iops_budget == 400
 
 
 def test_make_order_needs_enough_disks():
@@ -98,23 +98,38 @@ def test_provision_conflicting_order_rejected_without_mutation():
     assert broker.free_disk_count()["node2"] == 3
 
 
+def test_stale_snapshot_provision_conflicts_without_mutation():
+    broker, db = make_broker({"node1": 6})
+    stale = schedule(req("r1"), db.snapshot())
+    assert stale == Provision("node1", RAID6_4, ("node1-d00", "node1-d01", "node1-d02", "node1-d03"))
+    # a competing build takes the disks the stale decision named
+    broker.provision(broker.make_order("node1", ReplicatedPool(3)), now=0.0)
+    free, managers, seq = broker.free_disk_count(), set(broker.managers), db.snapshot().seq
+    with pytest.raises(ConflictError):
+        broker.provision(stale, now=1.0)
+    assert broker.free_disk_count() == free
+    assert set(broker.managers) == managers
+    assert db.snapshot().seq == seq
+
+
 def test_provision_unknown_node_and_disks():
     broker, _ = make_broker()
     with pytest.raises(NotFoundError):
-        broker.provision(
-            ProvisionOrder("node9", Jbod(), ("node9-d00",), 200), now=0.0
-        )
+        broker.provision(Provision("node9", Jbod(), ("node9-d00",)), now=0.0)
     with pytest.raises(InputError):
-        broker.provision(
-            ProvisionOrder("node1", Jbod(), ("node1-d99",), 200), now=0.0
-        )
+        broker.provision(Provision("node1", Jbod(), ("node1-d99",)), now=0.0)
 
 
 def test_provision_order_validation():
+    broker, db = make_broker()
+    seq = db.snapshot().seq
     with pytest.raises(InputError):
-        ProvisionOrder("node1", Jbod(), ("d0", "d0"), 200)
-    with pytest.raises(InputError):
-        ProvisionOrder("node1", Jbod(), ("d0",), -1)
+        broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d00", "node1-d00")), now=0.0)
+    with pytest.raises(LayoutError):
+        broker.provision(Provision("node1", RAID6_4, ("node1-d00",)), now=0.0)
+    assert broker.free_disk_count() == {"node1": 10, "node2": 7}
+    assert broker.managers == {}
+    assert db.snapshot().seq == seq
 
 
 def test_garbage_collect_honors_dwell():
@@ -153,7 +168,7 @@ def test_garbage_collect_removes_report_and_tombstones():
     broker.garbage_collect(now=1.0, config=config)
     assert db.snapshot().implementations == {}
     with pytest.raises(ConsistencyError):
-        db.upsert_manager_report(manager.report(now=2.0))
+        db.upsert_manager_report(manager.impl)
     with pytest.raises(NotFoundError):
         broker.manager_for("impl-0001")
 

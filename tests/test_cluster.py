@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from storbind.cluster import ControlPlane
@@ -12,11 +14,11 @@ from storbind.model import (
     Jbod,
     Raid,
     ReplicatedPool,
+    StorageImplementation,
     StorageNode,
     VolumeType,
 )
 from storbind.scheduler import Provision, Reject, RejectReason, UseExisting, VolumeRequest
-from storbind.statedb import ManagerReport
 
 TiB = 1024**4
 GiB = 1024**3
@@ -68,19 +70,8 @@ def test_stale_ledger_retries_once_then_rejection_stands():
     plane.submit(req("r1", min_iops=400), now=0.0)
     # forge a stale report that hides the allocation; admission against
     # the real ledger refuses, and the one retry sees the same lie
-    plane.statedb.upsert_manager_report(
-        ManagerReport(
-            impl_id="impl-0001",
-            node_id="node1",
-            layout=RAID6_4,
-            volume_count=1,
-            total_iops_budget=400,
-            allocated_iops=0,
-            usable_capacity_bytes=2 * TiB,
-            allocated_capacity_bytes=100 * GiB,
-            timestamp=0.5,
-        )
-    )
+    real = plane.broker.manager_for("impl-0001").impl
+    plane.statedb.upsert_manager_report(replace(real, allocated_iops=0))
     outcome = plane.submit(req("r2", min_iops=100), now=1.0)
     assert outcome.attempts == 2
     assert outcome.decision == UseExisting("impl-0001")
@@ -91,20 +82,36 @@ def test_stale_ledger_retries_once_then_rejection_stands():
 def test_ghost_implementation_raises_after_retry():
     plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
     plane.statedb.upsert_manager_report(
-        ManagerReport(
+        StorageImplementation(
             impl_id="impl-9999",
             node_id="node1",
             layout=RAID6_4,
-            volume_count=0,
-            total_iops_budget=400,
-            allocated_iops=0,
+            disk_ids=(),
             usable_capacity_bytes=2 * TiB,
-            allocated_capacity_bytes=0,
-            timestamp=0.0,
+            total_iops_budget=400,
         )
     )
     with pytest.raises(NotFoundError):
         plane.submit(req("r2"), now=1.0)
+
+
+def test_stale_snapshot_provision_retries_on_next_free_disks(monkeypatch):
+    plane = ControlPlane(make_nodes({"node1": 6}), ControlConfig())
+    stale = plane.statedb.snapshot()
+    # a competing build takes node1-d00..d02 after the snapshot was taken
+    plane.broker.provision(plane.broker.make_order("node1", ReplicatedPool(3)), now=0.0)
+    snapshots = [stale]
+    fresh = plane.statedb.snapshot
+    monkeypatch.setattr(
+        plane.statedb, "snapshot", lambda: snapshots.pop() if snapshots else fresh()
+    )
+    outcome = plane.submit(req("r1", layout=Jbod(), min_iops=0), now=1.0)
+    assert outcome.attempts == 2
+    assert outcome.decision == Provision("node1", Jbod(), ("node1-d03",))
+    assert outcome.provisioned is not None
+    assert outcome.provisioned.disk_ids == ("node1-d03",)
+    assert outcome.admission is not None and outcome.admission.accepted
+    assert plane.broker.free_disk_count() == {"node1": 2}
 
 
 def test_duplicate_request_id_conflicts():

@@ -132,12 +132,17 @@ def test_admission_publishes_report():
 
 
 def test_report_shape():
-    mgr = make_manager()
+    db = StateDatabase()
+    mgr = make_manager(db)
     mgr.admit(req("r1"), now=0.0)
-    rep = mgr.report(now=5.0)
-    assert rep.impl_id == "impl-0001"
+    rep = db.snapshot().implementations["impl-0001"]
+    assert rep is mgr.impl
     assert rep.remaining_iops == 300
-    assert rep.timestamp == 5.0
+    assert rep.volume_count == 1
+    mgr.delete_volume("vol-r1", now=5.0)
+    rep = db.snapshot().implementations["impl-0001"]
+    assert rep is mgr.impl
+    assert (rep.volume_count, rep.allocated_iops, rep.idle_since) == (0, 0, 5.0)
 
 
 # throttle loop

@@ -23,7 +23,6 @@ from storbind.model import (
     parse_volume_type,
     redundancy_factor,
     usable_capacity,
-    volume_type_spec,
 )
 
 TiB = 1024**4
@@ -180,20 +179,6 @@ def test_parse_volume_type_errors_name_the_key():
 def test_parse_volume_type_keeps_unknown_keys():
     vt = parse_volume_type({"jbod": "1", "app-copies": "3", "team": "cdn"})
     assert vt.extra == {"app-copies": "3", "team": "cdn"}
-
-
-def test_volume_type_spec_roundtrip():
-    specs = [
-        {"jbod": "1"},
-        {"raid": "6", "width": "4", "min-iops": "100"},
-        {"raid": "5", "width": "10", "iosize": "8k"},
-        {"replicas": "3", "app-copies": "1"},
-        {"ec-k": "6", "ec-m": "3", "min-iops": "50"},
-    ]
-    for spec in specs:
-        vt = parse_volume_type(spec, name="x")
-        again = parse_volume_type(volume_type_spec(vt), name="x")
-        assert again == vt
 
 
 def test_medium_values():

@@ -1,0 +1,71 @@
+"""Pinned output bytes: every bundled scenario, dynamic and static rep:3.
+
+A refactor or a speed-up must leave events.jsonl and timeseries.csv
+byte-identical. These sha256 digests were recorded at seed 0; a change
+that moves one on purpose changes the simulator's observable behaviour
+and must say so.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from storbind.model import parse_layout
+from storbind.report import EVENTS_FILE, TIMESERIES_FILE, run_to_directory
+from storbind.scenario import load_scenario
+from storbind.scenarios import bundled_names, scenario_path
+
+# (scenario, mode) -> (events.jsonl sha256, timeseries.csv sha256)
+PINNED = {
+    ("noisy-neighbor", "dynamic"): (
+        "d3cf5ec14d7fd9b951993eda82cbfa877a71042a3d5720d0d4f6836cb35c1235",
+        "3d84ff4c47d29dce91d0aa4f99690251b38ecd65839882fb976f3161f9fb9c98",
+    ),
+    ("noisy-neighbor", "rep:3"): (
+        "29177642392d73aed23b52a9567ad1fd3292125155fc8cff69e177c058268f77",
+        "0bda2a826b6ccb281e61899a14cdf99bf9ee40ac1662006691862db17357bbe3",
+    ),
+    ("overhead", "dynamic"): (
+        "34a9d5172df2ab1483406de58100a4eedc769ab32273609ca51c533180f2e208",
+        "b5a62cb57e465304b412772cc9f02d8f73314f1c3fa476c4a99057033273c653",
+    ),
+    ("overhead", "rep:3"): (
+        "46f3a9f0dad81b3fb604f88509303c76dd9d7e616aae095bc69f5ae94a1d2869",
+        "b5a62cb57e465304b412772cc9f02d8f73314f1c3fa476c4a99057033273c653",
+    ),
+    ("table3-gc", "dynamic"): (
+        "39f1cd0e88f550afd17bc15326b38998451d3ef6486322353364d91367630e91",
+        "e74cb10331b11a75e2f98c7620ce9a24ea7cde05dd2b6374e17be0a63b9c5265",
+    ),
+    ("table3-gc", "rep:3"): (
+        "4c76f3f567131db45b609bb985131c621cf204234ff4a7968da0defd632a2f5b",
+        "c55c7ee91368a7c54c9bff45c12fb3886e194476c43317854845bdef527991eb",
+    ),
+    ("table3", "dynamic"): (
+        "ec3b48973c3490961647af6273c8213fbe6feb3162c986250066c13164f03970",
+        "f73b7559be0c799298ba865867a25e2f80982c5ee1255df1b353787d4feb50c0",
+    ),
+    ("table3", "rep:3"): (
+        "8d9157b42853f9a15d6c9dd7d4b0f4e910dee5912e8893c139a8ae019f46ae70",
+        "eae578e91f94b2ad60221bcf1dccaeb3862ff443e4415700f36c188dc2bdfc4b",
+    ),
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_every_bundled_scenario_is_pinned():
+    assert {name for name, _ in PINNED} == set(bundled_names())
+
+
+@pytest.mark.parametrize("name,mode", sorted(PINNED))
+def test_output_bytes_match_pin(name: str, mode: str, tmp_path: Path):
+    layout = None if mode == "dynamic" else parse_layout(mode)
+    run_to_directory(load_scenario(scenario_path(name)), tmp_path, seed=0, static_layout=layout)
+    got = (sha256(tmp_path / EVENTS_FILE), sha256(tmp_path / TIMESERIES_FILE))
+    assert got == PINNED[name, mode]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from storbind.model import DiskSpec, Jbod, Raid, ReplicatedPool, VolumeType
+from storbind.model import DiskSpec, Jbod, Raid, ReplicatedPool, StorageImplementation, VolumeType
 from storbind.scheduler import (
     LayoutMatch,
     Provision,
@@ -18,12 +18,13 @@ from storbind.scheduler import (
     schedule,
     schedule_static,
 )
-from storbind.statedb import BrokerReport, ManagerReport, StateDatabase
+from storbind.statedb import BrokerReport, StateDatabase
 
 TiB = 1024**4
 GiB = 1024**3
 
 RAID6_4 = Raid(width=4, parity_count=2)
+FIRST4 = {n: tuple(f"{n}-d{i:02d}" for i in range(4)) for n in ("node1", "node2")}
 
 
 def node_report(node_id: str, n_free: int, capacity: int = TiB) -> BrokerReport:
@@ -39,17 +40,16 @@ def impl_report(
     allocated_iops: int = 0,
     allocated_capacity: int = 0,
     node_id: str = "node1",
-) -> ManagerReport:
-    return ManagerReport(
+) -> StorageImplementation:
+    return StorageImplementation(
         impl_id=impl_id,
         node_id=node_id,
         layout=layout,
-        volume_count=0,
+        disk_ids=(),
+        usable_capacity_bytes=2 * TiB,
         total_iops_budget=400,
         allocated_iops=allocated_iops,
-        usable_capacity_bytes=2 * TiB,
         allocated_capacity_bytes=allocated_capacity,
-        timestamp=0.0,
     )
 
 
@@ -103,10 +103,10 @@ def test_reuse_tie_breaks_on_impl_id():
 
 def test_provision_picks_most_free_disks_then_node_id():
     snap = snapshot(nodes=[node_report("node1", 4), node_report("node2", 6)])
-    assert schedule(request(), snap) == Provision("node2", RAID6_4, 4)
+    assert schedule(request(), snap) == Provision("node2", RAID6_4, FIRST4["node2"])
 
     tie = snapshot(nodes=[node_report("node2", 4), node_report("node1", 4)])
-    assert schedule(request(), tie) == Provision("node1", RAID6_4, 4)
+    assert schedule(request(), tie) == Provision("node1", RAID6_4, FIRST4["node1"])
 
 
 def test_budget_full_impl_is_skipped_then_rejected():
@@ -115,7 +115,7 @@ def test_budget_full_impl_is_skipped_then_rejected():
         reports=[impl_report("impl-0001", allocated_iops=400)],
         nodes=[node_report("node1", 4)],
     )
-    assert schedule(request(), snap) == Provision("node1", RAID6_4, 4)
+    assert schedule(request(), snap) == Provision("node1", RAID6_4, FIRST4["node1"])
     # full implementation and no disks: the budget ran out, say so
     snap = snapshot(
         reports=[impl_report("impl-0001", allocated_iops=400)],
@@ -152,7 +152,7 @@ def test_fresh_group_budget_short_rejects_no_iops_budget():
 def test_jbod_takes_lex_smallest_disk():
     snap = snapshot(nodes=[node_report("node1", 3)])
     decision = schedule(request(layout=Jbod(), min_iops=0, size=GiB), snap)
-    assert decision == Provision("node1", Jbod(), 1)
+    assert decision == Provision("node1", Jbod(), ("node1-d00",))
 
 
 def test_decision_is_permutation_invariant():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from storbind.errors import ConsistencyError, NotFoundError
-from storbind.model import DiskSpec, Jbod, Raid
-from storbind.statedb import BrokerReport, ClusterSnapshot, ManagerReport, StateDatabase
+from storbind.model import DiskSpec, Jbod, Raid, StorageImplementation
+from storbind.statedb import BrokerReport, ClusterSnapshot, StateDatabase
 
 TiB = 1024**4
 
@@ -18,17 +18,19 @@ def broker_report(node_id="node1", n_disks=3, timestamp=0.0) -> BrokerReport:
     return BrokerReport(node_id=node_id, free_disks=disks, timestamp=timestamp)
 
 
-def manager_report(impl_id="impl-0001", allocated_iops=0, volume_count=0, **kw) -> ManagerReport:
-    return ManagerReport(
+def manager_report(
+    impl_id="impl-0001", allocated_iops=0, volume_count=0, **kw
+) -> StorageImplementation:
+    return StorageImplementation(
         impl_id=impl_id,
         node_id=kw.get("node_id", "node1"),
         layout=kw.get("layout", Raid(width=4, parity_count=2)),
-        volume_count=volume_count,
+        disk_ids=kw.get("disk_ids", ()),
+        usable_capacity_bytes=kw.get("usable_capacity_bytes", 2 * TiB),
         total_iops_budget=kw.get("total_iops_budget", 400),
         allocated_iops=allocated_iops,
-        usable_capacity_bytes=kw.get("usable_capacity_bytes", 2 * TiB),
         allocated_capacity_bytes=kw.get("allocated_capacity_bytes", 0),
-        timestamp=kw.get("timestamp", 0.0),
+        volume_count=volume_count,
     )
 
 
