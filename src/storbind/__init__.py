@@ -71,14 +71,13 @@ from .scheduler import (
     schedule_static,
 )
 from .sim import EventKind, SimEvent, SimResult, TimeSeriesPoint, run_scenario
-from .statedb import BrokerReport, ClusterSnapshot, StateDatabase
+from .statedb import ClusterSnapshot, StateDatabase
 from .workload import ConstantDemand, DemandStreams, TraceDemand, WalkDemand
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Admission",
-    "BrokerReport",
     "ClusterSnapshot",
     "ConfigError",
     "ConflictError",

@@ -1,8 +1,10 @@
 """Storage broker: turns raw disks into implementations and back.
 
-The broker owns the free-disk pool of every node. Provisioning is
-all-or-nothing, and the garbage collector returns an implementation's
-disks to the pool once it has sat empty for the configured dwell time.
+The broker owns each node's free-disk pool: one tuple of DiskSpec in
+disk_id order, replaced on every change and published as is.
+Provisioning is all-or-nothing, and the garbage collector returns an
+implementation's disks to the pool once it has sat empty for the
+configured dwell time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .model import (
     usable_capacity,
 )
 from .scheduler import Provision, candidate_disks
-from .statedb import BrokerReport, StateDatabase
+from .statedb import StateDatabase
 
 
 class StorageBroker:
@@ -31,28 +33,23 @@ class StorageBroker:
     def __init__(self, nodes: Iterable[StorageNode], statedb: StateDatabase):
         self.statedb = statedb
         self.nodes: dict[str, StorageNode] = {}
-        self._free: dict[str, set[str]] = {}
+        self._free: dict[str, tuple[DiskSpec, ...]] = {}
         self.managers: dict[str, StorageManager] = {}
         self._impl_seq = 0
         for node in nodes:
             if node.node_id in self.nodes:
                 raise InputError(f"duplicate node_id {node.node_id}")
             self.nodes[node.node_id] = node
-            self._free[node.node_id] = set(node.free_disk_ids)
+            self._free[node.node_id] = tuple(sorted(node.disks, key=lambda d: d.disk_id))
 
     def free_disk_specs(self, node_id: str) -> tuple[DiskSpec, ...]:
-        node = self._node(node_id)
-        free = self._free[node_id]
-        return tuple(d for d in sorted(node.disks, key=lambda d: d.disk_id) if d.disk_id in free)
+        """The node's free disks in disk_id order, as last published."""
+        self._node(node_id)
+        return self._free[node_id]
 
-    def publish_node(self, node_id: str, now: float) -> None:
-        self.statedb.upsert_broker_report(
-            BrokerReport(node_id=node_id, free_disks=self.free_disk_specs(node_id), timestamp=now)
-        )
-
-    def publish_all(self, now: float) -> None:
+    def publish_all(self) -> None:
         for node_id in sorted(self.nodes):
-            self.publish_node(node_id, now)
+            self.statedb.upsert_broker_report(node_id, self._free[node_id])
 
     def make_order(self, node_id: str, layout: LayoutKind) -> Provision:
         """Plan a build from the live pool's lexicographically smallest free disks."""
@@ -76,12 +73,14 @@ class StorageBroker:
         """
         node = self._node(decision.node_id)
         free = self._free[decision.node_id]
-        if len(set(decision.disk_ids)) != len(decision.disk_ids):
+        taken = set(decision.disk_ids)
+        if len(taken) != len(decision.disk_ids):
             raise InputError(f"provision on {decision.node_id}: duplicate disk ids")
+        free_ids = {d.disk_id for d in free}
         disks = []
         for disk_id in decision.disk_ids:
             disks.append(node.disk(disk_id))
-            if disk_id not in free:
+            if disk_id not in free_ids:
                 raise ConflictError(f"node {decision.node_id}: disk {disk_id} is not free")
         capacity = usable_capacity(decision.layout, disks)
         budget = iops_budget(decision.layout, disks)
@@ -96,25 +95,32 @@ class StorageBroker:
             total_iops_budget=budget,
             idle_since=now,
         )
-        free.difference_update(decision.disk_ids)
+        remaining = tuple(d for d in free if d.disk_id not in taken)
+        self._free[decision.node_id] = remaining
         manager = StorageManager(impl, self.statedb)
         self.managers[impl.impl_id] = manager
         self.statedb.upsert_manager_report(impl)
-        self.publish_node(decision.node_id, now)
+        self.statedb.upsert_broker_report(decision.node_id, remaining)
         return manager
 
-    def garbage_collect(self, now: float, config: ControlConfig) -> list[str]:
-        """Reclaim every implementation that has been empty for the dwell time."""
+    def garbage_collect(self, now: float, config: ControlConfig) -> list[StorageImplementation]:
+        """Reclaim every implementation that has been empty for the dwell time.
+
+        Returns the reclaimed records, in impl_id order.
+        """
         reclaimed = []
         for impl_id in sorted(self.managers):
             impl = self.managers[impl_id].impl
             if impl.idle_since is None or now - impl.idle_since < config.gc_dwell_s:
                 continue
-            self._free[impl.node_id] |= set(impl.disk_ids)
+            node = self.nodes[impl.node_id]
+            returned = tuple(node.disk(disk_id) for disk_id in impl.disk_ids)
+            free = tuple(sorted(self._free[node.node_id] + returned, key=lambda d: d.disk_id))
+            self._free[node.node_id] = free
             del self.managers[impl_id]
             self.statedb.remove_manager_report(impl_id)
-            self.publish_node(impl.node_id, now)
-            reclaimed.append(impl_id)
+            self.statedb.upsert_broker_report(node.node_id, free)
+            reclaimed.append(impl)
         return reclaimed
 
     def manager_for(self, impl_id: str) -> StorageManager:

@@ -44,13 +44,12 @@ class DiskSpec:
 class StorageNode:
     """A host and its local raw disks.
 
-    free_disk_ids is the initial free pool; the broker tracks the live
-    free set separately so node records stay immutable.
+    Every disk starts free; the broker tracks the live free pool, so
+    node records stay immutable.
     """
 
     node_id: str
     disks: tuple[DiskSpec, ...]
-    free_disk_ids: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if not self.node_id:
@@ -58,10 +57,6 @@ class StorageNode:
         ids = [d.disk_id for d in self.disks]
         if len(set(ids)) != len(ids):
             raise InputError(f"node {self.node_id}: duplicate disk ids")
-        if not self.free_disk_ids:
-            object.__setattr__(self, "free_disk_ids", frozenset(ids))
-        elif not self.free_disk_ids <= set(ids):
-            raise InputError(f"node {self.node_id}: free_disk_ids not a subset of disks")
 
     def disk(self, disk_id: str) -> DiskSpec:
         for d in self.disks:

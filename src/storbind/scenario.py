@@ -57,7 +57,7 @@ class Scenario:
     requests: tuple[RequestSpec, ...]
     workloads: Mapping[str, DemandModel] = field(default_factory=dict)
     control: ControlConfig = field(default_factory=ControlConfig)
-    degradation: str = "1"
+    degradation: Fraction = Fraction(1)
 
 
 def app_copies(vtype: VolumeType) -> int:
@@ -438,8 +438,8 @@ def _build_demand(
         return None
 
 
-def _build_control(raw: object, diags: list[str]) -> tuple[ControlConfig | None, str]:
-    degradation = "1"
+def _build_control(raw: object, diags: list[str]) -> tuple[ControlConfig | None, Fraction]:
+    degradation = Fraction(1)
     if raw is None:
         return ControlConfig(), degradation
     if not isinstance(raw, dict):
@@ -470,12 +470,11 @@ def _build_control(raw: object, diags: list[str]) -> tuple[ControlConfig | None,
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             diags.append(f"control.degradation: expected a number, got {value!r}")
         else:
-            text = str(value)
             try:
-                frac = Fraction(text)
+                frac = Fraction(str(value))
                 if not 0 < frac <= 1:
                     raise ConfigError("out of range")
-                degradation = text
+                degradation = frac
             except (ValueError, ZeroDivisionError, ConfigError):
                 diags.append(f"control.degradation: must be a number in (0, 1], got {value!r}")
 

@@ -130,34 +130,27 @@ def candidate_disks(
 
 def _provision_plan(
     snapshot: ClusterSnapshot, request: VolumeRequest
-) -> tuple[Provision | None, bool, bool, bool]:
+) -> tuple[Provision | None, bool, bool]:
     """Try to place a fresh implementation.
 
-    Returns (plan, any_count_sufficient, any_size_shortfall, any_budget_shortfall)
-    so the caller can name the most specific reject reason when plan is None.
+    Returns (plan, any_count_sufficient, any_size_shortfall) so the caller
+    can name the most specific reject reason when plan is None.
     """
     layout = request.volume_type.layout
-    nodes = sorted(
-        snapshot.nodes.values(), key=lambda n: (-len(n.free_disks), n.node_id)
-    )
+    nodes = sorted(snapshot.nodes.items(), key=lambda item: (-len(item[1]), item[0]))
     any_count = False
     any_size_short = False
-    any_budget_short = False
-    for node in nodes:
-        disks = candidate_disks(node.free_disks, layout)
+    for node_id, free in nodes:
+        disks = candidate_disks(free, layout)
         if disks is None:
             continue
         any_count = True
         fits_size = usable_capacity(layout, disks) >= request.size_bytes
-        fits_budget = iops_budget(layout, disks) >= request.volume_type.min_iops
-        if fits_size and fits_budget:
-            plan = Provision(node.node_id, layout, tuple(d.disk_id for d in disks))
-            return plan, True, any_size_short, any_budget_short
+        if fits_size and iops_budget(layout, disks) >= request.volume_type.min_iops:
+            return Provision(node_id, layout, tuple(d.disk_id for d in disks)), True, any_size_short
         if not fits_size:
             any_size_short = True
-        if not fits_budget:
-            any_budget_short = True
-    return None, any_count, any_size_short, any_budget_short
+    return None, any_count, any_size_short
 
 
 def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:
@@ -172,7 +165,7 @@ def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecis
     if chosen is not None:
         return UseExisting(chosen.impl_id)
 
-    plan, any_count, any_size_short, any_budget_short = _provision_plan(snapshot, request)
+    plan, any_count, any_size_short = _provision_plan(snapshot, request)
     if plan is not None:
         return plan
 
@@ -184,9 +177,8 @@ def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecis
     if matches or any_size_short:
         # every surviving match and at least one fresh candidate lacked bytes
         return Reject(RejectReason.NO_CAPACITY)
-    if any_budget_short:
-        return Reject(RejectReason.NO_IOPS_BUDGET)
-    return Reject(RejectReason.NO_LAYOUT_MATCH)
+    # some node had the disks; none was short on bytes, so all lacked budget
+    return Reject(RejectReason.NO_IOPS_BUDGET)
 
 
 def schedule_static(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:

@@ -87,9 +87,7 @@ class _Engine:
         self.scenario = scenario
         self.seed = seed
         self.static_layout = static_layout
-        self.plane = ControlPlane(
-            scenario.nodes, scenario.control, static_layout=static_layout, now=0.0
-        )
+        self.plane = ControlPlane(scenario.nodes, scenario.control, static_layout=static_layout)
         self.streams = DemandStreams(seed)
         self.events: list[SimEvent] = []
         self.timeseries: list[TimeSeriesPoint] = []
@@ -137,16 +135,11 @@ class _Engine:
         )
 
     def _collect_garbage(self, t: float) -> None:
-        before = {
-            m.impl.impl_id: (m.impl.node_id, list(m.impl.disk_ids))
-            for m in self.plane.managers()
-        }
-        for impl_id in self.plane.broker.garbage_collect(t, self.scenario.control):
-            node_id, disk_ids = before[impl_id]
+        for impl in self.plane.broker.garbage_collect(t, self.scenario.control):
             self.emit(
                 t,
                 EventKind.GC_RECLAIMED,
-                {"impl_id": impl_id, "node_id": node_id, "disk_ids": disk_ids},
+                {"impl_id": impl.impl_id, "node_id": impl.node_id, "disk_ids": list(impl.disk_ids)},
             )
             self.counts["reclaimed"] += 1
 

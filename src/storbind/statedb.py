@@ -1,9 +1,10 @@
 """Cluster state database: last-writer-wins report store with snapshots.
 
-Brokers report per-node free disks; managers publish their frozen
-implementation records, stored as given. Reads go through immutable
-snapshots so a scheduler never sees a half-applied update; every
-mutation bumps a single sequence counter.
+Brokers publish each node's free disks as one tuple in disk_id order;
+managers publish their frozen implementation records. Both are stored
+as given. Reads go through immutable snapshots so a scheduler never
+sees a half-applied update; every mutation bumps a single sequence
+counter.
 """
 
 from __future__ import annotations
@@ -18,19 +19,11 @@ from .model import DiskSpec, StorageImplementation
 
 
 @dataclass(frozen=True)
-class BrokerReport:
-    """Free raw disks on one node, as last reported by its broker."""
-
-    node_id: str
-    free_disks: tuple[DiskSpec, ...]
-    timestamp: float
-
-
-@dataclass(frozen=True)
 class ClusterSnapshot:
     """A consistent point-in-time view of every report."""
 
-    nodes: Mapping[str, BrokerReport]
+    # node_id -> that node's free disks, in disk_id order
+    nodes: Mapping[str, tuple[DiskSpec, ...]]
     implementations: Mapping[str, StorageImplementation]
     seq: int
 
@@ -46,14 +39,14 @@ class StateDatabase:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._nodes: dict[str, BrokerReport] = {}
+        self._nodes: dict[str, tuple[DiskSpec, ...]] = {}
         self._impls: dict[str, StorageImplementation] = {}
         self._removed: set[str] = set()
         self._seq = 0
 
-    def upsert_broker_report(self, report: BrokerReport) -> int:
+    def upsert_broker_report(self, node_id: str, free_disks: tuple[DiskSpec, ...]) -> int:
         with self._lock:
-            self._nodes[report.node_id] = report
+            self._nodes[node_id] = free_disks
             self._seq += 1
             return self._seq
 

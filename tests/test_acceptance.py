@@ -36,7 +36,7 @@ from storbind.scenario import load_scenario
 from storbind.scenarios import bundled_names, scenario_path
 from storbind.scheduler import VolumeRequest, measure_decision_latency
 from storbind.sim import EventKind, run_scenario
-from storbind.statedb import BrokerReport, StateDatabase
+from storbind.statedb import StateDatabase
 
 GiB = 1024**3
 TiB = 1024**4
@@ -293,7 +293,7 @@ def test_criterion_08_decision_latency():
             DiskSpec(disk_id=f"{node_id}-d{i:02d}", capacity_bytes=TiB)
             for i in range(rng.randint(0, 12))
         )
-        db.upsert_broker_report(BrokerReport(node_id=node_id, free_disks=disks, timestamp=0.0))
+        db.upsert_broker_report(node_id, disks)
     layouts = [Raid(width=4, parity_count=2), Raid(width=10, parity_count=1), Jbod()]
     for i in range(50):
         layout = layouts[i % 3]
@@ -393,6 +393,9 @@ def test_criterion_10_ledger_invariant_fuzz():
         free = plane.broker.free_disk_count()
         for node_id, total in total_disks.items():
             assert len(held[node_id]) + free[node_id] == total
+            free_specs = plane.broker.free_disk_specs(node_id)
+            assert snap.nodes[node_id] is free_specs
+            assert not {d.disk_id for d in free_specs} & held[node_id], "disk free and held"
 
     for step in range(10_000):
         now += 1.0

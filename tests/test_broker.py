@@ -46,7 +46,7 @@ def make_nodes(spec: dict[str, int]) -> list[StorageNode]:
 def make_broker(spec=None) -> tuple[StorageBroker, StateDatabase]:
     db = StateDatabase()
     broker = StorageBroker(make_nodes(spec or {"node1": 10, "node2": 7}), db)
-    broker.publish_all(0.0)
+    broker.publish_all()
     return broker, db
 
 
@@ -83,8 +83,8 @@ def test_provision_moves_disks_out_of_free_pool():
     broker.provision(broker.make_order("node2", RAID6_4), now=0.0)
     assert broker.free_disk_count() == {"node1": 10, "node2": 3}
     snap = db.snapshot()
-    free_ids = {d.disk_id for d in snap.nodes["node2"].free_disks}
-    assert free_ids == {"node2-d04", "node2-d05", "node2-d06"}
+    assert snap.nodes["node2"] is broker.free_disk_specs("node2")
+    assert [d.disk_id for d in snap.nodes["node2"]] == ["node2-d04", "node2-d05", "node2-d06"]
     assert "impl-0001" in snap.implementations
 
 
@@ -120,6 +120,17 @@ def test_provision_unknown_node_and_disks():
         broker.provision(Provision("node1", Jbod(), ("node1-d99",)), now=0.0)
 
 
+def test_provision_checks_each_disk_in_order():
+    broker, _ = make_broker()
+    broker.provision(broker.make_order("node1", Jbod()), now=0.0)
+    # node1-d00 is taken and node1-d99 does not exist: the first named disk decides
+    with pytest.raises(InputError):
+        broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d99", "node1-d00")), now=1.0)
+    with pytest.raises(ConflictError):
+        broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d00", "node1-d99")), now=1.0)
+    assert broker.free_disk_count() == {"node1": 9, "node2": 7}
+
+
 def test_provision_order_validation():
     broker, db = make_broker()
     seq = db.snapshot().seq
@@ -141,7 +152,7 @@ def test_garbage_collect_honors_dwell():
 
     assert broker.garbage_collect(now=150.0, config=config) == []
     assert broker.garbage_collect(now=399.0, config=config) == []
-    assert broker.garbage_collect(now=400.0, config=config) == ["impl-0001"]
+    assert broker.garbage_collect(now=400.0, config=config) == [manager.impl]
     assert broker.free_disk_count() == {"node1": 10, "node2": 7}
 
 
@@ -156,9 +167,9 @@ def test_garbage_collect_skips_occupied_implementations():
 def test_never_used_implementation_is_collected_after_dwell():
     broker, _ = make_broker()
     config = ControlConfig(gc_dwell_s=300.0)
-    broker.provision(broker.make_order("node1", RAID6_4), now=50.0)
+    manager = broker.provision(broker.make_order("node1", RAID6_4), now=50.0)
     assert broker.garbage_collect(now=349.0, config=config) == []
-    assert broker.garbage_collect(now=350.0, config=config) == ["impl-0001"]
+    assert broker.garbage_collect(now=350.0, config=config) == [manager.impl]
 
 
 def test_garbage_collect_removes_report_and_tombstones():
@@ -175,12 +186,18 @@ def test_garbage_collect_removes_report_and_tombstones():
 
 def test_reclaimed_disks_are_reused_in_lex_order():
     broker, _ = make_broker({"node1": 4})
-    config = ControlConfig(gc_dwell_s=0.0)
-    broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
+    config = ControlConfig(gc_dwell_s=0.5)
+    broker.provision(broker.make_order("node1", Jbod()), now=1.0)
+    broker.provision(broker.make_order("node1", ReplicatedPool(3)), now=0.0)
+    # the later disks come back first, then the earliest one joins in front
     broker.garbage_collect(now=1.0, config=config)
-    again = broker.provision(broker.make_order("node1", RAID6_4), now=2.0)
-    assert again.impl.impl_id == "impl-0002"
-    assert again.impl.disk_ids == ("node1-d00", "node1-d01", "node1-d02", "node1-d03")
+    assert [d.disk_id for d in broker.free_disk_specs("node1")] == ["node1-d01", "node1-d02", "node1-d03"]
+    broker.garbage_collect(now=2.0, config=config)
+    all_four = ("node1-d00", "node1-d01", "node1-d02", "node1-d03")
+    assert tuple(d.disk_id for d in broker.free_disk_specs("node1")) == all_four
+    again = broker.provision(broker.make_order("node1", RAID6_4), now=3.0)
+    assert again.impl.impl_id == "impl-0003"
+    assert again.impl.disk_ids == all_four
 
 
 def test_disk_conservation_under_churn():

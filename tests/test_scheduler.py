@@ -18,7 +18,7 @@ from storbind.scheduler import (
     schedule,
     schedule_static,
 )
-from storbind.statedb import BrokerReport, StateDatabase
+from storbind.statedb import StateDatabase
 
 TiB = 1024**4
 GiB = 1024**3
@@ -27,11 +27,11 @@ RAID6_4 = Raid(width=4, parity_count=2)
 FIRST4 = {n: tuple(f"{n}-d{i:02d}" for i in range(4)) for n in ("node1", "node2")}
 
 
-def node_report(node_id: str, n_free: int, capacity: int = TiB) -> BrokerReport:
+def node_report(node_id: str, n_free: int, capacity: int = TiB) -> tuple[str, tuple[DiskSpec, ...]]:
     disks = tuple(
         DiskSpec(disk_id=f"{node_id}-d{i:02d}", capacity_bytes=capacity) for i in range(n_free)
     )
-    return BrokerReport(node_id=node_id, free_disks=disks, timestamp=0.0)
+    return node_id, disks
 
 
 def impl_report(
@@ -55,8 +55,8 @@ def impl_report(
 
 def snapshot(reports=(), nodes=()):
     db = StateDatabase()
-    for rep in nodes:
-        db.upsert_broker_report(rep)
+    for node_id, free in nodes:
+        db.upsert_broker_report(node_id, free)
     for rep in reports:
         db.upsert_manager_report(rep)
     return db.snapshot()
@@ -170,6 +170,54 @@ def test_decision_is_permutation_invariant():
         if baseline is None:
             baseline = decision
         assert decision == baseline
+
+
+def test_dynamic_schedule_never_rejects_no_layout_match():
+    # once a node has the disks for a fresh group, a miss means it lacked bytes
+    # or budget, so only schedule_static can still answer NO_LAYOUT_MATCH
+    rng = random.Random(11)
+    layouts = [Jbod(), ReplicatedPool(2), ReplicatedPool(3), RAID6_4, Raid(width=3, parity_count=1)]
+    seen = set()
+    for _ in range(3000):
+        impls = []
+        for i in range(rng.randrange(0, 4)):
+            budget = rng.choice([0, 100, 400])
+            capacity = rng.choice([GiB, TiB, 4 * TiB])
+            impls.append(
+                StorageImplementation(
+                    impl_id=f"impl-{i:04d}",
+                    node_id="node1",
+                    layout=rng.choice(layouts),
+                    disk_ids=(),
+                    usable_capacity_bytes=capacity,
+                    total_iops_budget=budget,
+                    allocated_iops=rng.randint(0, budget),
+                    allocated_capacity_bytes=rng.randint(0, capacity),
+                )
+            )
+        nodes = []
+        for n in range(rng.randrange(0, 4)):
+            disks = tuple(
+                DiskSpec(
+                    disk_id=f"node{n}-d{i:02d}",
+                    capacity_bytes=rng.choice([GiB, TiB]),
+                    profiled_iops=rng.choice([0, 50, 200]),
+                )
+                for i in range(rng.randrange(0, 6))
+            )
+            nodes.append((f"node{n}", disks))
+        vtype = VolumeType(name="t", layout=rng.choice(layouts), min_iops=rng.choice([0, 100, 500]))
+        req = VolumeRequest("r1", vtype, rng.choice([GiB, TiB, 3 * TiB]), 0.0)
+        decision = schedule(req, snapshot(reports=impls, nodes=nodes))
+        seen.add(decision.reason if isinstance(decision, Reject) else type(decision))
+    assert RejectReason.NO_LAYOUT_MATCH not in seen
+    assert seen == {
+        UseExisting,
+        Provision,
+        RejectReason.NO_IOPS_BUDGET,
+        RejectReason.NO_CAPACITY,
+        RejectReason.NO_RAW_DISKS,
+    }
 
 
 def test_static_matches_by_redundancy():

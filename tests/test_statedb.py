@@ -6,16 +6,15 @@ import pytest
 
 from storbind.errors import ConsistencyError, NotFoundError
 from storbind.model import DiskSpec, Jbod, Raid, StorageImplementation
-from storbind.statedb import BrokerReport, ClusterSnapshot, StateDatabase
+from storbind.statedb import ClusterSnapshot, StateDatabase
 
 TiB = 1024**4
 
 
-def broker_report(node_id="node1", n_disks=3, timestamp=0.0) -> BrokerReport:
-    disks = tuple(
+def free_disks(node_id="node1", n_disks=3) -> tuple[DiskSpec, ...]:
+    return tuple(
         DiskSpec(disk_id=f"{node_id}-d{i:02d}", capacity_bytes=TiB) for i in range(n_disks)
     )
-    return BrokerReport(node_id=node_id, free_disks=disks, timestamp=timestamp)
 
 
 def manager_report(
@@ -36,21 +35,23 @@ def manager_report(
 
 def test_snapshot_reflects_latest_reports():
     db = StateDatabase()
-    db.upsert_broker_report(broker_report())
+    disks = free_disks()
+    db.upsert_broker_report("node1", disks)
     db.upsert_manager_report(manager_report(allocated_iops=100, volume_count=1))
     snap = db.snapshot()
     assert set(snap.nodes) == {"node1"}
+    assert snap.nodes["node1"] is disks
     assert set(snap.implementations) == {"impl-0001"}
     assert snap.implementations["impl-0001"].remaining_iops == 300
 
 
 def test_snapshot_is_immutable_and_isolated():
     db = StateDatabase()
-    db.upsert_broker_report(broker_report())
+    db.upsert_broker_report("node1", free_disks())
     snap = db.snapshot()
     with pytest.raises(TypeError):
-        snap.nodes["node2"] = broker_report("node2")  # type: ignore[index]
-    db.upsert_broker_report(broker_report("node2"))
+        snap.nodes["node2"] = free_disks("node2")  # type: ignore[index]
+    db.upsert_broker_report("node2", free_disks("node2"))
     assert "node2" not in snap.nodes
     assert "node2" in db.snapshot().nodes
 
@@ -58,7 +59,7 @@ def test_snapshot_is_immutable_and_isolated():
 def test_snapshot_seq_increases():
     db = StateDatabase()
     first = db.snapshot()
-    db.upsert_broker_report(broker_report())
+    db.upsert_broker_report("node1", free_disks())
     second = db.snapshot()
     assert second.seq > first.seq
 
