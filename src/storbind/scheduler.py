@@ -118,14 +118,16 @@ def candidate_disks(
 ) -> tuple[DiskSpec, ...] | None:
     """The free disks a new implementation of `layout` would consume, or None.
 
-    Always the lexicographically smallest free disk ids, so the same free
-    set maps to the same disks no matter who asks: the scheduler against
-    a snapshot, or the broker against its live pool.
+    `free_disks` must be in disk_id order, as every published free pool
+    is; the first `need` of them are then the lexicographically smallest
+    free disk ids, so the same free set maps to the same disks no matter
+    who asks: the scheduler against a snapshot, or the broker against its
+    live pool.
     """
     need = disk_count(layout)
     if len(free_disks) < need:
         return None
-    return tuple(sorted(free_disks, key=lambda d: d.disk_id)[:need])
+    return tuple(free_disks[:need])
 
 
 def _provision_plan(

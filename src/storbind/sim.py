@@ -18,11 +18,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, Union
 
 from .cluster import ControlPlane, RequestOutcome
 from .errors import InvalidStateError, NotFoundError
-from .fairshare import allocate_iops, capacity_degradation
+from .fairshare import IopsValue, allocate_iops, capacity_degradation
 from .manager import StorageManager
 from .model import LayoutKind, StorageImplementation, format_layout
 from .scenario import RequestSpec, Scenario, app_copies
@@ -75,6 +75,21 @@ class SimResult:
     summary: dict[str, JsonValue] = field(default_factory=dict)
 
 
+@dataclass
+class _GroupShare:
+    """One group's degraded budget and its last fair-share inputs and result.
+
+    Budget and degradation factor are fixed for the group's life, so the
+    degraded budget is computed once. The allocation is reused for as long
+    as the demands and caps repeat the previous interval's.
+    """
+
+    capacity: int
+    demands: dict[str, float] = field(default_factory=dict)
+    caps: Mapping[str, int] = field(default_factory=dict)
+    achieved: dict[str, IopsValue] = field(default_factory=dict)
+
+
 def as_number(value: Fraction) -> int | float:
     """Exact int when integral, float otherwise, for serialization."""
     if value.denominator == 1:
@@ -103,6 +118,7 @@ class _Engine:
         self.request_log: list[dict[str, JsonValue]] = []
         self.volume_class: dict[str, str] = {}
         self.latency_samples: list[float] = []
+        self._shares: dict[str, _GroupShare] = {}
         self._seq = 0
 
     def emit(self, time_s: float, kind: str, payload: dict[str, JsonValue]) -> None:
@@ -136,6 +152,7 @@ class _Engine:
 
     def _collect_garbage(self, t: float) -> None:
         for impl in self.plane.broker.garbage_collect(t, self.scenario.control):
+            self._shares.pop(impl.impl_id, None)
             self.emit(
                 t,
                 EventKind.GC_RECLAIMED,
@@ -270,11 +287,17 @@ class _Engine:
             vid: self.streams.demand(vid, self.scenario.workloads.get(vid), t)
             for vid in volume_ids
         }
-        capacity = capacity_degradation(
-            manager.impl.total_iops_budget, self.scenario.degradation
-        )
+        share = self._shares.get(manager.impl.impl_id)
+        if share is None:
+            share = self._shares[manager.impl.impl_id] = _GroupShare(
+                capacity_degradation(manager.impl.total_iops_budget, self.scenario.degradation)
+            )
         caps = manager.throttle.caps
-        achieved = allocate_iops(demands, caps, capacity)
+        if demands == share.demands and caps == share.caps:
+            achieved = share.achieved
+        else:
+            achieved = allocate_iops(demands, caps, share.capacity)
+            share.demands, share.caps, share.achieved = demands, caps, achieved
         for vid in volume_ids:
             self.timeseries.append(
                 TimeSeriesPoint(

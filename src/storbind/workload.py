@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
@@ -73,11 +72,16 @@ class DemandStreams:
         self.seed = seed
         self._walks: dict[str, tuple[random.Random, float]] = {}
 
-    def demand(self, volume_id: str, model: DemandModel | None, t: float) -> Fraction:
+    def demand(self, volume_id: str, model: DemandModel | None, t: float) -> float:
+        """The volume's demand over the interval starting at `t`.
+
+        The model's own number, unconverted: a float is already an exact
+        binary rational, so the fair share can compare it exactly.
+        """
         if model is None:
-            return Fraction(0)
+            return 0.0
         if isinstance(model, ConstantDemand):
-            return Fraction(model.iops)
+            return model.iops
         if isinstance(model, TraceDemand):
             level = 0.0
             for start_s, iops in model.points:
@@ -85,10 +89,10 @@ class DemandStreams:
                     level = iops
                 else:
                     break
-            return Fraction(level)
+            return level
         return self._walk(volume_id, model)
 
-    def _walk(self, volume_id: str, model: WalkDemand) -> Fraction:
+    def _walk(self, volume_id: str, model: WalkDemand) -> float:
         state = self._walks.get(volume_id)
         if state is None:
             seed_part = self.seed if model.seed is None else model.seed
@@ -98,4 +102,4 @@ class DemandStreams:
             rng, value = state
             value = max(0.0, value + rng.uniform(-model.jitter, model.jitter))
         self._walks[volume_id] = (rng, value)
-        return Fraction(value)
+        return value

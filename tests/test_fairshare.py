@@ -145,3 +145,60 @@ def test_degradation_range_checks():
     for bad in (0, -0.5, 1.5, "nope"):
         with pytest.raises(ConfigError):
             capacity_degradation(400, bad)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), "lots", None])
+def test_non_finite_or_non_number_rejected(bad):
+    with pytest.raises(InputError):
+        allocate_iops({"a": bad}, None, 100)
+    with pytest.raises(InputError):
+        allocate_iops({"a": 10}, {"a": bad}, 100)
+    with pytest.raises(InputError):
+        allocate_iops({"a": 10}, None, bad)
+
+
+def test_level_is_exact_not_float_rounded():
+    # the level is (51 - 2**-60), which a float rounds up to 51.0; a
+    # throttle comparing it against a floor of 51 must see the shortfall
+    out = allocate_iops({"a": 2.0**-60, "b": 100.0}, None, 51)
+    assert out["b"] < 51
+    assert float(out["b"]) == 51.0
+    assert out["a"] + out["b"] == 51
+
+
+def test_whole_grants_are_the_callers_numbers_and_the_level_is_one_object():
+    demands = {"a": 10.5, "b": 400.25, "c": 300.0, "d": 7}
+    caps = {"c": 20, "b": 500}
+    out = allocate_iops(demands, caps, Fraction(121, 2))
+    assert out["a"] is demands["a"]
+    assert out["d"] is demands["d"]
+    assert out["c"] is caps["c"]
+    assert out["b"] == Fraction(121, 2) - 10.5 - 7 - 20
+    assert list(out) == list(demands)
+    level = allocate_iops({"a": 500.0, "b": 600.0, "c": 700.0}, None, 100)
+    assert level["a"] is level["b"] is level["c"]
+    assert level["a"] == Fraction(100, 3)
+
+
+# binary floats like a random walk's, with a small pool of repeats so
+# that ties between volumes (and with caps) come up often
+walk_floats = st.floats(min_value=0, max_value=1000, allow_nan=False, allow_infinity=False)
+tie_pool = st.sampled_from([0.0, 2.0**-60, 0.1, 33.3, 99.99999999999999, 100.0, 250.5])
+iops_floats = walk_floats | tie_pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=names,
+    demands=st.lists(iops_floats, min_size=8, max_size=8),
+    caps=st.lists(iops_floats | st.none(), min_size=8, max_size=8),
+    capacity=st.integers(min_value=0, max_value=4000)
+    | st.fractions(min_value=0, max_value=4000, max_denominator=1000),
+)
+def test_matches_oracle_on_binary_floats(names, demands, caps, capacity):
+    demand_map = {n: d for n, d in zip(names, demands)}
+    cap_map = {n: c for n, c in zip(names, caps) if c is not None}
+    out = allocate_iops(demand_map, cap_map, capacity)
+    assert out == waterfill_oracle(demand_map, capacity, cap_map)
+    levels = {id(v) for v in out.values() if isinstance(v, Fraction)}
+    assert len(levels) <= 1

@@ -1,4 +1,5 @@
-"""Pinned output bytes: every bundled scenario, dynamic and static rep:3.
+"""Pinned output bytes: every bundled scenario, dynamic and static rep:3,
+and the fixtures under tests/data, dynamic.
 
 A refactor or a speed-up must leave events.jsonl and timeseries.csv
 byte-identical. These sha256 digests were recorded at seed 0; a change
@@ -17,6 +18,10 @@ from storbind.model import parse_layout
 from storbind.report import EVENTS_FILE, TIMESERIES_FILE, run_to_directory
 from storbind.scenario import load_scenario
 from storbind.scenarios import bundled_names, scenario_path
+from storbind.sim import EventKind
+from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
+
+DATA = Path(__file__).parent / "data"
 
 # (scenario, mode) -> (events.jsonl sha256, timeseries.csv sha256)
 PINNED = {
@@ -54,6 +59,16 @@ PINNED = {
     ),
 }
 
+# tests/data fixture -> (events.jsonl sha256, timeseries.csv sha256), dynamic
+FIXTURES_PINNED = {
+    # walk, trace and constant demand on degraded groups: the only pin
+    # whose demands, grants and water levels are not integers
+    "demand-mix": (
+        "bdc05815136657e49144e8d1aaf837a42a6d7b9760a6173fef0e185dbeeb734e",
+        "ae230b184c51c4b348177930f48c625610288e4f09389ef11259ca493ec24ac7",
+    ),
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -69,3 +84,23 @@ def test_output_bytes_match_pin(name: str, mode: str, tmp_path: Path):
     run_to_directory(load_scenario(scenario_path(name)), tmp_path, seed=0, static_layout=layout)
     got = (sha256(tmp_path / EVENTS_FILE), sha256(tmp_path / TIMESERIES_FILE))
     assert got == PINNED[name, mode]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES_PINNED))
+def test_fixture_output_bytes_match_pin(name: str, tmp_path: Path):
+    run_to_directory(load_scenario(DATA / f"{name}.yaml"), tmp_path, seed=0)
+    got = (sha256(tmp_path / EVENTS_FILE), sha256(tmp_path / TIMESERIES_FILE))
+    assert got == FIXTURES_PINNED[name]
+
+
+def test_demand_mix_still_covers_what_it_pins(tmp_path: Path):
+    scenario = load_scenario(DATA / "demand-mix.yaml")
+    models = {type(m) for m in scenario.workloads.values()}
+    assert models == {ConstantDemand, TraceDemand, WalkDemand}
+    assert scenario.degradation < 1
+    run_to_directory(scenario, tmp_path, seed=0)
+    kinds = (tmp_path / EVENTS_FILE).read_text()
+    for kind in (EventKind.THROTTLE_APPLIED, EventKind.THROTTLE_RELEASED, EventKind.GC_RECLAIMED):
+        assert f'"{kind}"' in kinds
+    rows = (tmp_path / TIMESERIES_FILE).read_text().splitlines()[1:]
+    assert any(float(row.split(",")[3]) % 1 for row in rows)

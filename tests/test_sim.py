@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from storbind import sim
 from storbind.model import ReplicatedPool, parse_layout
 from storbind.scenario import build_scenario, load_scenario
 from storbind.scenarios import scenario_path
@@ -138,6 +139,34 @@ def test_gc_reclaims_and_reprovisions():
     assert late.payload["impl_id"] == "impl-0004"
     assert late.payload["node_id"] == "node1"
     assert result.summary["counts"]["reclaimed"] == 3
+
+
+def test_fair_share_is_recomputed_only_when_demand_or_caps_change(monkeypatch):
+    calls = {"allocate": 0, "degrade": 0}
+    allocate, degrade = sim.allocate_iops, sim.capacity_degradation
+
+    def counting_allocate(*args):
+        calls["allocate"] += 1
+        return allocate(*args)
+
+    def counting_degrade(*args):
+        calls["degrade"] += 1
+        return degrade(*args)
+
+    monkeypatch.setattr(sim, "allocate_iops", counting_allocate)
+    monkeypatch.setattr(sim, "capacity_degradation", counting_degrade)
+    result = run_scenario(load_scenario(scenario_path("noisy-neighbor")), seed=0)
+    assert len({p.time_s for p in result.timeseries}) == 140
+    # one group: its degraded budget once; its allocation at t=0, on the
+    # surge (120), the cap (125), the back-off (480) and the release (485)
+    assert calls == {"allocate": 5, "degrade": 1}
+
+
+def test_gc_drops_the_reclaimed_groups_fair_share_state():
+    engine = sim._Engine(load_scenario(scenario_path("table3-gc")), 0, None)
+    engine.run()
+    assert set(engine._shares) == {"impl-0004"}
+    assert {m.impl.impl_id for m in engine.plane.managers()} == {"impl-0004"}
 
 
 def test_gc_period_slows_collection():

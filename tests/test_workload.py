@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from storbind.errors import InputError
@@ -52,7 +50,7 @@ def test_trace_validation():
 def test_walk_is_deterministic_per_seed_and_volume():
     model = WalkDemand(mean=100.0, jitter=20.0)
 
-    def sample(seed: int, volume_id: str) -> list[Fraction]:
+    def sample(seed: int, volume_id: str) -> list[float]:
         streams = DemandStreams(seed=seed)
         return [streams.demand(volume_id, model, float(t)) for t in range(10)]
 
