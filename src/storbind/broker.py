@@ -35,6 +35,9 @@ class StorageBroker:
         self.nodes: dict[str, StorageNode] = {}
         self._free: dict[str, tuple[DiskSpec, ...]] = {}
         self.managers: dict[str, StorageManager] = {}
+        # volume_id -> hosting manager; the managers keep it as they admit
+        # and delete, so owner_of is one lookup
+        self.volume_owners: dict[str, StorageManager] = {}
         self._impl_seq = 0
         for node in nodes:
             if node.node_id in self.nodes:
@@ -97,7 +100,7 @@ class StorageBroker:
         )
         remaining = tuple(d for d in free if d.disk_id not in taken)
         self._free[decision.node_id] = remaining
-        manager = StorageManager(impl, self.statedb)
+        manager = StorageManager(impl, self.statedb, self.volume_owners)
         self.managers[impl.impl_id] = manager
         self.statedb.upsert_manager_report(impl)
         self.statedb.upsert_broker_report(decision.node_id, remaining)
@@ -131,10 +134,10 @@ class StorageBroker:
 
     def owner_of(self, volume_id: str) -> StorageManager:
         """Find the manager hosting a volume id."""
-        for impl_id in sorted(self.managers):
-            if volume_id in self.managers[impl_id].volumes:
-                return self.managers[impl_id]
-        raise NotFoundError(f"no volume {volume_id}")
+        manager = self.volume_owners.get(volume_id)
+        if manager is None:
+            raise NotFoundError(f"no volume {volume_id}")
+        return manager
 
     def free_disk_count(self) -> dict[str, int]:
         return {node_id: len(self._free[node_id]) for node_id in sorted(self.nodes)}

@@ -86,8 +86,12 @@ class ControlPlane:
         or admission refused against a stale ledger) triggers exactly one
         reschedule against a fresh snapshot; whatever the second attempt
         says is final. A provisioned-but-unused implementation from a
-        refused first attempt is left for the garbage collector.
+        refused first attempt is left for the garbage collector. A request
+        whose volume id already exists anywhere in the cluster raises
+        ConflictError before anything is scheduled.
         """
+        if request.volume_id in self.broker.volume_owners:
+            raise ConflictError(f"volume {request.volume_id} already exists")
         outcome = self._attempt(request, now, final=False)
         if outcome is None:
             outcome = self._attempt(request, now, final=True)

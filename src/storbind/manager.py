@@ -86,10 +86,18 @@ def compute_throttle(
 class StorageManager:
     """Owns one implementation's volumes, ledger, and throttle state."""
 
-    def __init__(self, impl: StorageImplementation, statedb: StateDatabase):
+    def __init__(
+        self,
+        impl: StorageImplementation,
+        statedb: StateDatabase,
+        owners: dict[str, StorageManager] | None = None,
+    ):
         self.impl = impl
         self.statedb = statedb
         self.volumes: dict[str, Volume] = {}
+        # volume_id -> hosting manager for the whole cluster, shared by every
+        # manager of one broker; admit adds to it and delete_volume removes
+        self._owners: dict[str, StorageManager] = {} if owners is None else owners
         self.throttle = ThrottleState({})
 
     def admit(
@@ -101,7 +109,9 @@ class StorageManager:
         """Charge a request against the ledger, or say what ran out.
 
         Raises LayoutError if the request should never have been routed
-        here; budget and capacity exhaustion are ordinary rejections.
+        here and ConflictError if its volume id is already hosted anywhere
+        in the cluster; budget and capacity exhaustion are ordinary
+        rejections.
         """
         wanted = request.volume_type.layout
         if not layout_admits(self.impl.layout, wanted, match):
@@ -109,8 +119,8 @@ class StorageManager:
                 f"impl {self.impl.impl_id} has layout {self.impl.layout}, "
                 f"request {request.request_id} wants {wanted}"
             )
-        volume_id = f"vol-{request.request_id}"
-        if volume_id in self.volumes:
+        volume_id = request.volume_id
+        if volume_id in self._owners:
             raise ConflictError(f"volume {volume_id} already exists")
         min_iops = request.volume_type.min_iops
         if self.impl.remaining_iops < min_iops:
@@ -125,6 +135,7 @@ class StorageManager:
             created_at=now,
         )
         self.volumes[volume_id] = volume
+        self._owners[volume_id] = self
         self._publish(
             allocated_iops=self.impl.allocated_iops + min_iops,
             allocated_capacity_bytes=self.impl.allocated_capacity_bytes + request.size_bytes,
@@ -139,6 +150,7 @@ class StorageManager:
                 f"volume {volume_id} is attached to {volume.attached_to}"
             )
         del self.volumes[volume_id]
+        del self._owners[volume_id]
         self._publish(
             allocated_iops=self.impl.allocated_iops - volume.min_iops,
             allocated_capacity_bytes=self.impl.allocated_capacity_bytes - volume.size_bytes,

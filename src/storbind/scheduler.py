@@ -9,11 +9,12 @@ total-ordered so identical snapshots always produce identical decisions.
 from __future__ import annotations
 
 import enum
+import heapq
 import statistics
 import time
 from dataclasses import dataclass
 from math import ceil
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 from .model import (
@@ -26,7 +27,7 @@ from .model import (
     redundancy_factor,
     usable_capacity,
 )
-from .statedb import ClusterSnapshot
+from .statedb import ClusterSnapshot, RankedGroup
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,11 @@ class VolumeRequest:
             raise InputError("request_id must be nonempty")
         if self.size_bytes <= 0:
             raise InputError(f"request {self.request_id}: size must be > 0")
+
+    @property
+    def volume_id(self) -> str:
+        """The id of the volume this request creates when admitted."""
+        return f"vol-{self.request_id}"
 
 
 class RejectReason(str, enum.Enum):
@@ -87,30 +93,21 @@ def layout_admits(impl_layout: LayoutKind, wanted: LayoutKind, match: LayoutMatc
     return redundancy_factor(impl_layout) >= redundancy_factor(wanted)
 
 
-def _matching_impls(
-    snapshot: ClusterSnapshot, wanted: LayoutKind, match: LayoutMatch
-) -> list[StorageImplementation]:
-    return [
-        impl
-        for impl in snapshot.implementations.values()
-        if layout_admits(impl.layout, wanted, match)
-    ]
-
-
 def _pick_existing(
-    matches: list[StorageImplementation], request: VolumeRequest
+    ranked: Iterable[RankedGroup], request: VolumeRequest
 ) -> StorageImplementation | None:
-    eligible = [
-        impl
-        for impl in matches
-        if impl.remaining_iops >= request.volume_type.min_iops
-        and impl.remaining_capacity_bytes >= request.size_bytes
-    ]
-    if not eligible:
-        return None
-    # largest remaining budget wins; equal budgets fall back to impl_id order
-    eligible.sort(key=lambda impl: (-impl.remaining_iops, impl.impl_id))
-    return eligible[0]
+    """The first group in (-remaining_iops, impl_id) order that fits, or None.
+
+    Budgets only fall along the order, so the walk ends at the first
+    group short on budget; before that, a group is skipped only for bytes.
+    """
+    min_iops = request.volume_type.min_iops
+    for neg_iops, _, impl in ranked:
+        if -neg_iops < min_iops:
+            return None
+        if impl.remaining_capacity_bytes >= request.size_bytes:
+            return impl
+    return None
 
 
 def candidate_disks(
@@ -135,18 +132,21 @@ def _provision_plan(
 ) -> tuple[Provision | None, bool, bool]:
     """Try to place a fresh implementation.
 
+    Walks nodes from most free disks to fewest (node_id breaks ties) and
+    stops at the first with too few, so a full fleet reads no free pool.
     Returns (plan, any_count_sufficient, any_size_shortfall) so the caller
     can name the most specific reject reason when plan is None.
     """
     layout = request.volume_type.layout
-    nodes = sorted(snapshot.nodes.items(), key=lambda item: (-len(item[1]), item[0]))
+    need = disk_count(layout)
     any_count = False
     any_size_short = False
-    for node_id, free in nodes:
-        disks = candidate_disks(free, layout)
-        if disks is None:
-            continue
+    for neg_free, node_id in snapshot.ranked_nodes:
+        if -neg_free < need:
+            break
         any_count = True
+        disks = candidate_disks(snapshot.nodes[node_id], layout)
+        assert disks is not None
         fits_size = usable_capacity(layout, disks) >= request.size_bytes
         if fits_size and iops_budget(layout, disks) >= request.volume_type.min_iops:
             return Provision(node_id, layout, tuple(d.disk_id for d in disks)), True, any_size_short
@@ -160,10 +160,11 @@ def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecis
 
     Order of preference: reuse the exact-layout implementation with the
     most remaining budget, then provision on the node with the most free
-    disks, then reject with the most specific exhausted resource.
+    disks, then reject with the most specific exhausted resource. Only
+    the requested layout's groups are read.
     """
-    matches = _matching_impls(snapshot, request.volume_type.layout, LayoutMatch.EXACT)
-    chosen = _pick_existing(matches, request)
+    ranked = snapshot.ranked_groups.get(request.volume_type.layout, ())
+    chosen = _pick_existing(ranked, request)
     if chosen is not None:
         return UseExisting(chosen.impl_id)
 
@@ -171,12 +172,12 @@ def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecis
     if plan is not None:
         return plan
 
-    min_iops = request.volume_type.min_iops
-    if any(impl.remaining_iops < min_iops for impl in matches):
+    # the last group has the least remaining budget
+    if ranked and -ranked[-1][0] < request.volume_type.min_iops:
         return Reject(RejectReason.NO_IOPS_BUDGET)
     if not any_count:
         return Reject(RejectReason.NO_RAW_DISKS)
-    if matches or any_size_short:
+    if ranked or any_size_short:
         # every surviving match and at least one fresh candidate lacked bytes
         return Reject(RejectReason.NO_CAPACITY)
     # some node had the disks; none was short on bytes, so all lacked budget
@@ -188,14 +189,22 @@ def schedule_static(request: VolumeRequest, snapshot: ClusterSnapshot) -> Schedu
 
     No new implementations are created; a request is admissible on any
     implementation whose layout's redundancy covers the requested one.
+    The admissible layouts' orders are merged into one, so the choice is
+    the same (-remaining_iops, impl_id) rule as in `schedule`.
     """
-    matches = _matching_impls(snapshot, request.volume_type.layout, LayoutMatch.REDUNDANCY)
-    chosen = _pick_existing(matches, request)
+    wanted = request.volume_type.layout
+    rankings = [
+        ranked
+        for layout, ranked in snapshot.ranked_groups.items()
+        if layout_admits(layout, wanted, LayoutMatch.REDUNDANCY)
+    ]
+    chosen = _pick_existing(heapq.merge(*rankings), request)
     if chosen is not None:
         return UseExisting(chosen.impl_id)
-    if not matches:
+    if not rankings:
         return Reject(RejectReason.NO_LAYOUT_MATCH)
-    if any(impl.remaining_iops < request.volume_type.min_iops for impl in matches):
+    min_iops = request.volume_type.min_iops
+    if any(-ranked[-1][0] < min_iops for ranked in rankings):
         return Reject(RejectReason.NO_IOPS_BUDGET)
     return Reject(RejectReason.NO_CAPACITY)
 

@@ -2,30 +2,46 @@
 
 Brokers publish each node's free disks as one tuple in disk_id order;
 managers publish their frozen implementation records. Both are stored
-as given. Reads go through immutable snapshots so a scheduler never
-sees a half-applied update; every mutation bumps a single sequence
-counter.
+as given. Alongside them the database keeps the two orders the
+scheduler walks, each moved one entry per report with `bisect`: every
+layout's groups by (-remaining_iops, impl_id), and every node by
+(-free disk count, node_id). Reads go through immutable snapshots so a
+scheduler never sees a half-applied update; every mutation bumps a
+single sequence counter.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConsistencyError, NotFoundError
-from .model import DiskSpec, StorageImplementation
+from .model import DiskSpec, LayoutKind, StorageImplementation
+
+# (-remaining_iops, impl_id, record): ascending order is the reuse preference
+RankedGroup = tuple[int, str, StorageImplementation]
 
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
-    """A consistent point-in-time view of every report."""
+    """A consistent point-in-time view of every report.
+
+    `ranked_groups` and `ranked_nodes` are the database's two orders as
+    of this snapshot, copied into tuples, so later reports never move
+    them. A layout with no groups has no entry in `ranked_groups`.
+    """
 
     # node_id -> that node's free disks, in disk_id order
     nodes: Mapping[str, tuple[DiskSpec, ...]]
     implementations: Mapping[str, StorageImplementation]
     seq: int
+    # layout -> its groups as (-remaining_iops, impl_id, record), ascending
+    ranked_groups: Mapping[LayoutKind, tuple[RankedGroup, ...]]
+    # every node as (-len(free disks), node_id), ascending
+    ranked_nodes: tuple[tuple[int, str], ...]
 
 
 class StateDatabase:
@@ -34,7 +50,8 @@ class StateDatabase:
     Mutations are serialized; sequence numbers strictly increase with
     every accepted change, including removals. Reports for an
     implementation that was already removed (reclaimed) are rejected, so
-    a straggling manager cannot resurrect a dead ledger.
+    a straggling manager cannot resurrect a dead ledger. Each accepted
+    report moves exactly one entry of the group or node order.
     """
 
     def __init__(self) -> None:
@@ -43,9 +60,16 @@ class StateDatabase:
         self._impls: dict[str, StorageImplementation] = {}
         self._removed: set[str] = set()
         self._seq = 0
+        self._ranked_groups: dict[LayoutKind, list[RankedGroup]] = {}
+        self._ranked_nodes: list[tuple[int, str]] = []
 
     def upsert_broker_report(self, node_id: str, free_disks: tuple[DiskSpec, ...]) -> int:
         with self._lock:
+            ranked = self._ranked_nodes
+            old = self._nodes.get(node_id)
+            if old is not None:
+                del ranked[bisect_left(ranked, (-len(old), node_id))]
+            insort(ranked, (-len(free_disks), node_id))
             self._nodes[node_id] = free_disks
             self._seq += 1
             return self._seq
@@ -66,6 +90,13 @@ class StateDatabase:
         with self._lock:
             if report.impl_id in self._removed:
                 raise ConsistencyError(f"impl {report.impl_id}: unknown (already reclaimed)")
+            old = self._impls.get(report.impl_id)
+            if old is not None:
+                self._unrank(old)
+            insort(
+                self._ranked_groups.setdefault(report.layout, []),
+                (-report.remaining_iops, report.impl_id, report),
+            )
             self._impls[report.impl_id] = report
             self._seq += 1
             return self._seq
@@ -73,9 +104,10 @@ class StateDatabase:
     def remove_manager_report(self, impl_id: str) -> int:
         """Drop an implementation's report after it was reclaimed."""
         with self._lock:
-            if impl_id not in self._impls:
+            old = self._impls.pop(impl_id, None)
+            if old is None:
                 raise NotFoundError(f"impl {impl_id}: no report to remove")
-            del self._impls[impl_id]
+            self._unrank(old)
             self._removed.add(impl_id)
             self._seq += 1
             return self._seq
@@ -86,4 +118,16 @@ class StateDatabase:
                 nodes=MappingProxyType(dict(self._nodes)),
                 implementations=MappingProxyType(dict(self._impls)),
                 seq=self._seq,
+                ranked_groups=MappingProxyType(
+                    {layout: tuple(ranked) for layout, ranked in self._ranked_groups.items()}
+                ),
+                ranked_nodes=tuple(self._ranked_nodes),
             )
+
+    def _unrank(self, report: StorageImplementation) -> None:
+        """Take a stored record out of its layout's order (lock held)."""
+        ranked = self._ranked_groups[report.layout]
+        # (key, id) sorts just before (key, id, record); ids are unique
+        del ranked[bisect_left(ranked, (-report.remaining_iops, report.impl_id))]
+        if not ranked:
+            del self._ranked_groups[report.layout]

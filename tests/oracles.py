@@ -1,14 +1,34 @@
 """Independent reference implementations used to pin expected test values.
 
 These are deliberately written with different algorithms than the package
-(iterative redistribution instead of the closed-form sorted sweep) so that
-agreement between the two is meaningful.
+(iterative redistribution instead of the closed-form sorted sweep; a scan
+of every group and a sort of every node instead of the state database's
+maintained orders) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping
+
+from storbind.model import (
+    LayoutKind,
+    StorageImplementation,
+    disk_count,
+    iops_budget,
+    usable_capacity,
+)
+from storbind.scheduler import (
+    LayoutMatch,
+    Provision,
+    Reject,
+    RejectReason,
+    ScheduleDecision,
+    UseExisting,
+    VolumeRequest,
+    layout_admits,
+)
+from storbind.statedb import ClusterSnapshot
 
 
 def waterfill_oracle(
@@ -40,3 +60,80 @@ def waterfill_oracle(
             alloc[u] += give
             remaining -= give
     return alloc
+
+
+def _matching_impls(
+    snapshot: ClusterSnapshot, wanted: LayoutKind, match: LayoutMatch
+) -> list[StorageImplementation]:
+    return [
+        impl
+        for impl in snapshot.implementations.values()
+        if layout_admits(impl.layout, wanted, match)
+    ]
+
+
+def _pick_existing(
+    matches: list[StorageImplementation], request: VolumeRequest
+) -> StorageImplementation | None:
+    eligible = [
+        impl
+        for impl in matches
+        if impl.remaining_iops >= request.volume_type.min_iops
+        and impl.remaining_capacity_bytes >= request.size_bytes
+    ]
+    if not eligible:
+        return None
+    # largest remaining budget wins; equal budgets fall back to impl_id order
+    return min(eligible, key=lambda impl: (-impl.remaining_iops, impl.impl_id))
+
+
+def _provision_plan(
+    snapshot: ClusterSnapshot, request: VolumeRequest
+) -> tuple[Provision | None, bool, bool]:
+    layout = request.volume_type.layout
+    nodes = sorted(snapshot.nodes.items(), key=lambda item: (-len(item[1]), item[0]))
+    any_count = False
+    any_size_short = False
+    for node_id, free in nodes:
+        disks = sorted(free, key=lambda d: d.disk_id)[: disk_count(layout)]
+        if len(disks) < disk_count(layout):
+            continue
+        any_count = True
+        fits_size = usable_capacity(layout, disks) >= request.size_bytes
+        if fits_size and iops_budget(layout, disks) >= request.volume_type.min_iops:
+            return Provision(node_id, layout, tuple(d.disk_id for d in disks)), True, any_size_short
+        if not fits_size:
+            any_size_short = True
+    return None, any_count, any_size_short
+
+
+def schedule_oracle(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:
+    """Dynamic placement by scanning every group and sorting every node."""
+    matches = _matching_impls(snapshot, request.volume_type.layout, LayoutMatch.EXACT)
+    chosen = _pick_existing(matches, request)
+    if chosen is not None:
+        return UseExisting(chosen.impl_id)
+    plan, any_count, any_size_short = _provision_plan(snapshot, request)
+    if plan is not None:
+        return plan
+    min_iops = request.volume_type.min_iops
+    if any(impl.remaining_iops < min_iops for impl in matches):
+        return Reject(RejectReason.NO_IOPS_BUDGET)
+    if not any_count:
+        return Reject(RejectReason.NO_RAW_DISKS)
+    if matches or any_size_short:
+        return Reject(RejectReason.NO_CAPACITY)
+    return Reject(RejectReason.NO_IOPS_BUDGET)
+
+
+def schedule_static_oracle(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:
+    """Static placement by scanning every group for a redundancy match."""
+    matches = _matching_impls(snapshot, request.volume_type.layout, LayoutMatch.REDUNDANCY)
+    chosen = _pick_existing(matches, request)
+    if chosen is not None:
+        return UseExisting(chosen.impl_id)
+    if not matches:
+        return Reject(RejectReason.NO_LAYOUT_MATCH)
+    if any(impl.remaining_iops < request.volume_type.min_iops for impl in matches):
+        return Reject(RejectReason.NO_IOPS_BUDGET)
+    return Reject(RejectReason.NO_CAPACITY)

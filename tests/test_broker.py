@@ -222,6 +222,22 @@ def test_owner_of_finds_volume():
         broker.owner_of("vol-none")
 
 
+def test_volume_ids_are_unique_across_groups():
+    broker, _ = make_broker()
+    first = broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
+    second = broker.provision(broker.make_order("node2", RAID6_4), now=0.0)
+    first.admit(req("r1"), now=0.0)
+    with pytest.raises(ConflictError):
+        second.admit(req("r1"), now=0.0)
+    assert second.volumes == {}
+    assert broker.owner_of("vol-r1") is first
+    first.delete_volume("vol-r1", now=1.0)
+    with pytest.raises(NotFoundError):
+        broker.owner_of("vol-r1")
+    second.admit(req("r1"), now=2.0)
+    assert broker.owner_of("vol-r1") is second
+
+
 def test_duplicate_node_ids_rejected():
     db = StateDatabase()
     nodes = make_nodes({"node1": 2}) + make_nodes({"node1": 3})

@@ -121,6 +121,29 @@ def test_duplicate_request_id_conflicts():
         plane.submit(req("r1"), now=1.0)
 
 
+def test_repeated_request_id_on_another_group_conflicts_without_a_twin():
+    plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
+    plane.submit(req("r1", min_iops=400), now=0.0)
+    seq = plane.statedb.snapshot().seq
+    # impl-0001 has no budget left, so a twin would need a second group
+    with pytest.raises(ConflictError):
+        plane.submit(req("r1", min_iops=400), now=1.0)
+    assert plane.statedb.snapshot().seq == seq
+    assert [m.impl.impl_id for m in plane.managers()] == ["impl-0001"]
+    assert plane.broker.owner_of("vol-r1") is plane.broker.manager_for("impl-0001")
+
+
+def test_deleted_volume_id_can_be_created_again():
+    plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
+    plane.submit(req("r1", min_iops=400), now=0.0)
+    plane.delete_volume("vol-r1", now=1.0)
+    with pytest.raises(NotFoundError):
+        plane.attach_volume("vol-r1", "vm-1")
+    again = plane.submit(req("r1", min_iops=400), now=2.0)
+    assert again.decision == UseExisting("impl-0001")
+    assert again.admission is not None and again.admission.accepted
+
+
 def test_delete_and_reuse_capacity():
     plane = ControlPlane(make_nodes({"node1": 4}), ControlConfig())
     plane.submit(req("r1", min_iops=400), now=0.0)

@@ -1,5 +1,5 @@
 """Pinned output bytes: every bundled scenario, dynamic and static rep:3,
-and the fixtures under tests/data, dynamic.
+and the fixtures under tests/data, dynamic (place-mix also static rep:3).
 
 A refactor or a speed-up must leave events.jsonl and timeseries.csv
 byte-identical. These sha256 digests were recorded at seed 0; a change
@@ -10,6 +10,7 @@ and must say so.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,20 @@ FIXTURES_PINNED = {
         "bdc05815136657e49144e8d1aaf837a42a6d7b9760a6173fef0e185dbeeb734e",
         "ae230b184c51c4b348177930f48c625610288e4f09389ef11259ca493ec24ac7",
     ),
+    # reuse by remaining budget, free-count ties, and every dynamic reject
+    # reason, including the fleet running out and an oversize create
+    "place-mix": (
+        "18906cfb2ec486fa74624fae2f329c06280f979f51bc23a79b440d19f550939d",
+        "0810ea1bc13dbca9d72d651994dc44b2b1984fec973e8f70299729c01be0310b",
+    ),
+}
+
+# tests/data fixture -> (events.jsonl sha256, timeseries.csv sha256), static rep:3
+FIXTURES_REP3_PINNED = {
+    "place-mix": (
+        "1b9bb379bfac94a2ae283d0d89e3d96e46f227e39e268c602e50f6a2d74f8470",
+        "4b31d37bb08ddd57cfd8cb7896e523e4fcd077aded77f5fe1f3c3860f2685825",
+    ),
 }
 
 
@@ -91,6 +106,41 @@ def test_fixture_output_bytes_match_pin(name: str, tmp_path: Path):
     run_to_directory(load_scenario(DATA / f"{name}.yaml"), tmp_path, seed=0)
     got = (sha256(tmp_path / EVENTS_FILE), sha256(tmp_path / TIMESERIES_FILE))
     assert got == FIXTURES_PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES_REP3_PINNED))
+def test_fixture_rep3_output_bytes_match_pin(name: str, tmp_path: Path):
+    scenario = load_scenario(DATA / f"{name}.yaml")
+    run_to_directory(scenario, tmp_path, seed=0, static_layout=parse_layout("rep:3"))
+    got = (sha256(tmp_path / EVENTS_FILE), sha256(tmp_path / TIMESERIES_FILE))
+    assert got == FIXTURES_REP3_PINNED[name]
+
+
+def _decisions(events: Path) -> list[dict]:
+    records = (json.loads(line) for line in events.read_text().splitlines())
+    return [r["payload"]["decision"] for r in records if r["kind"] == EventKind.SCHEDULED]
+
+
+def test_place_mix_still_covers_what_it_pins(tmp_path: Path):
+    scenario = load_scenario(DATA / "place-mix.yaml")
+    run_to_directory(scenario, tmp_path / "dynamic", seed=0)
+    decisions = _decisions(tmp_path / "dynamic" / EVENTS_FILE)
+    assert {d.get("reason") for d in decisions if d["action"] == "reject"} == {
+        "no-iops-budget", "no-raw-disks", "no-capacity",
+    }
+    raid6_reused = {
+        d["impl_id"] for d in decisions[:6] if d["action"] == "use-existing"
+    }
+    assert raid6_reused == {"impl-0001", "impl-0002"}
+    # one fresh group goes to node1 on a three-way tie of two free disks
+    assert {"action": "provision", "disk_count": 2, "layout": "rep:2", "node_id": "node1"} in decisions
+
+    run_to_directory(scenario, tmp_path / "static", seed=0, static_layout=parse_layout("rep:3"))
+    decisions = _decisions(tmp_path / "static" / EVENTS_FILE)
+    assert {d.get("reason") for d in decisions if d["action"] == "reject"} == {
+        "no-iops-budget", "no-layout-match", "no-capacity",
+    }
+    assert len({d["impl_id"] for d in decisions if d["action"] == "use-existing"}) == 5
 
 
 def test_demand_mix_still_covers_what_it_pins(tmp_path: Path):

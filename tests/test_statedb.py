@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from storbind.errors import ConsistencyError, NotFoundError
-from storbind.model import DiskSpec, Jbod, Raid, StorageImplementation
+from storbind.model import DiskSpec, Jbod, Raid, ReplicatedPool, StorageImplementation, VolumeType
+from storbind.scheduler import VolumeRequest, schedule, schedule_static
 from storbind.statedb import ClusterSnapshot, StateDatabase
 
 TiB = 1024**4
+RAID6_4 = Raid(width=4, parity_count=2)
 
 
 def free_disks(node_id="node1", n_disks=3) -> tuple[DiskSpec, ...]:
@@ -23,7 +25,7 @@ def manager_report(
     return StorageImplementation(
         impl_id=impl_id,
         node_id=kw.get("node_id", "node1"),
-        layout=kw.get("layout", Raid(width=4, parity_count=2)),
+        layout=kw.get("layout", RAID6_4),
         disk_ids=kw.get("disk_ids", ()),
         usable_capacity_bytes=kw.get("usable_capacity_bytes", 2 * TiB),
         total_iops_budget=kw.get("total_iops_budget", 400),
@@ -48,12 +50,74 @@ def test_snapshot_reflects_latest_reports():
 def test_snapshot_is_immutable_and_isolated():
     db = StateDatabase()
     db.upsert_broker_report("node1", free_disks())
+    db.upsert_manager_report(manager_report())
     snap = db.snapshot()
     with pytest.raises(TypeError):
         snap.nodes["node2"] = free_disks("node2")  # type: ignore[index]
+    with pytest.raises(TypeError):
+        snap.ranked_groups[Jbod()] = ()  # type: ignore[index]
+    assert isinstance(snap.ranked_nodes, tuple)
+    assert all(isinstance(ranked, tuple) for ranked in snap.ranked_groups.values())
     db.upsert_broker_report("node2", free_disks("node2"))
+    db.upsert_manager_report(manager_report("impl-0002"))
     assert "node2" not in snap.nodes
     assert "node2" in db.snapshot().nodes
+    assert snap.ranked_nodes == ((-3, "node1"),)
+    assert [impl_id for _, impl_id, _ in snap.ranked_groups[RAID6_4]] == ["impl-0001"]
+
+
+def test_orders_follow_every_report():
+    db = StateDatabase()
+    db.upsert_broker_report("node2", free_disks("node2", 3))
+    db.upsert_broker_report("node1", free_disks("node1", 3))
+    db.upsert_broker_report("node3", free_disks("node3", 5))
+    db.upsert_broker_report("node3", free_disks("node3", 1))
+    assert db.snapshot().ranked_nodes == ((-3, "node1"), (-3, "node2"), (-1, "node3"))
+
+    db.upsert_manager_report(manager_report("impl-0001", allocated_iops=100))
+    db.upsert_manager_report(manager_report("impl-0002", allocated_iops=300))
+    db.upsert_manager_report(manager_report("impl-0003", layout=Jbod(), total_iops_budget=200))
+    db.upsert_manager_report(manager_report("impl-0002", allocated_iops=0))
+    db.upsert_manager_report(manager_report("impl-0001", allocated_iops=400))
+    snap = db.snapshot()
+    assert [(key, impl_id) for key, impl_id, _ in snap.ranked_groups[RAID6_4]] == [
+        (-400, "impl-0002"), (0, "impl-0001"),
+    ]
+    assert snap.ranked_groups[RAID6_4][1][2] is snap.implementations["impl-0001"]
+    db.remove_manager_report("impl-0003")
+    assert Jbod() not in db.snapshot().ranked_groups
+
+
+def test_old_snapshot_keeps_deciding_as_it_did():
+    db = StateDatabase()
+    for n in range(4):
+        db.upsert_broker_report(f"node{n}", free_disks(f"node{n}", 4 + n % 2))
+    for i in range(6):
+        db.upsert_manager_report(
+            manager_report(f"impl-{i:04d}", allocated_iops=i * 50 % 400, layout=(RAID6_4, Jbod())[i % 2])
+        )
+    snap = db.snapshot()
+    frozen = (dict(snap.nodes), dict(snap.implementations), dict(snap.ranked_groups), snap.ranked_nodes)
+    asks = [
+        VolumeRequest("r1", VolumeType(name="t", layout=layout, min_iops=iops), TiB, 0.0)
+        for layout in (RAID6_4, Jbod(), ReplicatedPool(3))
+        for iops in (0, 300, 500)
+    ]
+    before = [(schedule(a, snap), schedule_static(a, snap)) for a in asks]
+
+    # later reports move every order the snapshot was taken from
+    for i in range(6):
+        db.upsert_manager_report(
+            manager_report(f"impl-{i:04d}", allocated_iops=400 - i * 50 % 400, layout=(RAID6_4, Jbod())[i % 2])
+        )
+    db.remove_manager_report("impl-0002")
+    db.upsert_manager_report(manager_report("impl-0009", layout=ReplicatedPool(3)))
+    for n in range(4):
+        db.upsert_broker_report(f"node{n}", free_disks(f"node{n}", 6 - n))
+
+    assert [(schedule(a, snap), schedule_static(a, snap)) for a in asks] == before
+    assert (dict(snap.nodes), dict(snap.implementations), dict(snap.ranked_groups), snap.ranked_nodes) == frozen
+    assert before != [(schedule(a, db.snapshot()), schedule_static(a, db.snapshot())) for a in asks]
 
 
 def test_snapshot_seq_increases():
