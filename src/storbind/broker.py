@@ -71,7 +71,7 @@ class StorageBroker:
         Capacity and budget come from the named disks themselves. Every
         check runs before the first mutation: a failed build leaves the
         free pool, the registry, and the database untouched. A disk that
-        is no longer free (the decision came from a stale snapshot)
+        is not free (the decision read a forged or outdated report)
         raises ConflictError.
         """
         node = self._node(decision.node_id)

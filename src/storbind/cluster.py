@@ -1,9 +1,9 @@
 """Control plane wiring: database, broker, managers, and the request path.
 
 A ControlPlane owns one cluster's state and carries a request from
-scheduling through provisioning and admission. Scheduling runs against a
-snapshot, so a decision can be stale by the time it executes; the plane
-retries once with a fresh snapshot and then lets the outcome stand.
+scheduling through provisioning and admission. One thread drives it, so
+a request is scheduled on the live state database and executed before
+any other report arrives: its decision cannot go stale.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .broker import StorageBroker
-from .errors import ConflictError, NotFoundError
+from .errors import ConflictError
 from .manager import Admission, StorageManager
 from .model import (
     ControlConfig,
@@ -43,6 +43,7 @@ class RequestOutcome:
     admission: Admission | None = None
     # the new group's record as built, before this request's admission
     provisioned: StorageImplementation | None = None
+    # always 1: a decision is executed once (kept for the request log)
     attempts: int = 1
 
 
@@ -80,50 +81,29 @@ class ControlPlane:
         return managers
 
     def submit(self, request: VolumeRequest, now: float) -> RequestOutcome:
-        """Schedule and execute one request, retrying once on staleness.
+        """Schedule one request on the live state, then execute it once.
 
-        A first-attempt conflict (disks taken, implementation reclaimed,
-        or admission refused against a stale ledger) triggers exactly one
-        reschedule against a fresh snapshot; whatever the second attempt
-        says is final. A provisioned-but-unused implementation from a
-        refused first attempt is left for the garbage collector. A request
-        whose volume id already exists anywhere in the cluster raises
-        ConflictError before anything is scheduled.
+        A rejection or the chosen group's admission verdict is final. A
+        decision the broker disagrees with comes only from forged reports
+        and raises ConflictError or NotFoundError. A volume id that
+        already exists raises ConflictError before anything is scheduled.
         """
         if request.volume_id in self.broker.volume_owners:
             raise ConflictError(f"volume {request.volume_id} already exists")
-        outcome = self._attempt(request, now, final=False)
-        if outcome is None:
-            outcome = self._attempt(request, now, final=True)
-            assert outcome is not None
-            outcome.attempts = 2
-        return outcome
-
-    def _attempt(self, request: VolumeRequest, now: float, final: bool) -> RequestOutcome | None:
         static = self.static_layout is not None
         decide = schedule_static if static else schedule
         match = LayoutMatch.REDUNDANCY if static else LayoutMatch.EXACT
 
-        decision: ScheduleDecision = decide(request, self.statedb.snapshot())
+        decision: ScheduleDecision = decide(request, self.statedb.view())
         outcome = RequestOutcome(request=request, decision=decision)
         if isinstance(decision, Reject):
             return outcome
-        try:
-            if isinstance(decision, Provision):
-                manager = self.broker.provision(decision, now)
-                outcome.provisioned = manager.impl
-            else:
-                manager = self.broker.manager_for(decision.impl_id)
-        except (ConflictError, NotFoundError):
-            if final:
-                raise
-            return None
+        if isinstance(decision, Provision):
+            manager = self.broker.provision(decision, now)
+            outcome.provisioned = manager.impl
+        else:
+            manager = self.broker.manager_for(decision.impl_id)
         outcome.admission = manager.admit(request, now, match)
-        if outcome.provisioned is not None:
-            # a fresh implementation's verdict cannot improve on retry
-            return outcome
-        if not outcome.admission.accepted and not final:
-            return None
         return outcome
 
     def delete_volume(self, volume_id: str, now: float) -> tuple[str, Volume]:

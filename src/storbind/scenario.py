@@ -154,6 +154,9 @@ def _number(
         diags.append(f"{where}: expected a number, got {value!r}")
         return None
     out = float(value)
+    if not math.isfinite(out):
+        diags.append(f"{where}: must be finite, got {value}")
+        return None
     if minimum is not None and (out < minimum or (exclusive and out == minimum)):
         op = ">" if exclusive else ">="
         diags.append(f"{where}: must be {op} {minimum}, got {value}")

@@ -156,7 +156,7 @@ def _provision_plan(
 
 
 def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:
-    """Decide placement against a snapshot, creating state nowhere.
+    """Decide placement against a snapshot or a live view, creating state nowhere.
 
     Order of preference: reuse the exact-layout implementation with the
     most remaining budget, then provision on the node with the most free
@@ -189,8 +189,8 @@ def schedule_static(request: VolumeRequest, snapshot: ClusterSnapshot) -> Schedu
 
     No new implementations are created; a request is admissible on any
     implementation whose layout's redundancy covers the requested one.
-    The admissible layouts' orders are merged into one, so the choice is
-    the same (-remaining_iops, impl_id) rule as in `schedule`.
+    The admissible layouts' orders are merged lazily into one, so the
+    choice is the same (-remaining_iops, impl_id) rule as in `schedule`.
     """
     wanted = request.volume_type.layout
     rankings = [

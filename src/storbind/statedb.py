@@ -5,9 +5,9 @@ managers publish their frozen implementation records. Both are stored
 as given. Alongside them the database keeps the two orders the
 scheduler walks, each moved one entry per report with `bisect`: every
 layout's groups by (-remaining_iops, impl_id), and every node by
-(-free disk count, node_id). Reads go through immutable snapshots so a
-scheduler never sees a half-applied update; every mutation bumps a
-single sequence counter.
+(-free disk count, node_id). `view` reads the live state for a caller
+that decides before the next report; `snapshot` copies it. Every
+mutation bumps a single sequence counter.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ConsistencyError, NotFoundError
 from .model import DiskSpec, LayoutKind, StorageImplementation
@@ -27,11 +27,9 @@ RankedGroup = tuple[int, str, StorageImplementation]
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
-    """A consistent point-in-time view of every report.
+    """Every report and both orders: live from `view`, copied by `snapshot`.
 
-    `ranked_groups` and `ranked_nodes` are the database's two orders as
-    of this snapshot, copied into tuples, so later reports never move
-    them. A layout with no groups has no entry in `ranked_groups`.
+    A layout with no groups has no entry in `ranked_groups`.
     """
 
     # node_id -> that node's free disks, in disk_id order
@@ -39,9 +37,9 @@ class ClusterSnapshot:
     implementations: Mapping[str, StorageImplementation]
     seq: int
     # layout -> its groups as (-remaining_iops, impl_id, record), ascending
-    ranked_groups: Mapping[LayoutKind, tuple[RankedGroup, ...]]
+    ranked_groups: Mapping[LayoutKind, Sequence[RankedGroup]]
     # every node as (-len(free disks), node_id), ascending
-    ranked_nodes: tuple[tuple[int, str], ...]
+    ranked_nodes: Sequence[tuple[int, str]]
 
 
 class StateDatabase:
@@ -112,7 +110,22 @@ class StateDatabase:
             self._seq += 1
             return self._seq
 
+    def view(self) -> ClusterSnapshot:
+        """The live state behind read-only wrappers, copied nowhere.
+
+        Valid until the next report moves its entries: the one thread
+        driving a ControlPlane reads it to a decision, then executes.
+        """
+        return ClusterSnapshot(
+            nodes=MappingProxyType(self._nodes),
+            implementations=MappingProxyType(self._impls),
+            seq=self._seq,
+            ranked_groups=MappingProxyType(self._ranked_groups),
+            ranked_nodes=self._ranked_nodes,
+        )
+
     def snapshot(self) -> ClusterSnapshot:
+        """A copy of the state that later reports never change."""
         with self._lock:
             return ClusterSnapshot(
                 nodes=MappingProxyType(dict(self._nodes)),

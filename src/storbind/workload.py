@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import Union
 
 from .errors import InputError
@@ -21,8 +22,8 @@ class ConstantDemand:
     iops: float
 
     def __post_init__(self) -> None:
-        if self.iops < 0:
-            raise InputError(f"constant demand must be >= 0, got {self.iops}")
+        if not 0 <= self.iops < inf:
+            raise InputError(f"constant demand must be finite and >= 0, got {self.iops}")
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,13 @@ class TraceDemand:
     def __post_init__(self) -> None:
         if not self.points:
             raise InputError("trace demand needs at least one point")
-        last = None
-        for start_s, iops in self.points:
-            if last is not None and start_s <= last:
-                raise InputError(f"trace times must strictly increase, got {start_s} after {last}")
-            if iops < 0:
-                raise InputError(f"trace demand must be >= 0, got {iops}")
-            last = start_s
+        last = -inf
+        for t, iops in self.points:
+            if not last < t < inf:  # nan fails
+                raise InputError(f"trace times must be finite and increasing, got {t} after {last}")
+            if not 0 <= iops < inf:
+                raise InputError(f"trace demand must be finite and >= 0, got {iops}")
+            last = t
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,10 @@ class WalkDemand:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mean < 0:
-            raise InputError(f"walk mean must be >= 0, got {self.mean}")
-        if self.jitter < 0:
-            raise InputError(f"walk jitter must be >= 0, got {self.jitter}")
+        if not 0 <= self.mean < inf:
+            raise InputError(f"walk mean must be finite and >= 0, got {self.mean}")
+        if not 0 <= self.jitter < inf:
+            raise InputError(f"walk jitter must be finite and >= 0, got {self.jitter}")
 
 
 DemandModel = Union[ConstantDemand, TraceDemand, WalkDemand]

@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 from storbind.cli import main
 from storbind.scenarios import scenario_path
@@ -88,6 +89,131 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     path.write_text("duration_s: 10\n")
     assert main(["run", "--scenario", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+R1, R2 = yaml.safe_load(MINI)["requests"]
+# (top-level keys to set on the mini scenario, the diagnostic it must give)
+NON_FINITE = {
+    "duration-nan": ({"duration_s": NAN}, "duration_s: must be finite, got nan"),
+    "duration-inf": ({"duration_s": INF}, "duration_s: must be finite, got inf"),
+    "interval-nan": (
+        {"control": {"interval_s": NAN}}, "control.interval_s: must be finite, got nan"
+    ),
+    "interval-inf": (
+        {"control": {"interval_s": INF}}, "control.interval_s: must be finite, got inf"
+    ),
+    "gc-period-nan": (
+        {"control": {"gc_period_s": NAN}}, "control.gc_period_s: must be finite, got nan"
+    ),
+    "create-time-nan": (
+        {"requests": [R1, {**R2, "time": NAN}]}, "requests[1].time: must be finite, got nan"
+    ),
+    "constant-nan": (
+        {"workloads": [{"volume": "vol-r1", "constant": NAN}]},
+        "workloads[0].constant: constant demand must be finite and >= 0, got nan",
+    ),
+    "constant-inf": (
+        {"workloads": [{"volume": "vol-r1", "constant": INF}]},
+        "workloads[0].constant: constant demand must be finite and >= 0, got inf",
+    ),
+    "trace-value-nan": (
+        {"workloads": [{"volume": "vol-r1", "trace": [[0, NAN]]}]},
+        "workloads[0].trace: trace demand must be finite and >= 0, got nan",
+    ),
+    "trace-time-nan": (
+        {"workloads": [{"volume": "vol-r1", "trace": [[0, 5], [NAN, 7]]}]},
+        "workloads[0].trace: trace times must be finite and increasing, got nan after 0.0",
+    ),
+    "walk-mean-inf": (
+        {"workloads": [{"volume": "vol-r1", "walk": {"mean": INF, "jitter": 1}}]},
+        "workloads[0].walk.mean: must be finite, got inf",
+    ),
+    "walk-jitter-nan": (
+        {"workloads": [{"volume": "vol-r1", "walk": {"mean": 5, "jitter": NAN}}]},
+        "workloads[0].walk.jitter: must be finite, got nan",
+    ),
+}
+
+
+def write_mini_with(tmp_path: Path, keys: dict) -> Path:
+    path = tmp_path / "non-finite.yaml"
+    path.write_text(yaml.safe_dump({**yaml.safe_load(MINI), **keys}))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_is_an_input_error(tmp_path, capsys, case):
+    keys, diag = NON_FINITE[case]
+    path = write_mini_with(tmp_path, keys)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {diag}\n"
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {diag}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_non_finite_number_is_listed(tmp_path, capsys):
+    cases = ("duration-inf", "gc-period-nan", "create-time-nan", "walk-jitter-nan")
+    keys = {k: v for case in cases for k, v in NON_FINITE[case][0].items()}
+    assert main(["validate", "--scenario", str(write_mini_with(tmp_path, keys))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert sorted(err) == sorted(f"error: {NON_FINITE[case][1]}" for case in cases)
+
+
+# Today's PyYAML text for three malformed files: line, column and snippet.
+MALFORMED_YAML = {
+    "unclosed-flow-sequence": (
+        "duration_s: 20\nnodes: [a, b\n",
+        [
+            "while parsing a flow sequence",
+            '  in "<unicode string>", line 2, column 8:',
+            "    nodes: [a, b",
+            "           ^",
+            "expected ',' or ']', but got '<stream end>'",
+            '  in "<unicode string>", line 3, column 1:',
+            "    ",
+            "    ^",
+        ],
+    ),
+    "bad-indent": (
+        "duration_s: 20\nnodes:\n  - node_id: n1\n   disks: 4\n",
+        [
+            "while parsing a block collection",
+            '  in "<unicode string>", line 3, column 3:',
+            "      - node_id: n1",
+            "      ^",
+            "expected <block end>, but found '<block mapping start>'",
+            '  in "<unicode string>", line 4, column 4:',
+            "       disks: 4",
+            "       ^",
+        ],
+    ),
+    "unclosed-flow-mapping": (
+        "duration_s: 20\ncontrol: {interval_s: 5\n",
+        [
+            "while parsing a flow mapping",
+            '  in "<unicode string>", line 2, column 10:',
+            "    control: {interval_s: 5",
+            "             ^",
+            "expected ',' or '}', but got '<stream end>'",
+            '  in "<unicode string>", line 3, column 1:',
+            "    ",
+            "    ^",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_YAML))
+def test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case):
+    text, message = MALFORMED_YAML[case]
+    path = tmp_path / "malformed.yaml"
+    path.write_text(text)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    first, *rest = message
+    expected = [f"error: {path}: not parseable as YAML: {first}", *rest]
+    assert capsys.readouterr().err == "\n".join(expected) + "\n"
 
 
 def test_missing_scenario_file_is_a_user_error(tmp_path):

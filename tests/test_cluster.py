@@ -1,4 +1,4 @@
-"""Control plane: the submit path, retries, and static preprovisioning."""
+"""Control plane: the submit path, forged reports, and static preprovisioning."""
 
 from __future__ import annotations
 
@@ -65,21 +65,21 @@ def test_submit_reject_has_no_side_effects():
     assert plane.managers() == []
 
 
-def test_stale_ledger_retries_once_then_rejection_stands():
+def test_forged_ledger_refusal_stands_after_one_attempt():
     plane = ControlPlane(make_nodes({"node1": 4}), ControlConfig())
     plane.submit(req("r1", min_iops=400), now=0.0)
-    # forge a stale report that hides the allocation; admission against
-    # the real ledger refuses, and the one retry sees the same lie
+    # forge a report that hides the allocation; the scheduler picks the
+    # group, its real ledger refuses, and that refusal is the outcome
     real = plane.broker.manager_for("impl-0001").impl
     plane.statedb.upsert_manager_report(replace(real, allocated_iops=0))
     outcome = plane.submit(req("r2", min_iops=100), now=1.0)
-    assert outcome.attempts == 2
+    assert outcome.attempts == 1
     assert outcome.decision == UseExisting("impl-0001")
     assert outcome.admission is not None and not outcome.admission.accepted
     assert outcome.admission.reason is RejectReason.NO_IOPS_BUDGET
 
 
-def test_ghost_implementation_raises_after_retry():
+def test_ghost_implementation_raises():
     plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
     plane.statedb.upsert_manager_report(
         StorageImplementation(
@@ -95,23 +95,18 @@ def test_ghost_implementation_raises_after_retry():
         plane.submit(req("r2"), now=1.0)
 
 
-def test_stale_snapshot_provision_retries_on_next_free_disks(monkeypatch):
-    plane = ControlPlane(make_nodes({"node1": 6}), ControlConfig())
-    stale = plane.statedb.snapshot()
-    # a competing build takes node1-d00..d02 after the snapshot was taken
-    plane.broker.provision(plane.broker.make_order("node1", ReplicatedPool(3)), now=0.0)
-    snapshots = [stale]
-    fresh = plane.statedb.snapshot
-    monkeypatch.setattr(
-        plane.statedb, "snapshot", lambda: snapshots.pop() if snapshots else fresh()
-    )
-    outcome = plane.submit(req("r1", layout=Jbod(), min_iops=0), now=1.0)
-    assert outcome.attempts == 2
-    assert outcome.decision == Provision("node1", Jbod(), ("node1-d03",))
-    assert outcome.provisioned is not None
-    assert outcome.provisioned.disk_ids == ("node1-d03",)
-    assert outcome.admission is not None and outcome.admission.accepted
-    assert plane.broker.free_disk_count() == {"node1": 2}
+def test_forged_free_disk_conflicts_without_mutation():
+    nodes = make_nodes({"node1": 6})
+    plane = ControlPlane(nodes, ControlConfig())
+    plane.submit(req("r1", layout=ReplicatedPool(3), min_iops=0), now=0.0)
+    # forge a broker report that lists node1-d00..d02 as free again
+    plane.statedb.upsert_broker_report("node1", nodes[0].disks)
+    seq = plane.statedb.snapshot().seq
+    with pytest.raises(ConflictError):
+        plane.submit(req("r2", layout=Jbod(), min_iops=0), now=1.0)
+    assert plane.statedb.snapshot().seq == seq
+    assert plane.broker.free_disk_count() == {"node1": 3}
+    assert [m.impl.impl_id for m in plane.managers()] == ["impl-0001"]
 
 
 def test_duplicate_request_id_conflicts():

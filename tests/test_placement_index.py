@@ -3,8 +3,9 @@
 `schedule` and `schedule_static` walk the per-layout group order and the
 node order that the database keeps as reports arrive. The oracles in
 tests/oracles.py scan every group and sort every node instead; after
-every step of a random report history both must decide alike. A counted
-10,000-node snapshot shows which records a decision reads.
+every step of a random report history both must decide alike, and so
+must the live view. A counted 10,000-node snapshot shows which records a
+decision reads, and a 10,000-node control plane decides on the live view.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import schedule_oracle, schedule_static_oracle
+from storbind.cluster import ControlPlane
 from storbind.model import (
+    ControlConfig,
     DiskSpec,
     Jbod,
     Raid,
     ReplicatedPool,
     StorageImplementation,
+    StorageNode,
     VolumeType,
 )
 from storbind.scheduler import (
@@ -122,9 +126,12 @@ def test_schedulers_match_the_linear_scan_after_every_step(history):
     for op in history:
         apply(db, op, layouts, removed)
         snap = db.snapshot()
+        view = db.view()
         for req in REQUESTS:
             assert schedule(req, snap) == schedule_oracle(req, snap)
             assert schedule_static(req, snap) == schedule_static_oracle(req, snap)
+            assert schedule(req, view) == schedule(req, snap)
+            assert schedule_static(req, view) == schedule_static(req, snap)
 
 
 def kind(decision):
@@ -180,14 +187,19 @@ class CountedRecord:
         return getattr(self._impl, name)
 
 
+def fleet_10k() -> list[StorageNode]:
+    """10,000 nodes with two disks each."""
+    return [
+        StorageNode(f"node{n:05d}", tuple(DiskSpec(f"node{n:05d}-d{i:02d}", TiB) for i in range(2)))
+        for n in range(10_000)
+    ]
+
+
 def test_decisions_read_only_what_they_need_on_a_10k_node_fleet():
     # 10,000 nodes with two free disks each, and 60 groups in three layouts
     db = StateDatabase()
-    for n in range(10_000):
-        node_id = f"node{n:05d}"
-        db.upsert_broker_report(
-            node_id, tuple(DiskSpec(f"{node_id}-d{i:02d}", TiB) for i in range(2))
-        )
+    for node in fleet_10k():
+        db.upsert_broker_report(node.node_id, node.disks)
     for i in range(60):
         layout = (RAID6_4, ReplicatedPool(3), Raid(width=3, parity_count=1))[i % 3]
         db.upsert_manager_report(
@@ -221,3 +233,22 @@ def test_decisions_read_only_what_they_need_on_a_10k_node_fleet():
     assert schedule(reuse, counted) == schedule_oracle(reuse, snap) == UseExisting("impl-0000")
     assert record_reads and set(record_reads) == {RAID6_4}
     assert pool_reads == [] and impl_reads == []
+
+
+def test_submit_decides_on_the_live_state_without_a_snapshot(monkeypatch):
+    plane = ControlPlane(fleet_10k(), ControlConfig())
+
+    def no_snapshot():
+        raise AssertionError("the request path copied the state database")
+
+    monkeypatch.setattr(plane.statedb, "snapshot", no_snapshot)
+    view = plane.statedb.view()
+    rep2 = VolumeRequest("r1", VolumeType(name="t", layout=ReplicatedPool(2)), GiB, 0.0)
+    outcome = plane.submit(rep2, now=0.0)
+    assert outcome.decision == Provision(
+        "node00000", ReplicatedPool(2), ("node00000-d00", "node00000-d01")
+    )
+    assert outcome.admission is not None and outcome.admission.accepted
+    # the view is the live order, not a copy: the build moved node00000 last
+    assert view.ranked_nodes is plane.statedb.view().ranked_nodes
+    assert view.ranked_nodes[-1] == (0, "node00000")

@@ -45,6 +45,11 @@ def test_trace_validation():
         TraceDemand(points=((10.0, 5.0), (10.0, 6.0)))
     with pytest.raises(InputError):
         TraceDemand(points=((10.0, -5.0),))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            TraceDemand(points=((0.0, 5.0), (bad, 6.0)))
+        with pytest.raises(InputError):
+            TraceDemand(points=((0.0, bad),))
 
 
 def test_walk_is_deterministic_per_seed_and_volume():
@@ -83,3 +88,10 @@ def test_walk_validation():
         WalkDemand(mean=1.0, jitter=-5.0)
     with pytest.raises(InputError):
         ConstantDemand(iops=-1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            WalkDemand(mean=bad, jitter=5.0)
+        with pytest.raises(InputError):
+            WalkDemand(mean=1.0, jitter=bad)
+        with pytest.raises(InputError):
+            ConstantDemand(iops=bad)
