@@ -43,7 +43,7 @@ class RequestOutcome:
     admission: Admission | None = None
     # the new group's record as built, before this request's admission
     provisioned: StorageImplementation | None = None
-    # always 1: a decision is executed once (kept for the request log)
+    # always 1: a decision is executed once (read by perfbench's trace notes)
     attempts: int = 1
 
 

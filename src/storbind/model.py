@@ -280,6 +280,11 @@ def parse_volume_type(spec: Mapping[str, str], name: str = "") -> VolumeType:
     return VolumeType(name=name, layout=layout, min_iops=min_iops, io_size=io_size, extra=extra)
 
 
+def volume_id_for(request_id: str) -> str:
+    """The id of the volume a create request makes when admitted."""
+    return f"vol-{request_id}"
+
+
 @dataclass(frozen=True)
 class Volume:
     """A logical block volume living on one implementation."""
@@ -352,48 +357,33 @@ class ControlConfig:
         return self.control_interval_s if self.gc_period_s is None else self.gc_period_s
 
 
-def _require_disks(layout: LayoutKind, disks: Sequence[DiskSpec]) -> None:
+def _usable(layout: LayoutKind, amounts: Sequence[int]) -> int:
+    """The usable total of one amount per member disk, bytes or IOPS.
+
+    Striped layouts get their smallest member times the data width; pools
+    get the aggregate over the redundancy ratio, rounded down.
+    """
     need = disk_count(layout)
     if isinstance(layout, (Jbod, Raid)):
-        if len(disks) != need:
-            raise LayoutError(f"layout {layout} needs exactly {need} disks, got {len(disks)}")
-    else:
-        if len(disks) < need:
-            raise LayoutError(f"layout {layout} needs at least {need} disks, got {len(disks)}")
+        if len(amounts) != need:
+            raise LayoutError(f"layout {layout} needs exactly {need} disks, got {len(amounts)}")
+        if isinstance(layout, Jbod):
+            return amounts[0]
+        return (layout.width - layout.parity_count) * min(amounts)
+    if len(amounts) < need:
+        raise LayoutError(f"layout {layout} needs at least {need} disks, got {len(amounts)}")
+    total = sum(amounts)
+    if isinstance(layout, ReplicatedPool):
+        return total // layout.replicas
+    return total * layout.k // (layout.k + layout.m)
 
 
 def usable_capacity(layout: LayoutKind, disks: Sequence[DiskSpec]) -> int:
-    """Bytes a volume can actually use on `layout` over `disks`.
-
-    Striped layouts are limited by their smallest member; pools divide the
-    aggregate by the redundancy ratio, rounding down to whole bytes.
-    """
-    _require_disks(layout, disks)
-    if isinstance(layout, Jbod):
-        return disks[0].capacity_bytes
-    if isinstance(layout, Raid):
-        stripe = min(d.capacity_bytes for d in disks)
-        return (layout.width - layout.parity_count) * stripe
-    total = sum(d.capacity_bytes for d in disks)
-    if isinstance(layout, ReplicatedPool):
-        return total // layout.replicas
-    return int(total * Fraction(layout.k, layout.k + layout.m))
+    """Bytes a volume can actually use on `layout` over `disks`."""
+    return _usable(layout, [d.capacity_bytes for d in disks])
 
 
 def iops_budget(layout: LayoutKind, disks: Sequence[DiskSpec]) -> int:
-    """Worst-case small-block IOPS an implementation may promise.
-
-    Derived from per-disk profiled floors the same way capacity is: striped
-    layouts multiply the weakest disk by the data width, pools scale the
-    aggregate by the redundancy ratio and round down.
-    """
-    _require_disks(layout, disks)
-    if isinstance(layout, Jbod):
-        return disks[0].profiled_iops
-    if isinstance(layout, Raid):
-        floor = min(d.profiled_iops for d in disks)
-        return (layout.width - layout.parity_count) * floor
-    total = sum(d.profiled_iops for d in disks)
-    if isinstance(layout, ReplicatedPool):
-        return total // layout.replicas
-    return int(total * Fraction(layout.k, layout.k + layout.m))
+    """Worst-case small-block IOPS an implementation may promise: the
+    capacity rule applied to per-disk profiled floors."""
+    return _usable(layout, [d.profiled_iops for d in disks])

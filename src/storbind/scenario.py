@@ -25,6 +25,7 @@ from .model import (
     VolumeType,
     parse_size,
     parse_volume_type,
+    volume_id_for,
 )
 from .workload import ConstantDemand, DemandModel, TraceDemand, WalkDemand
 
@@ -153,7 +154,11 @@ def _number(
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         diags.append(f"{where}: expected a number, got {value!r}")
         return None
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        diags.append(f"{where}: {exc}")
+        return None
     if not math.isfinite(out):
         diags.append(f"{where}: must be finite, got {value}")
         return None
@@ -376,7 +381,7 @@ def _build_workloads(
     if not isinstance(raw, list):
         diags.append("workloads: expected a list")
         return {}
-    known_volumes = {f"vol-{r.request_id}" for r in requests if r.op == "create"}
+    known_volumes = {volume_id_for(r.request_id) for r in requests if r.op == "create"}
     out: dict[str, DemandModel] = {}
     for i, entry in enumerate(raw):
         where = f"workloads[{i}]"
@@ -436,7 +441,7 @@ def _build_demand(
         if mean is None or jitter is None:
             return None
         return WalkDemand(mean=mean, jitter=jitter, seed=seed)
-    except InputError as exc:
+    except (InputError, OverflowError) as exc:
         diags.append(f"{where}.{kind}: {exc}")
         return None
 

@@ -26,6 +26,7 @@ from .model import (
     iops_budget,
     redundancy_factor,
     usable_capacity,
+    volume_id_for,
 )
 from .statedb import ClusterSnapshot, RankedGroup
 
@@ -48,7 +49,7 @@ class VolumeRequest:
     @property
     def volume_id(self) -> str:
         """The id of the volume this request creates when admitted."""
-        return f"vol-{self.request_id}"
+        return volume_id_for(self.request_id)
 
 
 class RejectReason(str, enum.Enum):

@@ -4,7 +4,9 @@ The engine replays the request tape against a control plane, samples
 demand once per control interval per live volume, splits each
 implementation's degraded budget max-min fairly, and runs the throttle
 loop. Everything observable lands in one of three places: an ordered
-event log, a per-volume time series, and an end-of-run summary.
+event log, a per-volume time series, and an end-of-run summary. The
+event log is the record of what happened to each request: the summary's
+counts and request log are a fold of it (`fold_requests`).
 
 Determinism contract: the same scenario and seed produce the same event
 log and time series, byte for byte once serialized. Wall-clock latency
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
 from .errors import InvalidStateError, NotFoundError
@@ -39,6 +41,7 @@ class EventKind:
     ADMITTED = "admitted"
     REJECTED = "rejected"
     VOLUME_DELETED = "volume-deleted"
+    REQUEST_FAILED = "request-failed"
     THROTTLE_APPLIED = "throttle-applied"
     THROTTLE_RELEASED = "throttle-released"
     GC_RECLAIMED = "gc-reclaimed"
@@ -106,17 +109,6 @@ class _Engine:
         self.streams = DemandStreams(seed)
         self.events: list[SimEvent] = []
         self.timeseries: list[TimeSeriesPoint] = []
-        self.counts = {
-            "provisioned": 0,
-            "admitted": 0,
-            "rejected": 0,
-            "deleted": 0,
-            "reclaimed": 0,
-            "throttle_applied": 0,
-            "throttle_released": 0,
-        }
-        self.request_log: list[dict[str, JsonValue]] = []
-        self.volume_class: dict[str, str] = {}
         self.latency_samples: list[float] = []
         self._shares: dict[str, _GroupShare] = {}
         self._seq = 0
@@ -158,7 +150,6 @@ class _Engine:
                 EventKind.GC_RECLAIMED,
                 {"impl_id": impl.impl_id, "node_id": impl.node_id, "disk_ids": list(impl.disk_ids)},
             )
-            self.counts["reclaimed"] += 1
 
     def _handle_request(self, req: RequestSpec, t: float) -> None:
         if req.op == "create":
@@ -168,7 +159,6 @@ class _Engine:
         if req.op == "attach":
             arrived["instance_id"] = req.instance_id
         self.emit(t, EventKind.REQUEST_ARRIVED, arrived)
-        record: dict[str, JsonValue] = {"op": req.op, "time_s": t, "volume_id": req.volume_id}
         try:
             if req.op == "delete":
                 impl_id, _ = self.plane.delete_volume(req.volume_id, t)
@@ -177,21 +167,15 @@ class _Engine:
                     EventKind.VOLUME_DELETED,
                     {"volume_id": req.volume_id, "impl_id": impl_id},
                 )
-                self.counts["deleted"] += 1
-                record["result"] = "deleted"
-                record["impl_id"] = impl_id
             elif req.op == "attach":
                 assert req.instance_id is not None
                 self.plane.attach_volume(req.volume_id, req.instance_id)
-                record["result"] = "attached"
-                record["instance_id"] = req.instance_id
             else:
                 self.plane.detach_volume(req.volume_id)
-                record["result"] = "detached"
         except (NotFoundError, InvalidStateError) as exc:
-            record["result"] = "error"
-            record["error"] = str(exc)
-        self.request_log.append(record)
+            self.emit(
+                t, EventKind.REQUEST_FAILED, {"volume_id": req.volume_id, "error": str(exc)}
+            )
 
     def _handle_create(self, req: RequestSpec, t: float) -> None:
         assert req.request_id is not None and req.type_name is not None
@@ -225,14 +209,6 @@ class _Engine:
         if outcome.provisioned is not None:
             self._emit_provisioned(t, req.request_id, outcome.provisioned)
 
-        record: dict[str, JsonValue] = {
-            "op": "create",
-            "time_s": t,
-            "request_id": req.request_id,
-            "type": req.type_name,
-            "size_bytes": req.size_bytes,
-            "attempts": outcome.attempts,
-        }
         admission = outcome.admission
         if admission is not None and admission.accepted:
             assert admission.volume_id is not None
@@ -252,11 +228,6 @@ class _Engine:
                     "size_bytes": req.size_bytes,
                 },
             )
-            self.counts["admitted"] += 1
-            self.volume_class[admission.volume_id] = req.type_name
-            record["result"] = "admitted"
-            record["volume_id"] = admission.volume_id
-            record["impl_id"] = impl_id
         else:
             if admission is not None and admission.reason is not None:
                 reason = admission.reason.value
@@ -266,10 +237,6 @@ class _Engine:
             self.emit(
                 t, EventKind.REJECTED, {"request_id": req.request_id, "reason": reason}
             )
-            self.counts["rejected"] += 1
-            record["result"] = "rejected"
-            record["reason"] = reason
-        self.request_log.append(record)
 
     def _emit_provisioned(
         self, t: float, request_id: str | None, impl: StorageImplementation
@@ -277,7 +244,6 @@ class _Engine:
         self.emit(
             t, EventKind.PROVISIONED, {"request_id": request_id, **_impl_fields(impl)}
         )
-        self.counts["provisioned"] += 1
 
     def _control_tick(self, manager: StorageManager, t: float, delta: float) -> None:
         volume_ids = sorted(manager.volumes)
@@ -322,19 +288,19 @@ class _Engine:
                     "caps": {vid: current.caps[vid] for vid in sorted(current.caps)},
                 },
             )
-            self.counts["throttle_applied"] += 1
         else:
             self.emit(
                 t + delta, EventKind.THROTTLE_RELEASED, {"impl_id": manager.impl.impl_id}
             )
-            self.counts["throttle_released"] += 1
 
     def _summary(self) -> dict[str, JsonValue]:
-        """End-of-run groups, free disks, counts, request log and overheads.
+        """End-of-run counts, request log, groups, free disks and overheads.
 
-        decision_latency is wall-clock time of whole ControlPlane.submit
-        calls (schedule + provision + admit), not of schedule alone, and
-        the only entry that varies between identical runs.
+        Counts and request log are folded from the event log; groups and
+        free disks are read from the live end state. decision_latency is
+        wall-clock time of whole ControlPlane.submit calls (schedule +
+        provision + admit), not of schedule alone, and the only entry that
+        varies between identical runs.
         """
         impls: list[dict[str, JsonValue]] = [
             {
@@ -345,16 +311,12 @@ class _Engine:
             }
             for manager in self.plane.managers()
         ]
-        overhead_by_class, overhead_total, raw, stored = self._overheads()
+        counts, requests = fold_requests(self.events)
+        volume_type = {r["volume_id"]: r["type"] for r in requests if r["result"] == "admitted"}
+        overhead_by_class, overhead_total, raw, stored = self._overheads(volume_type)
         latency = None
         if self.latency_samples:
-            stats = latency_stats(self.latency_samples)
-            latency = {
-                "count": stats.count,
-                "min_s": stats.min_s,
-                "median_s": stats.median_s,
-                "p99_s": stats.p99_s,
-            }
+            latency = asdict(latency_stats(self.latency_samples))
         ratio = None
         if stored:
             ratio = as_number(Fraction(raw, stored))
@@ -364,8 +326,8 @@ class _Engine:
             "seed": self.seed,
             "duration_s": self.scenario.duration_s,
             "control_interval_s": self.scenario.control.control_interval_s,
-            "counts": self.counts,
-            "requests": self.request_log,
+            "counts": counts,
+            "requests": requests,
             "implementations": impls,
             "free_disks": self.plane.broker.free_disk_count(),
             "storage": {
@@ -379,7 +341,7 @@ class _Engine:
         }
 
     def _overheads(
-        self,
+        self, volume_type: Mapping[str, str]
     ) -> tuple[dict[str, JsonValue], int | float | None, int, int]:
         """Raw-to-user-data multipliers, per volume type and overall.
 
@@ -406,7 +368,7 @@ class _Engine:
             impl_stored = sum(stored.values())
             total_stored += impl_stored
             for vid, size in stored.items():
-                cls = self.volume_class[vid]
+                cls = volume_type[vid]
                 share = Fraction(raw) * Fraction(size, impl_stored)
                 raw_by_class[cls] = raw_by_class.get(cls, Fraction(0)) + share
                 stored_by_class[cls] = stored_by_class.get(cls, 0) + size
@@ -447,6 +409,48 @@ def _decision_payload(outcome: RequestOutcome) -> dict[str, JsonValue]:
         }
     assert isinstance(decision, Reject)
     return {"action": "reject", "reason": decision.reason.value}
+
+
+# summary count -> the event kind it counts
+_COUNTED = {
+    "provisioned": EventKind.PROVISIONED,
+    "admitted": EventKind.ADMITTED,
+    "rejected": EventKind.REJECTED,
+    "deleted": EventKind.VOLUME_DELETED,
+    "reclaimed": EventKind.GC_RECLAIMED,
+    "throttle_applied": EventKind.THROTTLE_APPLIED,
+    "throttle_released": EventKind.THROTTLE_RELEASED,
+}
+
+# what an attach or detach reads as unless a request-failed follows it
+_SUCCEEDED = {"attach": "attached", "detach": "detached"}
+
+
+def fold_requests(events: Sequence[SimEvent]) -> tuple[dict[str, int], list[dict[str, JsonValue]]]:
+    """The summary's counts and request log, read from the event log alone.
+
+    Each request-arrived opens an entry from its payload and time; the
+    outcome event that follows it sets the entry's result. A successful
+    attach or detach has no event of its own, so it reads as succeeded.
+    """
+    kinds = Counter(e.kind for e in events)
+    counts = {name: kinds[kind] for name, kind in _COUNTED.items()}
+    requests: list[dict[str, JsonValue]] = []
+    for e in events:
+        kind, payload = e.kind, e.payload
+        if kind == EventKind.REQUEST_ARRIVED:
+            requests.append(dict(payload, time_s=e.time_s, result=_SUCCEEDED.get(payload["op"])))
+        elif kind == EventKind.ADMITTED:
+            requests[-1].update(
+                result="admitted", volume_id=payload["volume_id"], impl_id=payload["impl_id"]
+            )
+        elif kind == EventKind.REJECTED:
+            requests[-1].update(result="rejected", reason=payload["reason"])
+        elif kind == EventKind.VOLUME_DELETED:
+            requests[-1].update(result="deleted", impl_id=payload["impl_id"])
+        elif kind == EventKind.REQUEST_FAILED:
+            requests[-1].update(result="error", error=payload["error"])
+    return counts, requests
 
 
 def run_scenario(

@@ -158,7 +158,7 @@ def test_criterion_02_worst_case_budget_arithmetic():
     rejected = [r for r in result.summary["requests"] if r["request_id"] == "r7"][0]
     assert rejected == {
         "op": "create", "time_s": 540.0, "request_id": "r7", "type": "type2",
-        "size_bytes": G100, "attempts": 1, "result": "rejected",
+        "size_bytes": G100, "result": "rejected",
         "reason": "no-iops-budget",
     }
 

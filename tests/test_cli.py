@@ -92,16 +92,21 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # an integer too large for a float
 R1, R2 = yaml.safe_load(MINI)["requests"]
 # (top-level keys to set on the mini scenario, the diagnostic it must give)
 NON_FINITE = {
     "duration-nan": ({"duration_s": NAN}, "duration_s: must be finite, got nan"),
     "duration-inf": ({"duration_s": INF}, "duration_s: must be finite, got inf"),
+    "duration-huge": ({"duration_s": HUGE}, "duration_s: int too large to convert to float"),
     "interval-nan": (
         {"control": {"interval_s": NAN}}, "control.interval_s: must be finite, got nan"
     ),
     "interval-inf": (
         {"control": {"interval_s": INF}}, "control.interval_s: must be finite, got inf"
+    ),
+    "interval-huge": (
+        {"control": {"interval_s": HUGE}}, "control.interval_s: int too large to convert to float"
     ),
     "gc-period-nan": (
         {"control": {"gc_period_s": NAN}}, "control.gc_period_s: must be finite, got nan"
@@ -117,17 +122,33 @@ NON_FINITE = {
         {"workloads": [{"volume": "vol-r1", "constant": INF}]},
         "workloads[0].constant: constant demand must be finite and >= 0, got inf",
     ),
+    "constant-huge": (
+        {"workloads": [{"volume": "vol-r1", "constant": HUGE}]},
+        "workloads[0].constant: int too large to convert to float",
+    ),
     "trace-value-nan": (
         {"workloads": [{"volume": "vol-r1", "trace": [[0, NAN]]}]},
         "workloads[0].trace: trace demand must be finite and >= 0, got nan",
+    ),
+    "trace-value-huge": (
+        {"workloads": [{"volume": "vol-r1", "trace": [[0, HUGE]]}]},
+        "workloads[0].trace: int too large to convert to float",
     ),
     "trace-time-nan": (
         {"workloads": [{"volume": "vol-r1", "trace": [[0, 5], [NAN, 7]]}]},
         "workloads[0].trace: trace times must be finite and increasing, got nan after 0.0",
     ),
+    "trace-time-huge": (
+        {"workloads": [{"volume": "vol-r1", "trace": [[0, 5], [HUGE, 7]]}]},
+        "workloads[0].trace: int too large to convert to float",
+    ),
     "walk-mean-inf": (
         {"workloads": [{"volume": "vol-r1", "walk": {"mean": INF, "jitter": 1}}]},
         "workloads[0].walk.mean: must be finite, got inf",
+    ),
+    "walk-mean-huge": (
+        {"workloads": [{"volume": "vol-r1", "walk": {"mean": HUGE, "jitter": 1}}]},
+        "workloads[0].walk.mean: int too large to convert to float",
     ),
     "walk-jitter-nan": (
         {"workloads": [{"volume": "vol-r1", "walk": {"mean": 5, "jitter": NAN}}]},

@@ -110,6 +110,8 @@ def test_iops_budget_frozen_values():
     assert iops_budget(Raid(width=10, parity_count=1), disks(10)) == 1800
     assert iops_budget(ReplicatedPool(replicas=3), disks(3)) == 200
     assert iops_budget(ErasureCodedPool(k=6, m=3), disks(9)) == 1200
+    # pools round the scaled aggregate down: 400 * 2/3
+    assert iops_budget(ErasureCodedPool(k=2, m=1), disks(4, iops=100)) == 266
 
 
 def test_capacity_needs_right_disk_count():

@@ -4,7 +4,9 @@ and the fixtures under tests/data, dynamic (place-mix also static rep:3).
 A refactor or a speed-up must leave events.jsonl and timeseries.csv
 byte-identical. These sha256 digests were recorded at seed 0; a change
 that moves one on purpose changes the simulator's observable behaviour
-and must say so.
+and must say so. The summary's counts and request log are pinned too,
+for every bundled scenario and fixture in both modes, and must be what
+the written event log folds to.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from pathlib import Path
 import pytest
 
 from storbind.model import parse_layout
-from storbind.report import EVENTS_FILE, TIMESERIES_FILE, run_to_directory
-from storbind.scenario import load_scenario
+from storbind.report import EVENTS_FILE, SUMMARY_FILE, TIMESERIES_FILE, run_to_directory
+from storbind.scenario import Scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
-from storbind.sim import EventKind
+from storbind.sim import EventKind, SimEvent, fold_requests
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
 DATA = Path(__file__).parent / "data"
@@ -78,10 +80,28 @@ FIXTURES_PINNED = {
 
 # tests/data fixture -> (events.jsonl sha256, timeseries.csv sha256), static rep:3
 FIXTURES_REP3_PINNED = {
+    # one request-failed: the delete of vol-a3, which static mode rejected
     "place-mix": (
-        "1b9bb379bfac94a2ae283d0d89e3d96e46f227e39e268c602e50f6a2d74f8470",
+        "efc11f72152c63119416ba3ab1edb2058ce226c7861d209495aea0cfca69bf79",
         "4b31d37bb08ddd57cfd8cb7896e523e4fcd077aded77f5fe1f3c3860f2685825",
     ),
+}
+
+# (bundled scenario or tests/data fixture, mode) -> sha256 of the summary's
+# counts and requests as canonical JSON
+REQUESTS_PINNED = {
+    ("noisy-neighbor", "dynamic"): "90974ff7845254875520982f5aac52f98e610902b3fa522bf55e4fc9f1c265d6",
+    ("noisy-neighbor", "rep:3"): "69d0ea5653778bfa6dda4a4e27b8df0bb9e6d359b85ab2d38f4a0d4c8f9b0b80",
+    ("overhead", "dynamic"): "2b18425942cf97c7ff64027385f13eec728b7d54f7348cd7ca160d76a9a608a9",
+    ("overhead", "rep:3"): "2b18425942cf97c7ff64027385f13eec728b7d54f7348cd7ca160d76a9a608a9",
+    ("table3-gc", "dynamic"): "087be39415b912ad7daba87475cae1d68e22aee0f0b043dc28fe01c6e1da4fc4",
+    ("table3-gc", "rep:3"): "01d7f5c13cbe64ee185092e57011023a62c82018942a5a22e00d99ab95fb13f6",
+    ("table3", "dynamic"): "cec892ff61af88282d49c338d68b4d44d8da261cb4419961118678af191a2105",
+    ("table3", "rep:3"): "0c0610cc8cd03bd25da2ec53bab7c15a04cf4de5360bf4b2cc74bbd0c599cfd5",
+    ("demand-mix", "dynamic"): "32b2b39a1c0b14e3422383e6f6bf116e708270bce0947086cc7c11b025abd9e1",
+    ("demand-mix", "rep:3"): "bf6fd12136d6cd58c11a2e05a1c2d62f4d8e4834913c75386c40207fe1c83b5b",
+    ("place-mix", "dynamic"): "72def03432a0681b9f9de092063483ccafb35daa269cf77150f82f25f0a553bf",
+    ("place-mix", "rep:3"): "28f995ec42b9c3945888fa6e1a8a67f00d3f5965e78f3a14f427ab53ae76a21c",
 }
 
 
@@ -114,6 +134,51 @@ def test_fixture_rep3_output_bytes_match_pin(name: str, tmp_path: Path):
     run_to_directory(scenario, tmp_path, seed=0, static_layout=parse_layout("rep:3"))
     got = (sha256(tmp_path / EVENTS_FILE), sha256(tmp_path / TIMESERIES_FILE))
     assert got == FIXTURES_REP3_PINNED[name]
+
+
+def load_source(name: str) -> Scenario:
+    if name in bundled_names():
+        return load_scenario(scenario_path(name))
+    return load_scenario(DATA / f"{name}.yaml")
+
+
+def requests_digest(summary: dict) -> str:
+    """sha256 of the summary's counts and requests as canonical JSON.
+
+    Request entries once carried an `attempts` key that was always 1; it
+    is left out so that these digests also hold for summaries that have it.
+    """
+    requests = [{k: v for k, v in r.items() if k != "attempts"} for r in summary["requests"]]
+    text = json.dumps(
+        {"counts": summary["counts"], "requests": requests},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_bundled_scenario_and_fixture_has_its_requests_pinned():
+    names = set(bundled_names()) | {path.stem for path in DATA.glob("*.yaml")}
+    assert set(REQUESTS_PINNED) == {(n, m) for n in names for m in ("dynamic", "rep:3")}
+
+
+@pytest.mark.parametrize("name,mode", sorted(REQUESTS_PINNED))
+def test_counts_and_requests_match_pin(name: str, mode: str, tmp_path: Path):
+    layout = None if mode == "dynamic" else parse_layout(mode)
+    result = run_to_directory(load_source(name), tmp_path, seed=0, static_layout=layout)
+    assert requests_digest(result.summary) == REQUESTS_PINNED[name, mode]
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "rep:3"])
+def test_written_event_log_folds_to_the_summary(mode: str, tmp_path: Path):
+    layout = None if mode == "dynamic" else parse_layout(mode)
+    scenario = load_scenario(DATA / "place-mix.yaml")
+    run_to_directory(scenario, tmp_path, seed=0, static_layout=layout)
+    lines = (tmp_path / EVENTS_FILE).read_text().splitlines()
+    counts, requests = fold_requests([SimEvent(**json.loads(line)) for line in lines])
+    summary = json.loads((tmp_path / SUMMARY_FILE).read_text())
+    assert counts == summary["counts"]
+    assert requests == summary["requests"]
 
 
 def _decisions(events: Path) -> list[dict]:

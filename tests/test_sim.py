@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,8 @@ def test_delete_event_and_error_outcomes():
     assert len(deleted) == 1
     assert deleted[0].payload == {"volume_id": "vol-r1", "impl_id": "impl-0001"}
     # second delete and the detach fail, are recorded, and do not abort the run
+    failed = [e.payload for e in result.events if e.kind == EventKind.REQUEST_FAILED]
+    assert failed == [{"volume_id": "vol-r1", "error": "no volume vol-r1"}] * 2
     errors = [r for r in result.summary["requests"] if r["result"] == "error"]
     assert len(errors) == 2
     assert result.summary["counts"]["deleted"] == 1
@@ -265,6 +269,14 @@ def test_events_are_globally_ordered():
     assert seqs == list(range(len(seqs)))
     times = [e.time_s for e in result.events]
     assert times == sorted(times)
+
+
+def test_readme_lists_every_event_kind():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Output files\n", 1)[1].split("\n## ", 1)[0]
+    sentence = section.split("Kinds:", 1)[1].split(".", 1)[0]
+    declared = [v for k, v in vars(EventKind).items() if k.isupper()]
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(declared)
 
 
 def test_as_number():
