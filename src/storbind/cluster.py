@@ -38,7 +38,6 @@ from .statedb import StateDatabase
 class RequestOutcome:
     """Everything that happened while executing one volume request."""
 
-    request: VolumeRequest
     decision: ScheduleDecision
     admission: Admission | None = None
     # the new group's record as built, before this request's admission
@@ -95,7 +94,7 @@ class ControlPlane:
         match = LayoutMatch.REDUNDANCY if static else LayoutMatch.EXACT
 
         decision: ScheduleDecision = decide(request, self.statedb.view())
-        outcome = RequestOutcome(request=request, decision=decision)
+        outcome = RequestOutcome(decision=decision)
         if isinstance(decision, Reject):
             return outcome
         if isinstance(decision, Provision):
@@ -103,7 +102,7 @@ class ControlPlane:
             outcome.provisioned = manager.impl
         else:
             manager = self.broker.manager_for(decision.impl_id)
-        outcome.admission = manager.admit(request, now, match)
+        outcome.admission = manager.admit(request, match)
         return outcome
 
     def delete_volume(self, volume_id: str, now: float) -> tuple[str, Volume]:

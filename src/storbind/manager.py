@@ -38,14 +38,17 @@ class ThrottleState:
 
 @dataclass(frozen=True)
 class Admission:
-    """Outcome of an admit call: a volume id, or the resource that ran out."""
+    """Outcome of an admit call: the group charged, or the resource that ran out.
 
-    volume_id: str | None = None
+    An admitted volume's id is always its request's `volume_id`.
+    """
+
+    impl_id: str | None = None
     reason: RejectReason | None = None
 
     @property
     def accepted(self) -> bool:
-        return self.volume_id is not None
+        return self.impl_id is not None
 
 
 def compute_throttle(
@@ -90,22 +93,17 @@ class StorageManager:
         self,
         impl: StorageImplementation,
         statedb: StateDatabase,
-        owners: dict[str, StorageManager] | None = None,
+        owners: dict[str, StorageManager],
     ):
         self.impl = impl
         self.statedb = statedb
         self.volumes: dict[str, Volume] = {}
         # volume_id -> hosting manager for the whole cluster, shared by every
         # manager of one broker; admit adds to it and delete_volume removes
-        self._owners: dict[str, StorageManager] = {} if owners is None else owners
+        self._owners = owners
         self.throttle = ThrottleState({})
 
-    def admit(
-        self,
-        request: VolumeRequest,
-        now: float,
-        match: LayoutMatch = LayoutMatch.EXACT,
-    ) -> Admission:
+    def admit(self, request: VolumeRequest, match: LayoutMatch = LayoutMatch.EXACT) -> Admission:
         """Charge a request against the ledger, or say what ran out.
 
         Raises LayoutError if the request should never have been routed
@@ -127,21 +125,14 @@ class StorageManager:
             return Admission(reason=RejectReason.NO_IOPS_BUDGET)
         if self.impl.remaining_capacity_bytes < request.size_bytes:
             return Admission(reason=RejectReason.NO_CAPACITY)
-        volume = Volume(
-            volume_id=volume_id,
-            impl_id=self.impl.impl_id,
-            size_bytes=request.size_bytes,
-            min_iops=min_iops,
-            created_at=now,
-        )
-        self.volumes[volume_id] = volume
+        self.volumes[volume_id] = Volume(volume_id, request.size_bytes, min_iops)
         self._owners[volume_id] = self
         self._publish(
             allocated_iops=self.impl.allocated_iops + min_iops,
             allocated_capacity_bytes=self.impl.allocated_capacity_bytes + request.size_bytes,
             idle_since=None,
         )
-        return Admission(volume_id=volume_id)
+        return Admission(impl_id=self.impl.impl_id)
 
     def delete_volume(self, volume_id: str, now: float) -> Volume:
         volume = self._get(volume_id)

@@ -287,13 +287,15 @@ def volume_id_for(request_id: str) -> str:
 
 @dataclass(frozen=True)
 class Volume:
-    """A logical block volume living on one implementation."""
+    """A logical block volume: its size, reservation and attachment.
+
+    Its group is the manager that holds it; when and where it was
+    created is in the event log.
+    """
 
     volume_id: str
-    impl_id: str
     size_bytes: int
     min_iops: int
-    created_at: float
     attached_to: str | None = None
 
     def __post_init__(self) -> None:
@@ -335,12 +337,17 @@ class StorageImplementation:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Knobs for the per-implementation control loop and the collector."""
+    """Knobs for the per-implementation control loop and the collector.
+
+    `degradation` scales every group's IOPS budget before fair share; it
+    is an exact factor in (0, 1].
+    """
 
     control_interval_s: float = 5.0
     gc_dwell_s: float = 300.0
     throttle_floor_iops: int = 0
     gc_period_s: float | None = None
+    degradation: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         if self.control_interval_s <= 0:
@@ -351,6 +358,8 @@ class ControlConfig:
             raise ConfigError(f"throttle_floor_iops must be >= 0, got {self.throttle_floor_iops}")
         if self.gc_period_s is not None and self.gc_period_s <= 0:
             raise ConfigError(f"gc_period_s must be > 0, got {self.gc_period_s}")
+        if not 0 < self.degradation <= 1:
+            raise ConfigError(f"degradation must be in (0, 1], got {self.degradation}")
 
     @property
     def effective_gc_period_s(self) -> float:

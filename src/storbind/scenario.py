@@ -3,7 +3,8 @@
 A scenario is one YAML key tree. Loading validates everything it can
 before the simulator starts and reports every violation it finds, each
 diagnostic naming the offending location, instead of stopping at the
-first.
+first. Each create on the tape is built into the `VolumeRequest` the
+engine submits, so nothing after loading re-checks or re-derives it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .model import (
     VolumeType,
     parse_size,
     parse_volume_type,
-    volume_id_for,
 )
+from .scheduler import VolumeRequest
 from .workload import ConstantDemand, DemandModel, TraceDemand, WalkDemand
 
 OPS = ("create", "delete", "attach", "detach")
@@ -37,16 +38,19 @@ _CONTROL_KEYS = {"interval_s", "gc_dwell_s", "gc_period_s", "throttle_floor_iops
 
 @dataclass(frozen=True)
 class RequestSpec:
-    """One scripted operation on the request tape."""
+    """One scripted operation on the request tape.
+
+    `volume_id` names the volume the op acts on; a create's is the one
+    it makes. `create` is the request a create submits and None for every
+    other op; `instance_id` is set for an attach only.
+    """
 
     index: int
     time_s: float
     op: str
-    request_id: str | None = None
-    type_name: str | None = None
-    size_bytes: int | None = None
-    volume_id: str | None = None
+    volume_id: str
     instance_id: str | None = None
+    create: VolumeRequest | None = None
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class Scenario:
     requests: tuple[RequestSpec, ...]
     workloads: Mapping[str, DemandModel] = field(default_factory=dict)
     control: ControlConfig = field(default_factory=ControlConfig)
-    degradation: Fraction = Fraction(1)
 
 
 def app_copies(vtype: VolumeType) -> int:
@@ -82,7 +85,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    # PyYAML's constructors raise ValueError for an impossible date or an
+    # integer literal over Python's digit limit
+    except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError([f"{path}: not parseable as YAML: {exc}"]) from exc
     return build_scenario(data, default_name=path.stem)
 
@@ -112,7 +117,7 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
     duration_s = _number(data.get("duration_s"), "duration_s", diags, minimum=0.0, exclusive=True)
     nodes = _build_nodes(data.get("nodes"), diags)
     vtypes = _build_volume_types(data.get("volume_types"), diags)
-    control, degradation = _build_control(data.get("control"), diags)
+    control = _build_control(data.get("control"), diags)
     requests = _build_requests(data.get("requests"), vtypes, diags)
     workloads = _build_workloads(data.get("workloads"), requests, diags)
 
@@ -137,7 +142,6 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
         requests=tuple(requests),
         workloads=workloads,
         control=control,
-        degradation=degradation,
     )
 
 
@@ -347,12 +351,8 @@ def _build_requests(
             size = _bytes(entry.get("size"), f"{where}.size", diags)
             if size is None:
                 continue
-            out.append(
-                RequestSpec(
-                    index=i, time_s=time_s, op=op,
-                    request_id=request_id, type_name=type_name, size_bytes=size,
-                )
-            )
+            create = VolumeRequest(request_id, vtypes[type_name], size)
+            out.append(RequestSpec(i, time_s, op, create.volume_id, create=create))
         else:
             volume_id = entry.get("volume")
             if not isinstance(volume_id, str) or not volume_id:
@@ -364,12 +364,7 @@ def _build_requests(
                 if not isinstance(instance_id, str) or not instance_id:
                     diags.append(f"{where}.instance: attach needs an instance id")
                     continue
-            out.append(
-                RequestSpec(
-                    index=i, time_s=time_s, op=op,
-                    volume_id=volume_id, instance_id=instance_id,
-                )
-            )
+            out.append(RequestSpec(i, time_s, op, volume_id, instance_id))
     return out
 
 
@@ -381,7 +376,7 @@ def _build_workloads(
     if not isinstance(raw, list):
         diags.append("workloads: expected a list")
         return {}
-    known_volumes = {volume_id_for(r.request_id) for r in requests if r.op == "create"}
+    known_volumes = {r.volume_id for r in requests if r.create is not None}
     out: dict[str, DemandModel] = {}
     for i, entry in enumerate(raw):
         where = f"workloads[{i}]"
@@ -446,17 +441,16 @@ def _build_demand(
         return None
 
 
-def _build_control(raw: object, diags: list[str]) -> tuple[ControlConfig | None, Fraction]:
-    degradation = Fraction(1)
+def _build_control(raw: object, diags: list[str]) -> ControlConfig | None:
     if raw is None:
-        return ControlConfig(), degradation
+        return ControlConfig()
     if not isinstance(raw, dict):
         diags.append("control: expected a mapping")
-        return ControlConfig(), degradation
+        return ControlConfig()
     for key in sorted(set(raw) - _CONTROL_KEYS):
         diags.append(f"control: unknown key {key!r}")
 
-    kwargs: dict[str, float | int] = {}
+    kwargs: dict[str, float | int | Fraction] = {}
     interval = _number(raw.get("interval_s", 5.0), "control.interval_s", diags, 0.0, exclusive=True)
     if interval is not None:
         kwargs["control_interval_s"] = interval
@@ -479,15 +473,16 @@ def _build_control(raw: object, diags: list[str]) -> tuple[ControlConfig | None,
             diags.append(f"control.degradation: expected a number, got {value!r}")
         else:
             try:
-                frac = Fraction(str(value))
-                if not 0 < frac <= 1:
-                    raise ConfigError("out of range")
-                degradation = frac
-            except (ValueError, ZeroDivisionError, ConfigError):
+                factor = Fraction(str(value))  # from the text: 0.45 is exactly 9/20
+            except (ValueError, ZeroDivisionError):
+                factor = Fraction(0)
+            if 0 < factor <= 1:
+                kwargs["degradation"] = factor
+            else:
                 diags.append(f"control.degradation: must be a number in (0, 1], got {value!r}")
 
     try:
-        return ControlConfig(**kwargs), degradation
+        return ControlConfig(**kwargs)
     except ConfigError as exc:
         diags.append(f"control: {exc}")
-        return None, degradation
+        return None

@@ -38,7 +38,6 @@ class VolumeRequest:
     request_id: str
     volume_type: VolumeType
     size_bytes: int
-    submitted_at: float
 
     def __post_init__(self) -> None:
         if not self.request_id:

@@ -111,11 +111,9 @@ class _Engine:
         self.timeseries: list[TimeSeriesPoint] = []
         self.latency_samples: list[float] = []
         self._shares: dict[str, _GroupShare] = {}
-        self._seq = 0
 
     def emit(self, time_s: float, kind: str, payload: dict[str, JsonValue]) -> None:
-        self.events.append(SimEvent(time_s=time_s, seq=self._seq, kind=kind, payload=payload))
-        self._seq += 1
+        self.events.append(SimEvent(time_s, len(self.events), kind, payload))
 
     def run(self) -> SimResult:
         scenario = self.scenario
@@ -152,8 +150,8 @@ class _Engine:
             )
 
     def _handle_request(self, req: RequestSpec, t: float) -> None:
-        if req.op == "create":
-            self._handle_create(req, t)
+        if req.create is not None:
+            self._handle_create(req.create, t)
             return
         arrived: dict[str, JsonValue] = {"op": req.op, "volume_id": req.volume_id}
         if req.op == "attach":
@@ -177,25 +175,16 @@ class _Engine:
                 t, EventKind.REQUEST_FAILED, {"volume_id": req.volume_id, "error": str(exc)}
             )
 
-    def _handle_create(self, req: RequestSpec, t: float) -> None:
-        assert req.request_id is not None and req.type_name is not None
-        assert req.size_bytes is not None
+    def _handle_create(self, request: VolumeRequest, t: float) -> None:
         self.emit(
             t,
             EventKind.REQUEST_ARRIVED,
             {
                 "op": "create",
-                "request_id": req.request_id,
-                "type": req.type_name,
-                "size_bytes": req.size_bytes,
+                "request_id": request.request_id,
+                "type": request.volume_type.name,
+                "size_bytes": request.size_bytes,
             },
-        )
-        vtype = self.scenario.volume_types[req.type_name]
-        request = VolumeRequest(
-            request_id=req.request_id,
-            volume_type=vtype,
-            size_bytes=req.size_bytes,
-            submitted_at=t,
         )
         start = time.perf_counter()
         outcome = self.plane.submit(request, t)
@@ -204,28 +193,22 @@ class _Engine:
         self.emit(
             t,
             EventKind.SCHEDULED,
-            {"request_id": req.request_id, "decision": _decision_payload(outcome)},
+            {"request_id": request.request_id, "decision": _decision_payload(outcome)},
         )
         if outcome.provisioned is not None:
-            self._emit_provisioned(t, req.request_id, outcome.provisioned)
+            self._emit_provisioned(t, request.request_id, outcome.provisioned)
 
         admission = outcome.admission
         if admission is not None and admission.accepted:
-            assert admission.volume_id is not None
-            impl_id = (
-                outcome.provisioned.impl_id
-                if outcome.provisioned is not None
-                else outcome.decision.impl_id  # type: ignore[union-attr]
-            )
             self.emit(
                 t,
                 EventKind.ADMITTED,
                 {
-                    "request_id": req.request_id,
-                    "volume_id": admission.volume_id,
-                    "impl_id": impl_id,
-                    "min_iops": vtype.min_iops,
-                    "size_bytes": req.size_bytes,
+                    "request_id": request.request_id,
+                    "volume_id": request.volume_id,
+                    "impl_id": admission.impl_id,
+                    "min_iops": request.volume_type.min_iops,
+                    "size_bytes": request.size_bytes,
                 },
             )
         else:
@@ -235,7 +218,7 @@ class _Engine:
                 assert isinstance(outcome.decision, Reject)
                 reason = outcome.decision.reason.value
             self.emit(
-                t, EventKind.REJECTED, {"request_id": req.request_id, "reason": reason}
+                t, EventKind.REJECTED, {"request_id": request.request_id, "reason": reason}
             )
 
     def _emit_provisioned(
@@ -256,7 +239,9 @@ class _Engine:
         share = self._shares.get(manager.impl.impl_id)
         if share is None:
             share = self._shares[manager.impl.impl_id] = _GroupShare(
-                capacity_degradation(manager.impl.total_iops_budget, self.scenario.degradation)
+                capacity_degradation(
+                    manager.impl.total_iops_budget, self.scenario.control.degradation
+                )
             )
         caps = manager.throttle.caps
         if demands == share.demands and caps == share.caps:

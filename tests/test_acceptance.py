@@ -321,9 +321,7 @@ def test_criterion_08_decision_latency():
         VolumeType(name="c", layout=Raid(width=10, parity_count=1), min_iops=300),
     ]
     requests = [
-        VolumeRequest(
-            request_id=f"r{i}", volume_type=vtypes[i % 3], size_bytes=G100, submitted_at=0.0
-        )
+        VolumeRequest(request_id=f"r{i}", volume_type=vtypes[i % 3], size_bytes=G100)
         for i in range(1000)
     ]
     stats = measure_decision_latency(requests, snapshot)
@@ -407,11 +405,10 @@ def test_criterion_10_ledger_invariant_fuzz():
                 request_id=f"r{next_id}",
                 volume_type=rng.choice(vtypes),
                 size_bytes=rng.choice([G100, 500 * GiB, TiB]),
-                submitted_at=now,
             )
             outcome = plane.submit(request, now)
             if outcome.admission is not None and outcome.admission.accepted:
-                live[outcome.admission.volume_id] = None
+                live[request.volume_id] = None
                 ops_done["admitted"] += 1
         elif op < 0.70:
             volume_id = rng.choice(sorted(live))

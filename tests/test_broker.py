@@ -52,7 +52,7 @@ def make_broker(spec=None) -> tuple[StorageBroker, StateDatabase]:
 
 def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRequest:
     vtype = VolumeType(name="t", layout=RAID6_4, min_iops=min_iops)
-    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size, submitted_at=0.0)
+    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
 
 
 def test_make_order_takes_lex_smallest_free_disks():
@@ -147,7 +147,7 @@ def test_garbage_collect_honors_dwell():
     broker, _ = make_broker()
     config = ControlConfig(gc_dwell_s=300.0)
     manager = broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
-    manager.admit(req("r1"), now=0.0)
+    manager.admit(req("r1"))
     manager.delete_volume("vol-r1", now=100.0)
 
     assert broker.garbage_collect(now=150.0, config=config) == []
@@ -160,7 +160,7 @@ def test_garbage_collect_skips_occupied_implementations():
     broker, _ = make_broker()
     config = ControlConfig(gc_dwell_s=0.0)
     manager = broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
-    manager.admit(req("r1"), now=0.0)
+    manager.admit(req("r1"))
     assert broker.garbage_collect(now=1000.0, config=config) == []
 
 
@@ -216,7 +216,7 @@ def test_disk_conservation_under_churn():
 def test_owner_of_finds_volume():
     broker, _ = make_broker()
     manager = broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
-    manager.admit(req("r1"), now=0.0)
+    manager.admit(req("r1"))
     assert broker.owner_of("vol-r1") is manager
     with pytest.raises(NotFoundError):
         broker.owner_of("vol-none")
@@ -226,15 +226,15 @@ def test_volume_ids_are_unique_across_groups():
     broker, _ = make_broker()
     first = broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
     second = broker.provision(broker.make_order("node2", RAID6_4), now=0.0)
-    first.admit(req("r1"), now=0.0)
+    first.admit(req("r1"))
     with pytest.raises(ConflictError):
-        second.admit(req("r1"), now=0.0)
+        second.admit(req("r1"))
     assert second.volumes == {}
     assert broker.owner_of("vol-r1") is first
     first.delete_volume("vol-r1", now=1.0)
     with pytest.raises(NotFoundError):
         broker.owner_of("vol-r1")
-    second.admit(req("r1"), now=2.0)
+    second.admit(req("r1"))
     assert broker.owner_of("vol-r1") is second
 
 

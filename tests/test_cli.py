@@ -182,7 +182,9 @@ def test_every_non_finite_number_is_listed(tmp_path, capsys):
     assert sorted(err) == sorted(f"error: {NON_FINITE[case][1]}" for case in cases)
 
 
-# Today's PyYAML text for three malformed files: line, column and snippet.
+# Today's PyYAML text for five malformed files: line, column and snippet for
+# the three that do not parse, and the ValueError PyYAML's constructors raise
+# for the two values they cannot build.
 MALFORMED_YAML = {
     "unclosed-flow-sequence": (
         "duration_s: 20\nnodes: [a, b\n",
@@ -223,6 +225,14 @@ MALFORMED_YAML = {
             "    ^",
         ],
     ),
+    "impossible-date": ("duration_s: 2020-13-45\n", ["month must be in 1..12"]),
+    "over-long-integer": (
+        "duration_s: " + "9" * 5000 + "\n",
+        [
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000"
+            " digits; use sys.set_int_max_str_digits() to increase the limit"
+        ],
+    ),
 }
 
 
@@ -231,10 +241,11 @@ def test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case):
     text, message = MALFORMED_YAML[case]
     path = tmp_path / "malformed.yaml"
     path.write_text(text)
-    assert main(["validate", "--scenario", str(path)]) == 2
     first, *rest = message
     expected = [f"error: {path}: not parseable as YAML: {first}", *rest]
-    assert capsys.readouterr().err == "\n".join(expected) + "\n"
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == "\n".join(expected) + "\n"
 
 
 def test_missing_scenario_file_is_a_user_error(tmp_path):

@@ -41,7 +41,7 @@ def make_nodes(spec: dict[str, int], capacity: int = TiB) -> list[StorageNode]:
 
 def req(request_id: str, layout=RAID6_4, min_iops=100, size=100 * GiB) -> VolumeRequest:
     vtype = VolumeType(name="t", layout=layout, min_iops=min_iops)
-    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size, submitted_at=0.0)
+    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
 
 
 def test_submit_provisions_then_reuses():

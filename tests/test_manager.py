@@ -35,36 +35,35 @@ def make_manager(db: StateDatabase | None = None) -> StorageManager:
         total_iops_budget=400,
         idle_since=0.0,
     )
-    return StorageManager(impl, db or StateDatabase())
+    return StorageManager(impl, db or StateDatabase(), {})
 
 
 def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB, layout=RAID6_4) -> VolumeRequest:
     vtype = VolumeType(name="t", layout=layout, min_iops=min_iops)
-    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size, submitted_at=0.0)
+    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
 
 
 def test_admit_creates_volume_and_charges_ledger():
     mgr = make_manager()
-    adm = mgr.admit(req("r1"), now=1.0)
-    assert adm.accepted and adm.volume_id == "vol-r1"
+    adm = mgr.admit(req("r1"))
+    assert adm.accepted and adm.impl_id == "impl-0001"
     assert mgr.impl.allocated_iops == 100
     assert mgr.impl.allocated_capacity_bytes == 100 * GiB
     assert mgr.impl.idle_since is None
-    assert mgr.volumes["vol-r1"].created_at == 1.0
 
 
 def test_admit_until_budget_exhausted():
     mgr = make_manager()
     for i in range(1, 5):
-        assert mgr.admit(req(f"r{i}"), now=0.0).accepted
-    adm = mgr.admit(req("r5"), now=0.0)
+        assert mgr.admit(req(f"r{i}")).accepted
+    adm = mgr.admit(req("r5"))
     assert not adm.accepted
     assert adm.reason is RejectReason.NO_IOPS_BUDGET
 
 
 def test_admit_capacity_exhausted():
     mgr = make_manager()
-    adm = mgr.admit(req("big", min_iops=0, size=3 * TiB), now=0.0)
+    adm = mgr.admit(req("big", min_iops=0, size=3 * TiB))
     assert not adm.accepted
     assert adm.reason is RejectReason.NO_CAPACITY
 
@@ -72,19 +71,19 @@ def test_admit_capacity_exhausted():
 def test_admit_wrong_layout_raises():
     mgr = make_manager()
     with pytest.raises(LayoutError):
-        mgr.admit(req("r1", layout=Jbod()), now=0.0)
+        mgr.admit(req("r1", layout=Jbod()))
 
 
 def test_admit_duplicate_volume_conflicts():
     mgr = make_manager()
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     with pytest.raises(ConflictError):
-        mgr.admit(req("r1"), now=0.0)
+        mgr.admit(req("r1"))
 
 
 def test_delete_refunds_and_marks_idle():
     mgr = make_manager()
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     volume = mgr.delete_volume("vol-r1", now=10.0)
     assert volume.volume_id == "vol-r1"
     assert mgr.impl.allocated_iops == 0
@@ -99,7 +98,7 @@ def test_delete_unknown_volume():
 
 def test_attached_volume_cannot_be_deleted():
     mgr = make_manager()
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     mgr.attach("vol-r1", "vm-1")
     with pytest.raises(InvalidStateError):
         mgr.delete_volume("vol-r1", now=1.0)
@@ -109,7 +108,7 @@ def test_attached_volume_cannot_be_deleted():
 
 def test_attach_twice_conflicts():
     mgr = make_manager()
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     mgr.attach("vol-r1", "vm-1")
     with pytest.raises(InvalidStateError):
         mgr.attach("vol-r1", "vm-2")
@@ -117,7 +116,7 @@ def test_attach_twice_conflicts():
 
 def test_detach_unattached_volume():
     mgr = make_manager()
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     with pytest.raises(InvalidStateError):
         mgr.detach("vol-r1")
 
@@ -125,7 +124,7 @@ def test_detach_unattached_volume():
 def test_admission_publishes_report():
     db = StateDatabase()
     mgr = make_manager(db)
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     rep = db.snapshot().implementations["impl-0001"]
     assert rep.allocated_iops == 100
     assert rep.volume_count == 1
@@ -134,7 +133,7 @@ def test_admission_publishes_report():
 def test_report_shape():
     db = StateDatabase()
     mgr = make_manager(db)
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     rep = db.snapshot().implementations["impl-0001"]
     assert rep is mgr.impl
     assert rep.remaining_iops == 300
@@ -191,7 +190,7 @@ def test_release_stays_clear():
 
 def test_throttle_tick_validates_volume_set():
     mgr = make_manager()
-    mgr.admit(req("r1"), now=0.0)
+    mgr.admit(req("r1"))
     config = ControlConfig(throttle_floor_iops=60)
     with pytest.raises(InputError):
         mgr.throttle_tick({"vol-r1": 100, "vol-ghost": 5}, config)
@@ -201,8 +200,8 @@ def test_throttle_tick_validates_volume_set():
 
 def test_throttle_tick_updates_state():
     mgr = make_manager()
-    mgr.admit(req("ra", min_iops=100), now=0.0)
-    mgr.admit(req("rb", min_iops=0), now=0.0)
+    mgr.admit(req("ra", min_iops=100))
+    mgr.admit(req("rb", min_iops=0))
     config = ControlConfig(throttle_floor_iops=60)
     state = mgr.throttle_tick({"vol-ra": Fraction(90), "vol-rb": Fraction(90)}, config)
     assert dict(state.caps) == {"vol-rb": 60}

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from storbind.errors import InputError, LayoutError, ParseError
+from storbind.errors import ConfigError, InputError, LayoutError, ParseError
 from storbind.model import (
+    ControlConfig,
     DiskSpec,
     ErasureCodedPool,
     Jbod,
@@ -185,3 +186,10 @@ def test_parse_volume_type_keeps_unknown_keys():
 def test_medium_values():
     assert Medium("hdd") is Medium.HDD
     assert Medium("ssd") is Medium.SSD
+
+
+@pytest.mark.parametrize("factor", [Fraction(0), Fraction(3, 2)])
+def test_control_config_rejects_degradation_outside_unit_interval(factor):
+    with pytest.raises(ConfigError, match="degradation"):
+        ControlConfig(degradation=factor)
+    assert ControlConfig(degradation=Fraction(1, 2)).degradation == Fraction(1, 2)

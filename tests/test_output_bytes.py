@@ -212,7 +212,7 @@ def test_demand_mix_still_covers_what_it_pins(tmp_path: Path):
     scenario = load_scenario(DATA / "demand-mix.yaml")
     models = {type(m) for m in scenario.workloads.values()}
     assert models == {ConstantDemand, TraceDemand, WalkDemand}
-    assert scenario.degradation < 1
+    assert scenario.control.degradation < 1
     run_to_directory(scenario, tmp_path, seed=0)
     kinds = (tmp_path / EVENTS_FILE).read_text()
     for kind in (EventKind.THROTTLE_APPLIED, EventKind.THROTTLE_RELEASED, EventKind.GC_RECLAIMED):

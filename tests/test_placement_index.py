@@ -52,7 +52,7 @@ NODE_IDS = 4
 # (min_iops, size): fits, short on budget, short on bytes, short on both
 ASKS = ((0, GiB), (300, GiB), (0, 3 * TiB), (100, 3 * TiB))
 REQUESTS = [
-    VolumeRequest("r1", VolumeType(name="t", layout=layout, min_iops=min_iops), size, 0.0)
+    VolumeRequest("r1", VolumeType(name="t", layout=layout, min_iops=min_iops), size)
     for layout in LAYOUTS
     for min_iops, size in ASKS
 ]
@@ -222,14 +222,14 @@ def test_decisions_read_only_what_they_need_on_a_10k_node_fleet():
     )
 
     # full fleet: every group is short on budget, no node has four disks
-    full = VolumeRequest("r1", VolumeType(name="t", layout=RAID6_4, min_iops=500), GiB, 0.0)
+    full = VolumeRequest("r1", VolumeType(name="t", layout=RAID6_4, min_iops=500), GiB)
     assert schedule(full, counted) == schedule_oracle(full, snap) == Reject(RejectReason.NO_IOPS_BUDGET)
-    wide = VolumeRequest("r2", VolumeType(name="t", layout=ReplicatedPool(4)), GiB, 0.0)
+    wide = VolumeRequest("r2", VolumeType(name="t", layout=ReplicatedPool(4)), GiB)
     assert schedule(wide, counted) == Reject(RejectReason.NO_RAW_DISKS)
     assert pool_reads == []
 
     # reuse: only raid6 groups are read, and only until one fits
-    reuse = VolumeRequest("r3", VolumeType(name="t", layout=RAID6_4, min_iops=100), GiB, 0.0)
+    reuse = VolumeRequest("r3", VolumeType(name="t", layout=RAID6_4, min_iops=100), GiB)
     assert schedule(reuse, counted) == schedule_oracle(reuse, snap) == UseExisting("impl-0000")
     assert record_reads and set(record_reads) == {RAID6_4}
     assert pool_reads == [] and impl_reads == []
@@ -243,7 +243,7 @@ def test_submit_decides_on_the_live_state_without_a_snapshot(monkeypatch):
 
     monkeypatch.setattr(plane.statedb, "snapshot", no_snapshot)
     view = plane.statedb.view()
-    rep2 = VolumeRequest("r1", VolumeType(name="t", layout=ReplicatedPool(2)), GiB, 0.0)
+    rep2 = VolumeRequest("r1", VolumeType(name="t", layout=ReplicatedPool(2)), GiB)
     outcome = plane.submit(rep2, now=0.0)
     assert outcome.decision == Provision(
         "node00000", ReplicatedPool(2), ("node00000-d00", "node00000-d01")

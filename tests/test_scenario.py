@@ -12,6 +12,7 @@ import pytest
 from storbind.errors import ScenarioError
 from storbind.model import Jbod, Raid
 from storbind.scenario import build_scenario, load_scenario, scenario_diagnostics
+from storbind.scheduler import VolumeRequest
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
 GOOD = {
@@ -58,9 +59,12 @@ def test_good_scenario_builds():
     assert scn.volume_types["guarded"].layout == Raid(width=4, parity_count=2)
     assert scn.volume_types["guarded"].min_iops == 100
     assert len(scn.requests) == 4
+    assert scn.requests[0].create == VolumeRequest("r1", scn.volume_types["plain"], 100 * 1024**3)
+    assert [r.volume_id for r in scn.requests] == ["vol-r1"] * 4
+    assert [r.create for r in scn.requests[1:]] == [None] * 3
     assert isinstance(scn.workloads["vol-r1"], ConstantDemand)
     assert scn.control.control_interval_s == 5
-    assert scn.degradation == Fraction(9, 20)
+    assert scn.control.degradation == Fraction(9, 20)
 
 
 def test_disk_shorthand_expands_with_padded_ids():
@@ -173,7 +177,7 @@ def test_control_validation():
     data["control"] = {"interval_s": 0, "degradation": 2, "throttle_floor_iops": -1, "gc_x": 1}
     diags = diags_of(data)
     assert any("interval_s" in d for d in diags)
-    assert any("degradation" in d for d in diags)
+    assert "control.degradation: must be a number in (0, 1], got 2" in diags
     assert any("throttle_floor_iops" in d for d in diags)
     assert any("gc_x" in d for d in diags)
 

@@ -64,7 +64,7 @@ def snapshot(reports=(), nodes=()):
 
 def request(layout=RAID6_4, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRequest:
     vtype = VolumeType(name="t", layout=layout, min_iops=min_iops)
-    return VolumeRequest(request_id="r1", volume_type=vtype, size_bytes=size, submitted_at=0.0)
+    return VolumeRequest(request_id="r1", volume_type=vtype, size_bytes=size)
 
 
 def test_layout_admits_exact_and_redundancy():
@@ -207,7 +207,7 @@ def test_dynamic_schedule_never_rejects_no_layout_match():
             )
             nodes.append((f"node{n}", disks))
         vtype = VolumeType(name="t", layout=rng.choice(layouts), min_iops=rng.choice([0, 100, 500]))
-        req = VolumeRequest("r1", vtype, rng.choice([GiB, TiB, 3 * TiB]), 0.0)
+        req = VolumeRequest("r1", vtype, rng.choice([GiB, TiB, 3 * TiB]))
         decision = schedule(req, snapshot(reports=impls, nodes=nodes))
         seen.add(decision.reason if isinstance(decision, Reject) else type(decision))
     assert RejectReason.NO_LAYOUT_MATCH not in seen

@@ -52,6 +52,20 @@ def test_create_emits_arrival_schedule_provision_admit():
     assert [e.seq for e in result.events] == [0, 1, 2, 3]
 
 
+def test_engine_submits_the_tape_request_itself(monkeypatch):
+    scenario = build_scenario(mini_scenario())
+    submitted = []
+    submit = sim.ControlPlane.submit
+
+    def recording_submit(plane, request, now):
+        submitted.append(request)
+        return submit(plane, request, now)
+
+    monkeypatch.setattr(sim.ControlPlane, "submit", recording_submit)
+    run_scenario(scenario, seed=0)
+    assert len(submitted) == 1 and submitted[0] is scenario.requests[0].create
+
+
 def test_reject_event_carries_reason():
     data = mini_scenario()
     data["volume_types"]["wide"] = {"raid": 5, "width": 10}

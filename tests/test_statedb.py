@@ -99,7 +99,7 @@ def test_old_snapshot_keeps_deciding_as_it_did():
     snap = db.snapshot()
     frozen = (dict(snap.nodes), dict(snap.implementations), dict(snap.ranked_groups), snap.ranked_nodes)
     asks = [
-        VolumeRequest("r1", VolumeType(name="t", layout=layout, min_iops=iops), TiB, 0.0)
+        VolumeRequest("r1", VolumeType(name="t", layout=layout, min_iops=iops), TiB)
         for layout in (RAID6_4, Jbod(), ReplicatedPool(3))
         for iops in (0, 300, 500)
     ]
