@@ -25,7 +25,7 @@ from .errors import (
     StorageError,
 )
 from .fairshare import allocate_iops, capacity_degradation
-from .manager import Admission, StorageManager, ThrottleState, compute_throttle
+from .manager import Admission, StorageManager, compute_throttle
 from .model import (
     ControlConfig,
     DiskSpec,
@@ -117,7 +117,6 @@ __all__ = [
     "StorageImplementation",
     "StorageManager",
     "StorageNode",
-    "ThrottleState",
     "TimeSeriesPoint",
     "TraceDemand",
     "UseExisting",

@@ -75,24 +75,16 @@ def allocate_iops(
     return alloc
 
 
-def capacity_degradation(total_iops_budget: int, factor: IopsValue | str) -> int:
-    """Scale a budget by a degradation factor in (0, 1], rounding down.
+def capacity_degradation(total_iops_budget: int, factor: int | Fraction) -> int:
+    """Scale a budget by an exact degradation factor in (0, 1], rounding down.
 
-    Factors given as floats or strings are interpreted through their
-    decimal literal (0.45 means exactly 45/100), keeping the floor free
-    of binary rounding surprises.
+    `factor` is an int or a Fraction, as `ControlConfig.degradation` holds
+    it (the loader reads 0.45 as exactly 9/20), so the floor is exact.
     """
-    if isinstance(factor, float):
-        frac = Fraction(str(factor))
-    elif isinstance(factor, str):
-        try:
-            frac = Fraction(factor)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"degradation factor {factor!r} is not a number") from exc
-    else:
-        frac = Fraction(factor)
-    if not 0 < frac <= 1:
+    if not isinstance(factor, (int, Fraction)):
+        raise InputError(f"degradation factor must be an int or a Fraction, got {factor!r}")
+    if not 0 < factor <= 1:
         raise ConfigError(f"degradation factor must be in (0, 1], got {factor!r}")
     if total_iops_budget < 0:
         raise InputError(f"total_iops_budget must be >= 0, got {total_iops_budget}")
-    return int(total_iops_budget * frac)
+    return total_iops_budget * factor.numerator // factor.denominator

@@ -8,7 +8,7 @@ while any reserved volume runs under its floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -20,20 +20,6 @@ from .statedb import StateDatabase
 
 IntervalStats = Mapping[str, Union[int, float, Fraction]]
 """Observed IOPS per volume over the last control interval."""
-
-
-@dataclass(frozen=True)
-class ThrottleState:
-    """Active IOPS caps per volume. Throttling is active iff caps exist."""
-
-    caps: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "caps", MappingProxyType(dict(self.caps)))
-
-    @property
-    def active(self) -> bool:
-        return bool(self.caps)
 
 
 @dataclass(frozen=True)
@@ -51,43 +37,42 @@ class Admission:
         return self.impl_id is not None
 
 
+_NO_CAPS: Mapping[str, int] = MappingProxyType({})
+
+
 def compute_throttle(
     stats: IntervalStats,
     reservations: Mapping[str, int],
-    previous: ThrottleState,
+    previous: Mapping[str, int],
     floor_iops: int,
-) -> ThrottleState:
-    """One control-loop step over one implementation's volumes.
+) -> Mapping[str, int]:
+    """One control-loop step over one implementation's volumes: the new caps.
 
-    A volume violates when it observed less than its nonzero reservation.
-    While any volume violates, every other volume is capped at
-    max(reservation, floor); violators stay uncapped so they can recover.
-    With no violators, caps are held as long as some capped volume still
-    consumed its whole cap (its appetite is unobservable below the cap,
-    so releasing would just re-trigger the violation) and released the
-    first interval a capped volume demonstrably wants less.
+    `stats` must hold every volume in `reservations`. While any volume
+    observed less than its reservation (a violator), every other volume is
+    capped at max(reservation, floor). With no violators, `previous` itself
+    is held while some capped volume in `stats` consumed its whole cap (its
+    appetite is unobservable below the cap, so releasing would only
+    re-trigger the violation), and released otherwise. So a deleted volume
+    keeps its cap until the caps next change.
     """
     violators = {
-        volume_id
-        for volume_id, floor in reservations.items()
-        if floor > 0 and volume_id in stats and stats[volume_id] < floor
+        volume_id for volume_id, floor in reservations.items() if stats[volume_id] < floor
     }
     if violators:
-        caps = {
-            volume_id: max(reservations[volume_id], floor_iops)
-            for volume_id in reservations
+        return MappingProxyType({
+            volume_id: max(floor, floor_iops)
+            for volume_id, floor in reservations.items()
             if volume_id not in violators
-        }
-        return ThrottleState(caps)
-    if previous.active:
-        for volume_id, cap in previous.caps.items():
-            if volume_id in stats and stats[volume_id] >= cap:
-                return previous
-    return ThrottleState({})
+        })
+    for volume_id, cap in previous.items():
+        if volume_id in stats and stats[volume_id] >= cap:
+            return previous
+    return _NO_CAPS
 
 
 class StorageManager:
-    """Owns one implementation's volumes, ledger, and throttle state."""
+    """Owns one implementation's volumes, ledger, and throttle caps."""
 
     def __init__(
         self,
@@ -101,7 +86,7 @@ class StorageManager:
         # volume_id -> hosting manager for the whole cluster, shared by every
         # manager of one broker; admit adds to it and delete_volume removes
         self._owners = owners
-        self.throttle = ThrottleState({})
+        self.caps: Mapping[str, int] = _NO_CAPS
 
     def admit(self, request: VolumeRequest, match: LayoutMatch = LayoutMatch.EXACT) -> Admission:
         """Charge a request against the ledger, or say what ran out.
@@ -172,19 +157,19 @@ class StorageManager:
     def reservations(self) -> dict[str, int]:
         return {volume_id: v.min_iops for volume_id, v in self.volumes.items()}
 
-    def throttle_tick(self, stats: IntervalStats, config: ControlConfig) -> ThrottleState:
-        """Advance the throttle loop one control interval."""
-        if set(stats) != set(self.volumes):
-            missing = sorted(set(self.volumes) - set(stats))
-            stray = sorted(set(stats) - set(self.volumes))
+    def throttle_tick(self, stats: IntervalStats, config: ControlConfig) -> Mapping[str, int]:
+        """Advance the throttle loop one interval on stats of exactly the hosted volumes."""
+        if stats.keys() != self.volumes.keys():
+            missing = sorted(self.volumes.keys() - stats.keys())
+            stray = sorted(stats.keys() - self.volumes.keys())
             raise InputError(
                 f"impl {self.impl.impl_id}: stats must cover exactly the hosted volumes"
                 f" (missing {missing}, stray {stray})"
             )
-        self.throttle = compute_throttle(
-            stats, self.reservations(), self.throttle, config.throttle_floor_iops
+        self.caps = compute_throttle(
+            stats, self.reservations(), self.caps, config.throttle_floor_iops
         )
-        return self.throttle
+        return self.caps
 
     def _publish(
         self, allocated_iops: int, allocated_capacity_bytes: int, idle_since: float | None

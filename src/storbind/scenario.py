@@ -76,6 +76,21 @@ def app_copies(vtype: VolumeType) -> int:
     return copies
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader whose int and timestamp errors (an impossible date, an int
+    over Python's digit limit) name their position, as syntax errors do."""
+
+    def construct_located(self, node):
+        try:
+            return yaml.SafeLoader.yaml_constructors[node.tag](self, node)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+
+
+for _tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp"):
+    _Loader.add_constructor(_tag, _Loader.construct_located)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file. Raises ScenarioError."""
     path = Path(path)
@@ -84,9 +99,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     try:
-        data = yaml.safe_load(text)
-    # PyYAML's constructors raise ValueError for an impossible date or an
-    # integer literal over Python's digit limit
+        data = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError([f"{path}: not parseable as YAML: {exc}"]) from exc
     return build_scenario(data, default_name=path.stem)

@@ -243,7 +243,7 @@ class _Engine:
                     manager.impl.total_iops_budget, self.scenario.control.degradation
                 )
             )
-        caps = manager.throttle.caps
+        caps = manager.caps
         if demands == share.demands and caps == share.caps:
             achieved = share.achieved
         else:
@@ -259,18 +259,17 @@ class _Engine:
                     cap_iops=caps.get(vid),
                 )
             )
-        previous = manager.throttle
         current = manager.throttle_tick(achieved, self.scenario.control)
-        if current.caps == previous.caps:
+        if current == caps:
             return
         # decided from this interval's observations, in force for the next
-        if current.active:
+        if current:
             self.emit(
                 t + delta,
                 EventKind.THROTTLE_APPLIED,
                 {
                     "impl_id": manager.impl.impl_id,
-                    "caps": {vid: current.caps[vid] for vid in sorted(current.caps)},
+                    "caps": {vid: current[vid] for vid in sorted(current)},
                 },
             )
         else:

@@ -225,12 +225,23 @@ MALFORMED_YAML = {
             "    ^",
         ],
     ),
-    "impossible-date": ("duration_s: 2020-13-45\n", ["month must be in 1..12"]),
+    "impossible-date": (
+        "duration_s: 2020-13-45\n",
+        [
+            "month must be in 1..12",
+            '  in "<unicode string>", line 1, column 13:',
+            "    duration_s: 2020-13-45",
+            "                ^",
+        ],
+    ),
     "over-long-integer": (
         "duration_s: " + "9" * 5000 + "\n",
         [
             "Exceeds the limit (4300 digits) for integer string conversion: value has 5000"
-            " digits; use sys.set_int_max_str_digits() to increase the limit"
+            " digits; use sys.set_int_max_str_digits() to increase the limit",
+            '  in "<unicode string>", line 1, column 13:',
+            "    duration_s: " + "9" * 32 + " ... ",
+            "                ^",
         ],
     ),
 }

@@ -123,28 +123,33 @@ def test_allocation_invariants(names, demands, capacity):
 
 
 def test_degradation_frozen_values():
-    assert capacity_degradation(400, 0.45) == 180
+    assert capacity_degradation(400, Fraction(9, 20)) == 180
     assert capacity_degradation(400, 1) == 400
-    assert capacity_degradation(200, 0.45) == 90
-    assert capacity_degradation(1800, 0.45) == 810
-    assert capacity_degradation(400, "9/20") == 180
+    assert capacity_degradation(200, Fraction(9, 20)) == 90
+    assert capacity_degradation(1800, Fraction(9, 20)) == 810
 
 
 def test_degradation_exact_decimal_not_binary_float():
     # 400 * float(0.45) is 179.99... in binary; the factor must be read
     # as the decimal it was written as
-    assert capacity_degradation(400, 0.45) == 180
-    assert capacity_degradation(1000, 0.1) == 100
+    assert capacity_degradation(400, Fraction(9, 20)) == 180
+    assert capacity_degradation(1000, Fraction(1, 10)) == 100
 
 
 def test_degradation_rounds_down():
-    assert capacity_degradation(401, 0.45) == 180
+    assert capacity_degradation(401, Fraction(9, 20)) == 180
 
 
 def test_degradation_range_checks():
-    for bad in (0, -0.5, 1.5, "nope"):
+    for bad in (0, Fraction(-1, 2), Fraction(3, 2)):
         with pytest.raises(ConfigError):
             capacity_degradation(400, bad)
+
+
+@pytest.mark.parametrize("bad", [0.45, "9/20", None])
+def test_degradation_takes_only_exact_factors(bad):
+    with pytest.raises(InputError):
+        capacity_degradation(400, bad)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), "lots", None])

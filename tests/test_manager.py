@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from storbind.errors import ConflictError, InputError, InvalidStateError, LayoutError, NotFoundError
-from storbind.manager import StorageManager, ThrottleState, compute_throttle
+from storbind.manager import StorageManager, compute_throttle
 from storbind.model import (
     ControlConfig,
     DiskSpec,
@@ -148,44 +148,54 @@ def test_report_shape():
 
 
 def test_no_violation_no_caps():
-    state = compute_throttle({"a": 100, "b": 50}, {"a": 100, "b": 0}, ThrottleState(), 60)
-    assert not state.active
+    caps = compute_throttle({"a": 100, "b": 50}, {"a": 100, "b": 0}, {}, 60)
+    assert not caps
 
 
 def test_violation_caps_non_violators_at_reservation_or_floor():
-    state = compute_throttle({"a": 90, "b": 90}, {"a": 100, "b": 0}, ThrottleState(), 60)
-    assert state.active
-    assert dict(state.caps) == {"b": 60}
+    caps = compute_throttle({"a": 90, "b": 90}, {"a": 100, "b": 0}, {}, 60)
+    assert caps
+    assert dict(caps) == {"b": 60}
 
 
 def test_cap_uses_reservation_when_above_floor():
-    state = compute_throttle(
-        {"a": 90, "b": 90, "c": 90}, {"a": 100, "b": 80, "c": 0}, ThrottleState(), 60
+    caps = compute_throttle(
+        {"a": 90, "b": 90, "c": 90}, {"a": 100, "b": 80, "c": 0}, {}, 60
     )
-    assert dict(state.caps) == {"b": 80, "c": 60}
+    assert dict(caps) == {"b": 80, "c": 60}
 
 
 def test_all_violators_means_nobody_to_cap():
     # both volumes below reservation: both are violators, nobody to cap
-    state = compute_throttle({"a": 50, "b": 50}, {"a": 100, "b": 100}, ThrottleState(), 60)
-    assert not state.active
+    caps = compute_throttle({"a": 50, "b": 50}, {"a": 100, "b": 100}, {}, 60)
+    assert not caps
 
 
 def test_saturated_cap_holds():
-    held = ThrottleState({"b": 60})
-    state = compute_throttle({"a": 100, "b": 60}, {"a": 100, "b": 0}, held, 60)
-    assert state.caps == held.caps
+    held = {"b": 60}
+    caps = compute_throttle({"a": 100, "b": 60}, {"a": 100, "b": 0}, held, 60)
+    assert caps == held
 
 
 def test_cap_released_when_capped_volume_backs_off():
-    held = ThrottleState({"b": 60})
-    state = compute_throttle({"a": 100, "b": 50}, {"a": 100, "b": 0}, held, 60)
-    assert not state.active
+    held = {"b": 60}
+    caps = compute_throttle({"a": 100, "b": 50}, {"a": 100, "b": 0}, held, 60)
+    assert not caps
 
 
 def test_release_stays_clear():
-    state = compute_throttle({"a": 100, "b": 50}, {"a": 100, "b": 0}, ThrottleState(), 60)
-    assert not state.active
+    caps = compute_throttle({"a": 100, "b": 50}, {"a": 100, "b": 0}, {}, 60)
+    assert not caps
+
+
+def test_deleted_volume_keeps_its_cap_until_the_caps_change():
+    # "gone" was capped, then deleted: it is in neither stats nor reservations
+    held = {"gone": 0, "b": 60}
+    reservations = {"a": 100, "b": 0}
+    caps = compute_throttle({"a": 100, "b": 60}, reservations, held, 60)
+    assert dict(caps) == held
+    caps = compute_throttle({"a": 100, "b": 50}, reservations, held, 60)
+    assert not caps
 
 
 def test_throttle_tick_validates_volume_set():
@@ -203,12 +213,17 @@ def test_throttle_tick_updates_state():
     mgr.admit(req("ra", min_iops=100))
     mgr.admit(req("rb", min_iops=0))
     config = ControlConfig(throttle_floor_iops=60)
-    state = mgr.throttle_tick({"vol-ra": Fraction(90), "vol-rb": Fraction(90)}, config)
-    assert dict(state.caps) == {"vol-rb": 60}
-    assert mgr.throttle is state
+    caps = mgr.throttle_tick({"vol-ra": Fraction(90), "vol-rb": Fraction(90)}, config)
+    assert dict(caps) == {"vol-rb": 60}
+    assert mgr.caps is caps
 
 
-def test_throttle_state_is_frozen_mapping():
-    state = ThrottleState({"v": 10})
-    with pytest.raises(TypeError):
-        state.caps["w"] = 5  # type: ignore[index]
+def test_throttle_tick_caps_reject_item_assignment():
+    mgr = make_manager()
+    mgr.admit(req("ra", min_iops=100))
+    mgr.admit(req("rb", min_iops=0))
+    config = ControlConfig(throttle_floor_iops=60)
+    for stats in ({"vol-ra": 90, "vol-rb": 90}, {"vol-ra": 100, "vol-rb": 50}):
+        caps = mgr.throttle_tick(stats, config)
+        with pytest.raises(TypeError):
+            caps["w"] = 5  # type: ignore[index]
