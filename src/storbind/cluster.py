@@ -36,7 +36,10 @@ from .statedb import StateDatabase
 
 @dataclass
 class RequestOutcome:
-    """Everything that happened while executing one volume request."""
+    """Everything that happened while executing one volume request.
+
+    `admission` is None exactly when `decision` is a Reject.
+    """
 
     decision: ScheduleDecision
     admission: Admission | None = None
@@ -82,10 +85,12 @@ class ControlPlane:
     def submit(self, request: VolumeRequest, now: float) -> RequestOutcome:
         """Schedule one request on the live state, then execute it once.
 
-        A rejection or the chosen group's admission verdict is final. A
-        decision the broker disagrees with comes only from forged reports
-        and raises ConflictError or NotFoundError. A volume id that
-        already exists raises ConflictError before anything is scheduled.
+        The decision is final: a Reject leaves `admission` None, and any
+        other decision is admitted to the group it names or builds. A
+        decision the broker or the manager disagrees with comes only from
+        forged reports and raises ConflictError or NotFoundError. A volume
+        id that already exists raises ConflictError before anything is
+        scheduled.
         """
         if request.volume_id in self.broker.volume_owners:
             raise ConflictError(f"volume {request.volume_id} already exists")

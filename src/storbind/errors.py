@@ -20,7 +20,7 @@ class ConsistencyError(StorageError):
 
 
 class ConflictError(StorageError):
-    """A provisioning order raced with another claim on the same disks."""
+    """A request or report contradicts the live state."""
 
 
 class NotFoundError(StorageError):

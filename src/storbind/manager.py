@@ -1,9 +1,9 @@
 """Per-implementation volume manager: admission ledger and throttling.
 
-One manager owns one implementation. Admission trades against the
-worst-case IOPS budget and usable capacity; the throttle loop watches
-observed per-volume IOPS once per control interval and caps non-violators
-while any reserved volume runs under its floor.
+One manager owns one implementation. Admission charges the group the
+scheduler chose on the live ledger, and raises on a request that does not
+fit; the throttle loop watches observed per-volume IOPS once per control
+interval and caps non-violators while any reserved volume runs under its floor.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 from .errors import ConflictError, InputError, InvalidStateError, LayoutError, NotFoundError
 from .model import ControlConfig, StorageImplementation, Volume
-from .scheduler import LayoutMatch, RejectReason, VolumeRequest, layout_admits
+from .scheduler import LayoutMatch, VolumeRequest, layout_admits
 from .statedb import StateDatabase
 
 IntervalStats = Mapping[str, Union[int, float, Fraction]]
@@ -24,17 +24,14 @@ IntervalStats = Mapping[str, Union[int, float, Fraction]]
 
 @dataclass(frozen=True)
 class Admission:
-    """Outcome of an admit call: the group charged, or the resource that ran out.
+    """The group a request was charged to, under the request's own `volume_id`."""
 
-    An admitted volume's id is always its request's `volume_id`.
-    """
-
-    impl_id: str | None = None
-    reason: RejectReason | None = None
+    impl_id: str
 
     @property
     def accepted(self) -> bool:
-        return self.impl_id is not None
+        # admit raises rather than refuse
+        return True
 
 
 _NO_CAPS: Mapping[str, int] = MappingProxyType({})
@@ -89,12 +86,12 @@ class StorageManager:
         self.caps: Mapping[str, int] = _NO_CAPS
 
     def admit(self, request: VolumeRequest, match: LayoutMatch = LayoutMatch.EXACT) -> Admission:
-        """Charge a request against the ledger, or say what ran out.
+        """Charge a request to this group and host its volume.
 
-        Raises LayoutError if the request should never have been routed
-        here and ConflictError if its volume id is already hosted anywhere
-        in the cluster; budget and capacity exhaustion are ordinary
-        rejections.
+        Raises, before anything changes, LayoutError if the request should
+        never have been routed here, and ConflictError if its volume id is
+        already hosted anywhere in the cluster or it does not fit what the
+        group has left (the scheduler read a forged report).
         """
         wanted = request.volume_type.layout
         if not layout_admits(self.impl.layout, wanted, match):
@@ -105,19 +102,20 @@ class StorageManager:
         volume_id = request.volume_id
         if volume_id in self._owners:
             raise ConflictError(f"volume {volume_id} already exists")
-        min_iops = request.volume_type.min_iops
-        if self.impl.remaining_iops < min_iops:
-            return Admission(reason=RejectReason.NO_IOPS_BUDGET)
-        if self.impl.remaining_capacity_bytes < request.size_bytes:
-            return Admission(reason=RejectReason.NO_CAPACITY)
-        self.volumes[volume_id] = Volume(volume_id, request.size_bytes, min_iops)
+        impl, min_iops, size = self.impl, request.volume_type.min_iops, request.size_bytes
+        if impl.remaining_iops < min_iops or impl.remaining_capacity_bytes < size:
+            raise ConflictError(
+                f"impl {impl.impl_id}: request {request.request_id} needs {min_iops} IOPS and"
+                f" {size} bytes, has {impl.remaining_iops} and {impl.remaining_capacity_bytes} left"
+            )
+        self.volumes[volume_id] = Volume(volume_id, size, min_iops)
         self._owners[volume_id] = self
         self._publish(
-            allocated_iops=self.impl.allocated_iops + min_iops,
-            allocated_capacity_bytes=self.impl.allocated_capacity_bytes + request.size_bytes,
+            allocated_iops=impl.allocated_iops + min_iops,
+            allocated_capacity_bytes=impl.allocated_capacity_bytes + size,
             idle_since=None,
         )
-        return Admission(impl_id=self.impl.impl_id)
+        return Admission(impl.impl_id)
 
     def delete_volume(self, volume_id: str, now: float) -> Volume:
         volume = self._get(volume_id)

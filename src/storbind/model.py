@@ -9,6 +9,7 @@ replaces its StorageImplementation record on every ledger change.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,8 +357,14 @@ class ControlConfig:
             raise ConfigError(f"gc_dwell_s must be >= 0, got {self.gc_dwell_s}")
         if self.throttle_floor_iops < 0:
             raise ConfigError(f"throttle_floor_iops must be >= 0, got {self.throttle_floor_iops}")
-        if self.gc_period_s is not None and self.gc_period_s <= 0:
-            raise ConfigError(f"gc_period_s must be > 0, got {self.gc_period_s}")
+        if self.gc_period_s is not None:
+            # the collector runs every round(strides) intervals
+            strides = self.gc_period_s / self.control_interval_s
+            if not (0.5 <= strides < math.inf and math.isclose(strides, round(strides))):
+                raise ConfigError(
+                    f"gc_period_s must be a whole multiple of control_interval_s"
+                    f" ({self.control_interval_s}), got {self.gc_period_s}"
+                )
         if not 0 < self.degradation <= 1:
             raise ConfigError(f"degradation must be in (0, 1], got {self.degradation}")
 

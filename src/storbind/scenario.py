@@ -30,10 +30,20 @@ from .model import (
 from .scheduler import VolumeRequest
 from .workload import ConstantDemand, DemandModel, TraceDemand, WalkDemand
 
-OPS = ("create", "delete", "attach", "detach")
-
 _TOP_KEYS = {"name", "duration_s", "nodes", "volume_types", "requests", "workloads", "control"}
 _CONTROL_KEYS = {"interval_s", "gc_dwell_s", "gc_period_s", "throttle_floor_iops", "degradation"}
+_NODE_KEYS = {"node_id", "disks"}
+_DISK_KEYS = {"disk_id", "capacity", "profiled_iops", "medium"}
+_DISK_SHORTHAND_KEYS = {"count", "capacity", "profiled_iops", "medium"}
+_OP_KEYS = {
+    "create": {"op", "time", "id", "type", "size"},
+    "delete": {"op", "time", "volume"},
+    "attach": {"op", "time", "volume", "instance"},
+    "detach": {"op", "time", "volume"},
+}
+OPS = tuple(_OP_KEYS)  # a tuple: a YAML op may be unhashable
+_WORKLOAD_KEYS = {"volume", "constant", "trace", "walk"}
+_WALK_KEYS = {"mean", "jitter", "seed"}
 
 
 @dataclass(frozen=True)
@@ -119,8 +129,7 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
     diags: list[str] = []
     if not isinstance(data, dict):
         raise ScenarioError(["document: expected a mapping at the top level"])
-    for key in sorted(set(data) - _TOP_KEYS):
-        diags.append(f"document: unknown key {key!r}")
+    _unknown_keys(data, _TOP_KEYS, "document", diags)
 
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:
@@ -156,6 +165,13 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
         workloads=workloads,
         control=control,
     )
+
+
+def _unknown_keys(raw: dict, known: set[str], where: str, diags: list[str]) -> None:
+    """One diagnostic per key of `raw` outside `known`, in repr order (keys
+    of mixed types do not compare)."""
+    for key in sorted(raw.keys() - known, key=repr):
+        diags.append(f"{where}: unknown key {key!r}")
 
 
 def _number(
@@ -221,6 +237,7 @@ def _build_nodes(raw: object, diags: list[str]) -> list[StorageNode]:
         if not isinstance(entry, dict):
             diags.append(f"{where}: expected a mapping")
             continue
+        _unknown_keys(entry, _NODE_KEYS, where, diags)
         node_id = entry.get("node_id")
         if not isinstance(node_id, str) or not node_id:
             diags.append(f"{where}.node_id: expected a nonempty string")
@@ -242,6 +259,7 @@ def _build_disks(
     raw: object, node_id: str, where: str, diags: list[str]
 ) -> list[DiskSpec]:
     if isinstance(raw, dict):
+        _unknown_keys(raw, _DISK_SHORTHAND_KEYS, f"{where}.disks", diags)
         count = raw.get("count")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             diags.append(f"{where}.disks.count: expected a positive integer")
@@ -267,6 +285,7 @@ def _build_disks(
         if not isinstance(disk, dict):
             diags.append(f"{dwhere}: expected a mapping")
             continue
+        _unknown_keys(disk, _DISK_KEYS, dwhere, diags)
         disk_id = disk.get("disk_id")
         if not isinstance(disk_id, str) or not disk_id:
             diags.append(f"{dwhere}.disk_id: expected a nonempty string")
@@ -340,6 +359,7 @@ def _build_requests(
         if op not in OPS:
             diags.append(f"{where}.op: expected one of {', '.join(OPS)}, got {op!r}")
             continue
+        _unknown_keys(entry, _OP_KEYS[op], where, diags)
         time_s = _number(entry.get("time"), f"{where}.time", diags, minimum=0.0)
         if time_s is None:
             continue
@@ -396,6 +416,7 @@ def _build_workloads(
         if not isinstance(entry, dict):
             diags.append(f"{where}: expected a mapping")
             continue
+        _unknown_keys(entry, _WORKLOAD_KEYS, where, diags)
         volume_id = entry.get("volume")
         if not isinstance(volume_id, str) or volume_id not in known_volumes:
             diags.append(f"{where}.volume: {volume_id!r} is not created by any request")
@@ -440,6 +461,7 @@ def _build_demand(
         if not isinstance(raw, dict):
             diags.append(f"{where}.walk: expected a mapping with mean and jitter")
             return None
+        _unknown_keys(raw, _WALK_KEYS, f"{where}.walk", diags)
         mean = _number(raw.get("mean"), f"{where}.walk.mean", diags, minimum=0.0)
         jitter = _number(raw.get("jitter"), f"{where}.walk.jitter", diags, minimum=0.0)
         seed = raw.get("seed")
@@ -460,8 +482,7 @@ def _build_control(raw: object, diags: list[str]) -> ControlConfig | None:
     if not isinstance(raw, dict):
         diags.append("control: expected a mapping")
         return ControlConfig()
-    for key in sorted(set(raw) - _CONTROL_KEYS):
-        diags.append(f"control: unknown key {key!r}")
+    _unknown_keys(raw, _CONTROL_KEYS, "control", diags)
 
     kwargs: dict[str, float | int | Fraction] = {}
     interval = _number(raw.get("interval_s", 5.0), "control.interval_s", diags, 0.0, exclusive=True)
@@ -472,7 +493,8 @@ def _build_control(raw: object, diags: list[str]) -> ControlConfig | None:
         kwargs["gc_dwell_s"] = dwell
     if "gc_period_s" in raw:
         period = _number(raw.get("gc_period_s"), "control.gc_period_s", diags, 0.0, exclusive=True)
-        if period is not None:
+        # checked against the interval, so only once the interval parsed
+        if period is not None and interval is not None:
             kwargs["gc_period_s"] = period
     floor = raw.get("throttle_floor_iops", 0)
     if isinstance(floor, bool) or not isinstance(floor, int) or floor < 0:

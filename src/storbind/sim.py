@@ -119,7 +119,7 @@ class _Engine:
         scenario = self.scenario
         delta = scenario.control.control_interval_s
         n_steps = math.ceil(scenario.duration_s / delta)
-        gc_stride = max(1, round(scenario.control.effective_gc_period_s / delta))
+        gc_stride = round(scenario.control.effective_gc_period_s / delta)
         pending = deque(scenario.requests)
 
         if self.static_layout is not None:
@@ -195,31 +195,25 @@ class _Engine:
             EventKind.SCHEDULED,
             {"request_id": request.request_id, "decision": _decision_payload(outcome)},
         )
+        if isinstance(outcome.decision, Reject):
+            reason = outcome.decision.reason.value
+            self.emit(t, EventKind.REJECTED, {"request_id": request.request_id, "reason": reason})
+            return
         if outcome.provisioned is not None:
             self._emit_provisioned(t, request.request_id, outcome.provisioned)
-
         admission = outcome.admission
-        if admission is not None and admission.accepted:
-            self.emit(
-                t,
-                EventKind.ADMITTED,
-                {
-                    "request_id": request.request_id,
-                    "volume_id": request.volume_id,
-                    "impl_id": admission.impl_id,
-                    "min_iops": request.volume_type.min_iops,
-                    "size_bytes": request.size_bytes,
-                },
-            )
-        else:
-            if admission is not None and admission.reason is not None:
-                reason = admission.reason.value
-            else:
-                assert isinstance(outcome.decision, Reject)
-                reason = outcome.decision.reason.value
-            self.emit(
-                t, EventKind.REJECTED, {"request_id": request.request_id, "reason": reason}
-            )
+        assert admission is not None
+        self.emit(
+            t,
+            EventKind.ADMITTED,
+            {
+                "request_id": request.request_id,
+                "volume_id": request.volume_id,
+                "impl_id": admission.impl_id,
+                "min_iops": request.volume_type.min_iops,
+                "size_bytes": request.size_bytes,
+            },
+        )
 
     def _emit_provisioned(
         self, t: float, request_id: str | None, impl: StorageImplementation

@@ -34,7 +34,7 @@ from storbind.model import (
 from storbind.report import compare_static_to_directory, run_to_directory
 from storbind.scenario import load_scenario
 from storbind.scenarios import bundled_names, scenario_path
-from storbind.scheduler import VolumeRequest, measure_decision_latency
+from storbind.scheduler import Reject, VolumeRequest, measure_decision_latency
 from storbind.sim import EventKind, run_scenario
 from storbind.statedb import StateDatabase
 
@@ -407,6 +407,8 @@ def test_criterion_10_ledger_invariant_fuzz():
                 size_bytes=rng.choice([G100, 500 * GiB, TiB]),
             )
             outcome = plane.submit(request, now)
+            # the scheduler's decision is the only admission decision
+            assert (outcome.admission is None) == isinstance(outcome.decision, Reject)
             if outcome.admission is not None and outcome.admission.accepted:
                 live[request.volume_id] = None
                 ops_done["admitted"] += 1

@@ -84,6 +84,18 @@ def test_validate_reports_every_problem(tmp_path, capsys):
     assert "volume_types" in err
 
 
+def test_unknown_keys_of_mixed_types_exit_2(tmp_path, capsys):
+    path = tmp_path / "mixed.yaml"
+    path.write_text(MINI + "1: x\nfoo: y\ncontrol: {2: x, bar: y}\n")
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: document: unknown key 'foo'",
+        "error: document: unknown key 1",
+        "error: control: unknown key 'bar'",
+        "error: control: unknown key 2",
+    ]
+
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("duration_s: 10\n")

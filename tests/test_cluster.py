@@ -65,18 +65,21 @@ def test_submit_reject_has_no_side_effects():
     assert plane.managers() == []
 
 
-def test_forged_ledger_refusal_stands_after_one_attempt():
+def test_forged_ledger_conflicts_without_mutation():
     plane = ControlPlane(make_nodes({"node1": 4}), ControlConfig())
     plane.submit(req("r1", min_iops=400), now=0.0)
     # forge a report that hides the allocation; the scheduler picks the
-    # group, its real ledger refuses, and that refusal is the outcome
-    real = plane.broker.manager_for("impl-0001").impl
+    # group and its real ledger, which has no budget left, raises
+    manager = plane.broker.manager_for("impl-0001")
+    real = manager.impl
     plane.statedb.upsert_manager_report(replace(real, allocated_iops=0))
-    outcome = plane.submit(req("r2", min_iops=100), now=1.0)
-    assert outcome.attempts == 1
-    assert outcome.decision == UseExisting("impl-0001")
-    assert outcome.admission is not None and not outcome.admission.accepted
-    assert outcome.admission.reason is RejectReason.NO_IOPS_BUDGET
+    seq = plane.statedb.snapshot().seq
+    with pytest.raises(ConflictError, match="request r2 needs 100 IOPS"):
+        plane.submit(req("r2", min_iops=100), now=1.0)
+    assert plane.statedb.snapshot().seq == seq
+    assert manager.impl is real
+    assert sorted(manager.volumes) == ["vol-r1"]
+    assert plane.broker.volume_owners == {"vol-r1": manager}
 
 
 def test_ghost_implementation_raises():

@@ -16,7 +16,7 @@ from storbind.model import (
     StorageImplementation,
     VolumeType,
 )
-from storbind.scheduler import LayoutMatch, RejectReason, VolumeRequest
+from storbind.scheduler import LayoutMatch, VolumeRequest
 from storbind.statedb import StateDatabase
 
 TiB = 1024**4
@@ -52,20 +52,28 @@ def test_admit_creates_volume_and_charges_ledger():
     assert mgr.impl.idle_since is None
 
 
+def ledger_state(mgr: StorageManager, db: StateDatabase) -> tuple:
+    return dict(mgr.volumes), dict(mgr._owners), mgr.impl, db.snapshot().seq
+
+
 def test_admit_until_budget_exhausted():
-    mgr = make_manager()
+    db = StateDatabase()
+    mgr = make_manager(db)
     for i in range(1, 5):
         assert mgr.admit(req(f"r{i}")).accepted
-    adm = mgr.admit(req("r5"))
-    assert not adm.accepted
-    assert adm.reason is RejectReason.NO_IOPS_BUDGET
+    before = ledger_state(mgr, db)
+    with pytest.raises(ConflictError, match="request r5 needs 100 IOPS"):
+        mgr.admit(req("r5"))
+    assert ledger_state(mgr, db) == before
 
 
 def test_admit_capacity_exhausted():
-    mgr = make_manager()
-    adm = mgr.admit(req("big", min_iops=0, size=3 * TiB))
-    assert not adm.accepted
-    assert adm.reason is RejectReason.NO_CAPACITY
+    db = StateDatabase()
+    mgr = make_manager(db)
+    before = ledger_state(mgr, db)
+    with pytest.raises(ConflictError, match=f"needs 0 IOPS and {3 * TiB} bytes"):
+        mgr.admit(req("big", min_iops=0, size=3 * TiB))
+    assert ledger_state(mgr, db) == before
 
 
 def test_admit_wrong_layout_raises():

@@ -193,3 +193,14 @@ def test_control_config_rejects_degradation_outside_unit_interval(factor):
     with pytest.raises(ConfigError, match="degradation"):
         ControlConfig(degradation=factor)
     assert ControlConfig(degradation=Fraction(1, 2)).degradation == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("period", [2.0, 12.5, 17.5, 22.5, -5.0, float("nan"), float("inf")])
+def test_control_config_rejects_gc_period_off_the_interval_grid(period):
+    with pytest.raises(ConfigError, match="whole multiple of control_interval_s"):
+        ControlConfig(control_interval_s=5.0, gc_period_s=period)
+
+
+def test_control_config_accepts_gc_period_on_the_interval_grid():
+    assert ControlConfig(control_interval_s=5.0, gc_period_s=20.0).gc_period_s == 20.0
+    assert ControlConfig(control_interval_s=0.1, gc_period_s=0.3).gc_period_s == 0.3

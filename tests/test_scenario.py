@@ -109,6 +109,52 @@ def test_unknown_top_level_key():
     assert any("extra_stuff" in d for d in diags_of(data))
 
 
+UNKNOWN_KEYS = {
+    "node": (["nodes", 0, "speed"], "nodes[0]: unknown key 'speed'"),
+    "disk-shorthand": (
+        ["nodes", 0, "disks", "profile_iops"], "nodes[0].disks: unknown key 'profile_iops'"
+    ),
+    "create": (["requests", 0, "min_iops"], "requests[0]: unknown key 'min_iops'"),
+    "attach": (["requests", 1, "size"], "requests[1]: unknown key 'size'"),
+    "detach": (["requests", 2, "instance"], "requests[2]: unknown key 'instance'"),
+    "delete": (["requests", 3, "id"], "requests[3]: unknown key 'id'"),
+    "workload": (["workloads", 0, "seed"], "workloads[0]: unknown key 'seed'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_unknown_nested_key_is_a_diagnostic(case):
+    path, diag = UNKNOWN_KEYS[case]
+    data = deep(GOOD)
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = 1
+    assert diags_of(data) == [diag]
+
+
+def test_unknown_key_in_a_disk_list_and_a_walk():
+    data = deep(GOOD)
+    data["nodes"][0]["disks"] = [{"disk_id": "d0", "capacity": "1T", "iops": 9}]
+    data["workloads"][0] = {"volume": "vol-r1", "walk": {"mean": 5, "jitter": 1, "sed": 3}}
+    assert diags_of(data) == [
+        "nodes[0].disks[0]: unknown key 'iops'",
+        "workloads[0].walk: unknown key 'sed'",
+    ]
+
+
+def test_unknown_keys_of_mixed_types_are_listed_in_repr_order():
+    data = deep(GOOD)
+    data.update({1: "x", "foo": "y"})
+    data["control"].update({2.5: "x", "bar": "y"})
+    assert diags_of(data) == [
+        "document: unknown key 'foo'",
+        "document: unknown key 1",
+        "control: unknown key 'bar'",
+        "control: unknown key 2.5",
+    ]
+
+
 def test_request_times_must_not_decrease():
     data = deep(GOOD)
     data["requests"][2]["time"] = 1
@@ -180,6 +226,17 @@ def test_control_validation():
     assert "control.degradation: must be a number in (0, 1], got 2" in diags
     assert any("throttle_floor_iops" in d for d in diags)
     assert any("gc_x" in d for d in diags)
+
+
+def test_gc_period_must_be_a_whole_number_of_intervals():
+    data = deep(GOOD)
+    data["control"] = {"interval_s": 5, "gc_period_s": 12.5}
+    assert diags_of(data) == [
+        "control: gc_period_s must be a whole multiple of control_interval_s (5.0), got 12.5"
+    ]
+    # a bad interval is reported once, not again through the period
+    data["control"] = {"interval_s": 0, "gc_period_s": 12.5}
+    assert diags_of(data) == ["control.interval_s: must be > 0.0, got 0"]
 
 
 def test_bad_app_copies_is_a_diagnostic():
