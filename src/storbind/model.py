@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -195,25 +195,24 @@ def parse_size(text: str) -> int:
 class VolumeType:
     """A named class of volumes: target layout plus QoS hints.
 
-    min_iops is the reserved floor (0 means best effort), io_size the
-    block size the reservation was profiled against. Keys the parser does
-    not recognize ride along in `extra` untouched.
+    min_iops is the reserved floor (0 means best effort); app_copies the
+    copies the application itself keeps, which the overhead report counts.
     """
 
     name: str
     layout: LayoutKind
     min_iops: int = 0
-    io_size: int = 4096
-    extra: Mapping[str, str] = field(default_factory=dict)
+    app_copies: int = 1
 
     def __post_init__(self) -> None:
         if self.min_iops < 0:
             raise InputError(f"volume type {self.name}: min_iops must be >= 0")
-        if self.io_size <= 0:
-            raise InputError(f"volume type {self.name}: io_size must be > 0")
+        if self.app_copies < 1:
+            raise InputError(f"volume type {self.name}: app_copies must be >= 1")
 
 
 _LAYOUT_KEYS = ("jbod", "raid", "replicas", "ec-k", "ec-m")
+VOLUME_TYPE_KEYS = frozenset(_LAYOUT_KEYS) | {"width", "min-iops", "app-copies"}
 _RAID_PARITY = {"5": 1, "6": 2}
 
 
@@ -225,16 +224,30 @@ def _parse_int(spec: Mapping[str, str], key: str) -> int:
         raise ParseError(f"key {key!r}: {raw!r} is not an integer") from exc
 
 
+def _count(spec: Mapping[str, str], key: str, least: int) -> int:
+    """An optional integer key: at least `least`, which is also its default."""
+    if key not in spec:
+        return least
+    value = _parse_int(spec, key)
+    if value < least:
+        raise ParseError(f"key {key!r}: must be >= {least}, got {value}")
+    return value
+
+
 def parse_volume_type(spec: Mapping[str, str], name: str = "") -> VolumeType:
     """Build a VolumeType from a key-value spec map.
 
     Layout is chosen by exactly one of: jbod=<any>, raid=<5|6> with
-    width=<n>, replicas=<r>, or ec-k=<k> with ec-m=<m>. min-iops and
-    iosize are optional QoS keys; anything else lands in extra.
+    width=<n>, replicas=<r>, or ec-k=<k> with ec-m=<m>. min-iops (>= 0)
+    and app-copies (>= 1) are optional. Any key outside VOLUME_TYPE_KEYS
+    is an error.
     """
     for key, value in spec.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise InputError(f"volume type {name or '?'}: keys and values must be strings")
+    unknown = sorted(spec.keys() - VOLUME_TYPE_KEYS)
+    if unknown:
+        raise ParseError(f"unknown keys {', '.join(map(repr, unknown))}")
 
     families = [k for k in ("jbod", "raid", "replicas", "ec-k") if k in spec]
     if len(families) > 1:
@@ -266,19 +279,7 @@ def parse_volume_type(spec: Mapping[str, str], name: str = "") -> VolumeType:
     if "ec-m" in spec and "ec-k" not in spec:
         raise ParseError("key 'ec-m' requires key 'ec-k'")
 
-    min_iops = _parse_int(spec, "min-iops") if "min-iops" in spec else 0
-    if min_iops < 0:
-        raise ParseError(f"key 'min-iops': must be >= 0, got {min_iops}")
-    io_size = 4096
-    if "iosize" in spec:
-        try:
-            io_size = parse_size(spec["iosize"])
-        except ParseError as exc:
-            raise ParseError(f"key 'iosize': {exc}") from exc
-
-    consumed = set(_LAYOUT_KEYS) | {"width", "min-iops", "iosize"}
-    extra = {k: v for k, v in spec.items() if k not in consumed}
-    return VolumeType(name=name, layout=layout, min_iops=min_iops, io_size=io_size, extra=extra)
+    return VolumeType(name, layout, _count(spec, "min-iops", 0), _count(spec, "app-copies", 1))
 
 
 def volume_id_for(request_id: str) -> str:

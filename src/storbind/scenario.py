@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 import yaml
 
 from .errors import ConfigError, InputError, LayoutError, ParseError, ScenarioError
 from .model import (
+    VOLUME_TYPE_KEYS,
     ControlConfig,
     DiskSpec,
     Medium,
@@ -74,18 +75,6 @@ class Scenario:
     control: ControlConfig = field(default_factory=ControlConfig)
 
 
-def app_copies(vtype: VolumeType) -> int:
-    """Application-layer copy count carried in a type's extra keys."""
-    raw = vtype.extra.get("app-copies", "1")
-    try:
-        copies = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"key 'app-copies': {raw!r} is not an integer") from exc
-    if copies < 1:
-        raise ParseError(f"key 'app-copies': must be >= 1, got {copies}")
-    return copies
-
-
 class _Loader(yaml.SafeLoader):
     """SafeLoader whose int and timestamp errors (an impossible date, an int
     over Python's digit limit) name their position, as syntax errors do."""
@@ -100,6 +89,22 @@ class _Loader(yaml.SafeLoader):
 for _tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp"):
     _Loader.add_constructor(_tag, _Loader.construct_located)
 
+# libyaml's parser feeding the same Python constructors, when PyYAML has it
+_FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
+
+
+def _parse(text: str) -> object:
+    """The key tree of `text`, parsed by libyaml when PyYAML has it. `_Loader`
+    parses again what libyaml fails on: it accepts some of that (a lone
+    surrogate escape) and words every diagnostic. libyaml also accepts some
+    text `_Loader` rejects, such as a tab after a plain scalar."""
+    if _FAST_LOADER is not None:
+        try:
+            return yaml.load(text, Loader=_FAST_LOADER)
+        except Exception:  # any failure: `_Loader` decides, as without libyaml
+            pass
+    return yaml.load(text, Loader=_Loader)
+
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file. Raises ScenarioError."""
@@ -109,7 +114,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     try:
-        data = yaml.load(text, Loader=_Loader)
+        data = _parse(text)
     except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError([f"{path}: not parseable as YAML: {exc}"]) from exc
     return build_scenario(data, default_name=path.stem)
@@ -167,7 +172,7 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
     )
 
 
-def _unknown_keys(raw: dict, known: set[str], where: str, diags: list[str]) -> None:
+def _unknown_keys(raw: dict, known: AbstractSet[str], where: str, diags: list[str]) -> None:
     """One diagnostic per key of `raw` outside `known`, in repr order (keys
     of mixed types do not compare)."""
     for key in sorted(raw.keys() - known, key=repr):
@@ -322,10 +327,10 @@ def _build_volume_types(raw: object, diags: list[str]) -> dict[str, VolumeType]:
         if not isinstance(spec, dict):
             diags.append(f"{where}: expected a key-value mapping")
             continue
-        coerced = {str(k): _scalar_str(v) for k, v in spec.items()}
+        _unknown_keys(spec, VOLUME_TYPE_KEYS, where, diags)
+        known = {k: _scalar_str(v) for k, v in spec.items() if k in VOLUME_TYPE_KEYS}
         try:
-            vtype = parse_volume_type(coerced, name=str(type_name))
-            app_copies(vtype)
+            vtype = parse_volume_type(known, name=str(type_name))
         except (ParseError, LayoutError, InputError) as exc:
             diags.append(f"{where}: {exc}")
             continue

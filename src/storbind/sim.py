@@ -27,7 +27,7 @@ from .errors import InvalidStateError, NotFoundError
 from .fairshare import IopsValue, allocate_iops, capacity_degradation
 from .manager import StorageManager
 from .model import LayoutKind, StorageImplementation, format_layout
-from .scenario import RequestSpec, Scenario, app_copies
+from .scenario import RequestSpec, Scenario
 from .scheduler import Provision, Reject, UseExisting, VolumeRequest, latency_stats
 from .workload import DemandStreams
 
@@ -354,7 +354,7 @@ class _Engine:
         by_class: dict[str, JsonValue] = {}
         total = Fraction(0)
         for cls in sorted(raw_by_class):
-            copies = app_copies(self.scenario.volume_types[cls])
+            copies = self.scenario.volume_types[cls].app_copies
             multiplier = raw_by_class[cls] * copies / stored_by_class[cls]
             total += multiplier
             by_class[cls] = as_number(multiplier)

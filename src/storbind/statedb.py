@@ -12,7 +12,6 @@ mutation bumps a single sequence counter.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -45,15 +44,14 @@ class ClusterSnapshot:
 class StateDatabase:
     """Stores the newest report per node and per implementation.
 
-    Mutations are serialized; sequence numbers strictly increase with
-    every accepted change, including removals. Reports for an
-    implementation that was already removed (reclaimed) are rejected, so
-    a straggling manager cannot resurrect a dead ledger. Each accepted
+    One thread drives it, so nothing is locked. Sequence numbers strictly
+    increase with every accepted change, including removals. Reports for
+    an implementation that was already removed (reclaimed) are rejected,
+    so a straggling manager cannot resurrect a dead ledger. Each accepted
     report moves exactly one entry of the group or node order.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._nodes: dict[str, tuple[DiskSpec, ...]] = {}
         self._impls: dict[str, StorageImplementation] = {}
         self._removed: set[str] = set()
@@ -62,15 +60,14 @@ class StateDatabase:
         self._ranked_nodes: list[tuple[int, str]] = []
 
     def upsert_broker_report(self, node_id: str, free_disks: tuple[DiskSpec, ...]) -> int:
-        with self._lock:
-            ranked = self._ranked_nodes
-            old = self._nodes.get(node_id)
-            if old is not None:
-                del ranked[bisect_left(ranked, (-len(old), node_id))]
-            insort(ranked, (-len(free_disks), node_id))
-            self._nodes[node_id] = free_disks
-            self._seq += 1
-            return self._seq
+        ranked = self._ranked_nodes
+        old = self._nodes.get(node_id)
+        if old is not None:
+            del ranked[bisect_left(ranked, (-len(old), node_id))]
+        insort(ranked, (-len(free_disks), node_id))
+        self._nodes[node_id] = free_disks
+        self._seq += 1
+        return self._seq
 
     def upsert_manager_report(self, report: StorageImplementation) -> int:
         if report.volume_count < 0:
@@ -85,30 +82,28 @@ class StateDatabase:
                 f"impl {report.impl_id}: allocated_capacity_bytes "
                 f"{report.allocated_capacity_bytes} outside [0, {report.usable_capacity_bytes}]"
             )
-        with self._lock:
-            if report.impl_id in self._removed:
-                raise ConsistencyError(f"impl {report.impl_id}: unknown (already reclaimed)")
-            old = self._impls.get(report.impl_id)
-            if old is not None:
-                self._unrank(old)
-            insort(
-                self._ranked_groups.setdefault(report.layout, []),
-                (-report.remaining_iops, report.impl_id, report),
-            )
-            self._impls[report.impl_id] = report
-            self._seq += 1
-            return self._seq
+        if report.impl_id in self._removed:
+            raise ConsistencyError(f"impl {report.impl_id}: unknown (already reclaimed)")
+        old = self._impls.get(report.impl_id)
+        if old is not None:
+            self._unrank(old)
+        insort(
+            self._ranked_groups.setdefault(report.layout, []),
+            (-report.remaining_iops, report.impl_id, report),
+        )
+        self._impls[report.impl_id] = report
+        self._seq += 1
+        return self._seq
 
     def remove_manager_report(self, impl_id: str) -> int:
         """Drop an implementation's report after it was reclaimed."""
-        with self._lock:
-            old = self._impls.pop(impl_id, None)
-            if old is None:
-                raise NotFoundError(f"impl {impl_id}: no report to remove")
-            self._unrank(old)
-            self._removed.add(impl_id)
-            self._seq += 1
-            return self._seq
+        old = self._impls.pop(impl_id, None)
+        if old is None:
+            raise NotFoundError(f"impl {impl_id}: no report to remove")
+        self._unrank(old)
+        self._removed.add(impl_id)
+        self._seq += 1
+        return self._seq
 
     def view(self) -> ClusterSnapshot:
         """The live state behind read-only wrappers, copied nowhere.
@@ -126,19 +121,18 @@ class StateDatabase:
 
     def snapshot(self) -> ClusterSnapshot:
         """A copy of the state that later reports never change."""
-        with self._lock:
-            return ClusterSnapshot(
-                nodes=MappingProxyType(dict(self._nodes)),
-                implementations=MappingProxyType(dict(self._impls)),
-                seq=self._seq,
-                ranked_groups=MappingProxyType(
-                    {layout: tuple(ranked) for layout, ranked in self._ranked_groups.items()}
-                ),
-                ranked_nodes=tuple(self._ranked_nodes),
-            )
+        return ClusterSnapshot(
+            nodes=MappingProxyType(dict(self._nodes)),
+            implementations=MappingProxyType(dict(self._impls)),
+            seq=self._seq,
+            ranked_groups=MappingProxyType(
+                {layout: tuple(ranked) for layout, ranked in self._ranked_groups.items()}
+            ),
+            ranked_nodes=tuple(self._ranked_nodes),
+        )
 
     def _unrank(self, report: StorageImplementation) -> None:
-        """Take a stored record out of its layout's order (lock held)."""
+        """Take a stored record out of its layout's order."""
         ranked = self._ranked_groups[report.layout]
         # (key, id) sorts just before (key, id, record); ids are unique
         del ranked[bisect_left(ranked, (-report.remaining_iops, report.impl_id))]

@@ -96,6 +96,14 @@ def test_unknown_keys_of_mixed_types_exit_2(tmp_path, capsys):
     ]
 
 
+def test_misspelled_volume_type_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "misspelled.yaml"
+    guarded = "  guarded: {raid: 6, width: 4, min_iops: 100}\n"
+    path.write_text(MINI.replace("requests:", guarded + "requests:"))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: volume_types['guarded']: unknown key 'min_iops'\n"
+
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("duration_s: 10\n")

@@ -147,7 +147,7 @@ def test_parse_volume_type_families():
     vt = parse_volume_type({"raid": "6", "width": "4", "min-iops": "100"}, name="t2")
     assert vt.layout == Raid(width=4, parity_count=2)
     assert vt.min_iops == 100
-    assert vt.io_size == 4096
+    assert vt.app_copies == 1
 
     assert parse_volume_type({"jbod": "1"}).layout == Jbod()
     assert parse_volume_type({"replicas": "3"}).layout == ReplicatedPool(replicas=3)
@@ -178,9 +178,12 @@ def test_parse_volume_type_errors_name_the_key():
         parse_volume_type({"jbod": 1})  # type: ignore[dict-item]
 
 
-def test_parse_volume_type_keeps_unknown_keys():
-    vt = parse_volume_type({"jbod": "1", "app-copies": "3", "team": "cdn"})
-    assert vt.extra == {"app-copies": "3", "team": "cdn"}
+def test_parse_volume_type_rejects_unknown_keys():
+    assert parse_volume_type({"jbod": "1", "app-copies": "3"}).app_copies == 3
+    with pytest.raises(ParseError, match="unknown keys 'min_iops', 'team'"):
+        parse_volume_type({"jbod": "1", "app-copies": "3", "team": "cdn", "min_iops": "5"})
+    with pytest.raises(ParseError, match="key 'app-copies': must be >= 1, got 0"):
+        parse_volume_type({"jbod": "1", "app-copies": "0"})
 
 
 def test_medium_values():

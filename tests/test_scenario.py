@@ -1,17 +1,26 @@
-"""Scenario loading: shorthand expansion and validation diagnostics."""
+"""Scenario loading: shorthand expansion, validation diagnostics, and libyaml's
+parse held to the pure-Python loader's."""
 
 from __future__ import annotations
 
 import copy
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import test_cli
+from storbind import scenario
 from storbind.errors import ScenarioError
 from storbind.model import Jbod, Raid
 from storbind.scenario import build_scenario, load_scenario, scenario_diagnostics
+from storbind.scenarios import bundled_names, scenario_path
 from storbind.scheduler import VolumeRequest
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
@@ -119,6 +128,9 @@ UNKNOWN_KEYS = {
     "detach": (["requests", 2, "instance"], "requests[2]: unknown key 'instance'"),
     "delete": (["requests", 3, "id"], "requests[3]: unknown key 'id'"),
     "workload": (["workloads", 0, "seed"], "workloads[0]: unknown key 'seed'"),
+    "volume-type": (
+        ["volume_types", "guarded", "min_iops"], "volume_types['guarded']: unknown key 'min_iops'"
+    ),
 }
 
 
@@ -242,7 +254,9 @@ def test_gc_period_must_be_a_whole_number_of_intervals():
 def test_bad_app_copies_is_a_diagnostic():
     data = deep(GOOD)
     data["volume_types"]["plain"]["app-copies"] = 0
-    assert any("app-copies" in d for d in diags_of(data))
+    assert diags_of(data)[0] == "volume_types['plain']: key 'app-copies': must be >= 1, got 0"
+    data["volume_types"]["plain"]["app-copies"] = 3
+    assert build_scenario(data).volume_types["plain"].app_copies == 3
 
 
 def test_volume_type_values_are_coerced_to_strings():
@@ -288,3 +302,102 @@ def test_missing_file():
 def test_top_level_must_be_mapping():
     with pytest.raises(ScenarioError):
         build_scenario([1, 2, 3])
+
+
+# The differential tests below hold libyaml's parse to the pure loader's.
+needs_libyaml = pytest.mark.skipif(
+    scenario._FAST_LOADER is None, reason="PyYAML is built without libyaml"
+)
+TESTS = Path(__file__).resolve().parent
+
+
+@pytest.fixture(scope="module")
+def shipped_files(tmp_path_factory) -> list[Path]:
+    """Every bundled scenario, both fixtures, and one perfbench workload."""
+    generated = tmp_path_factory.mktemp("perfbench") / "qos-steady.yaml"
+    subprocess.run(
+        [sys.executable, str(TESTS.parent / "perfbench" / "scenarios.py"),
+         "--workload", "qos-steady", "--seed", "1", "--out", str(generated)],
+        check=True,
+    )
+    bundled = [scenario_path(name) for name in bundled_names()]
+    return [*bundled, *sorted((TESTS / "data").glob("*.yaml")), generated]
+
+
+@needs_libyaml
+def test_libyaml_and_the_pure_loader_build_equal_trees(shipped_files):
+    for path in shipped_files:
+        text = path.read_text()
+        fast = yaml.load(text, Loader=scenario._FAST_LOADER)
+        assert fast == yaml.load(text, Loader=scenario._Loader), path.name
+
+
+def test_scenarios_load_the_same_without_libyaml(shipped_files, monkeypatch):
+    loaded = [load_scenario(path) for path in shipped_files]
+    monkeypatch.setattr(scenario, "_FAST_LOADER", None)
+    assert [load_scenario(path) for path in shipped_files] == loaded
+
+
+SURROGATE = (
+    'name: "\\ud800"\nduration_s: 20\n'
+    "nodes: [{node_id: n1, disks: {count: 1, capacity: 1G}}]\nvolume_types: {t: {jbod: 1}}\n"
+)
+
+
+def test_text_only_the_pure_loader_accepts_loads_as_before(tmp_path, monkeypatch):
+    path = tmp_path / "surrogate.yaml"
+    path.write_text(SURROGATE)
+    if scenario._FAST_LOADER is not None:
+        with pytest.raises(yaml.YAMLError):
+            yaml.load(SURROGATE, Loader=scenario._FAST_LOADER)
+    loaded = load_scenario(path)
+    assert loaded.name == "\ud800"
+    monkeypatch.setattr(scenario, "_FAST_LOADER", None)
+    assert load_scenario(path) == loaded
+
+
+@needs_libyaml
+def test_an_empty_document_is_not_parsed_twice(tmp_path, monkeypatch):
+    path = tmp_path / "empty.yaml"
+    path.write_text("# nothing here\n")
+    monkeypatch.setattr(scenario, "_Loader", None)  # a second parse would fail
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert caught.value.diagnostics == ["document: expected a mapping at the top level"]
+
+
+@pytest.mark.parametrize("case", sorted(test_cli.MALFORMED_YAML))
+def test_malformed_yaml_pins_hold_without_libyaml(tmp_path, capsys, monkeypatch, case):
+    if scenario._FAST_LOADER is not None:
+        with pytest.raises(Exception):
+            yaml.load(test_cli.MALFORMED_YAML[case][0], Loader=scenario._FAST_LOADER)
+    monkeypatch.setattr(scenario, "_FAST_LOADER", None)
+    test_cli.test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case)
+
+
+# Pieces of YAML text. Left out: a bare `!` tag with no value, which libyaml
+# reads as '' and the pure loader as None, and a byte-order mark inside the
+# text, which libyaml drops and the pure loader keeps.
+YAML_PIECES = [
+    *"ab01 :-,[]{}#&*|>?%@`.\t\n\"'\\", "  ", "- ", ": ", "\n  ", "\n- ", "0x1", "1_0",
+    ".inf", ".nan", "2020-01-01", "~", "yes", "<<", "---", "&a ", "*a", "!!str ", "\r\n",
+    "\x85", "\u2028", "|\n  x\n", ">-\n  x\n  y\n", "\\x41", "\\u00e9", "\\N",
+]
+
+
+def _tree(text: str, loader) -> str | None:
+    """The repr of the parsed tree (an alias can make it contain itself),
+    or None when the loader raises."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except Exception:
+        return None
+
+
+@needs_libyaml
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(YAML_PIECES), max_size=20).map("".join))
+def test_text_both_loaders_accept_gives_equal_trees(text):
+    fast, pure = _tree(text, scenario._FAST_LOADER), _tree(text, scenario._Loader)
+    if fast is not None and pure is not None:
+        assert fast == pure
