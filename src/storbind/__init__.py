@@ -32,7 +32,6 @@ from .model import (
     ErasureCodedPool,
     Jbod,
     LayoutKind,
-    Medium,
     Raid,
     ReplicatedPool,
     StorageImplementation,
@@ -40,7 +39,6 @@ from .model import (
     Volume,
     VolumeType,
     disk_count,
-    format_layout,
     iops_budget,
     parse_layout,
     parse_size,
@@ -66,7 +64,6 @@ from .scheduler import (
     UseExisting,
     VolumeRequest,
     latency_stats,
-    measure_decision_latency,
     schedule,
     schedule_static,
 )
@@ -96,7 +93,6 @@ __all__ = [
     "LayoutError",
     "LayoutKind",
     "LayoutMatch",
-    "Medium",
     "NotFoundError",
     "ParseError",
     "Provision",
@@ -129,11 +125,9 @@ __all__ = [
     "compare_static_to_directory",
     "compute_throttle",
     "disk_count",
-    "format_layout",
     "iops_budget",
     "latency_stats",
     "load_scenario",
-    "measure_decision_latency",
     "parse_layout",
     "parse_size",
     "parse_volume_type",

@@ -15,7 +15,6 @@ from .broker import StorageBroker
 from .errors import ConflictError
 from .manager import Admission, StorageManager
 from .model import (
-    ControlConfig,
     LayoutKind,
     StorageImplementation,
     StorageNode,
@@ -55,11 +54,9 @@ class ControlPlane:
     def __init__(
         self,
         nodes: Iterable[StorageNode],
-        config: ControlConfig,
         *,
         static_layout: LayoutKind | None = None,
     ):
-        self.config = config
         self.static_layout = static_layout
         self.statedb = StateDatabase()
         self.broker = StorageBroker(nodes, self.statedb)

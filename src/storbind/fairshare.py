@@ -32,7 +32,7 @@ def _checked(value: object, what: str, volume_id: str | None = None) -> IopsValu
 
 def allocate_iops(
     demands: Mapping[str, IopsValue],
-    caps: Mapping[str, IopsValue] | None,
+    caps: Mapping[str, IopsValue],
     capacity: IopsValue,
 ) -> dict[str, IopsValue]:
     """Split `capacity` across volumes max-min fairly (water filling).
@@ -45,14 +45,13 @@ def allocate_iops(
     gain except at the expense of a volume that already holds as much or
     less. Keys come back in the order of `demands`.
     """
-    cap_map = caps or {}
     # remaining capacity rn/rd over `left` unserved volumes, in integers
     rn, rd = _checked(capacity, "capacity").as_integer_ratio()
     order = []
     for volume_id, demand in demands.items():
         want = _checked(demand, "demand", volume_id)
-        if volume_id in cap_map:
-            cap = _checked(cap_map[volume_id], "cap", volume_id)
+        if volume_id in caps:
+            cap = _checked(caps[volume_id], "cap", volume_id)
             if cap < want:
                 want = cap
         order.append((want, volume_id))

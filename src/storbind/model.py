@@ -8,7 +8,6 @@ replaces its StorageImplementation record on every ledger change.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from dataclasses import dataclass
@@ -18,18 +17,12 @@ from typing import Mapping, Sequence, Union
 from .errors import ConfigError, InputError, LayoutError, ParseError
 
 
-class Medium(str, enum.Enum):
-    HDD = "hdd"
-    SSD = "ssd"
-
-
 @dataclass(frozen=True)
 class DiskSpec:
     """One raw disk as profiled at enrollment time."""
 
     disk_id: str
     capacity_bytes: int
-    medium: Medium = Medium.HDD
     profiled_iops: int = 200
 
     def __post_init__(self) -> None:
@@ -155,11 +148,6 @@ def redundancy_factor(layout: LayoutKind) -> Fraction:
     raise LayoutError(f"unknown layout {layout!r}")
 
 
-def format_layout(layout: LayoutKind) -> str:
-    """Render a layout in the CLI grammar: jbod | raid:<w>:<p> | rep:<r> | ec:<k>:<m>."""
-    return str(layout)
-
-
 def parse_layout(spec: str) -> LayoutKind:
     """Parse the CLI layout grammar. Raises ParseError on malformed input."""
     parts = spec.strip().lower().split(":")
@@ -280,11 +268,6 @@ def parse_volume_type(spec: Mapping[str, str], name: str = "") -> VolumeType:
         raise ParseError("key 'ec-m' requires key 'ec-k'")
 
     return VolumeType(name, layout, _count(spec, "min-iops", 0), _count(spec, "app-copies", 1))
-
-
-def volume_id_for(request_id: str) -> str:
-    """The id of the volume a create request makes when admitted."""
-    return f"vol-{request_id}"
 
 
 @dataclass(frozen=True)

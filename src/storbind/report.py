@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .model import LayoutKind, format_layout
+from .model import LayoutKind
 from .scenario import Scenario
 from .sim import SimEvent, SimResult, TimeSeriesPoint, run_scenario
 
@@ -91,7 +91,7 @@ def compare_static_to_directory(
     comparison = {
         "scenario": scenario.name,
         "seed": seed,
-        "static_layout": format_layout(layout),
+        "static_layout": str(layout),
         "dynamic": {
             "overhead_by_class": dynamic.summary["overhead_by_class"],
             "overhead_total": dynamic.summary["overhead_total"],

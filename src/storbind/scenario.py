@@ -22,7 +22,6 @@ from .model import (
     VOLUME_TYPE_KEYS,
     ControlConfig,
     DiskSpec,
-    Medium,
     StorageNode,
     VolumeType,
     parse_size,
@@ -76,18 +75,22 @@ class Scenario:
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader whose int and timestamp errors (an impossible date, an int
-    over Python's digit limit) name their position, as syntax errors do."""
+    """SafeLoader whose tagged-scalar errors (an impossible date, an int over
+    Python's digit limit, `!!bool maybe`, an empty `!!int`) name their
+    position, as syntax errors do."""
 
     def construct_located(self, node):
         try:
             return yaml.SafeLoader.yaml_constructors[node.tag](self, node)
-        except ValueError as exc:
-            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+        except ValueError as exc:  # worded by Python: "month must be in 1..12"
+            problem = str(exc)
+        except (LookupError, AttributeError):  # PyYAML's own lookups missed
+            problem = f"expected a !!{node.tag.rpartition(':')[2]} scalar, got {node.value!r}"
+        raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark)
 
 
-for _tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:timestamp"):
-    _Loader.add_constructor(_tag, _Loader.construct_located)
+for _tag in ("bool", "int", "float", "timestamp"):
+    _Loader.add_constructor(f"tag:yaml.org,2002:{_tag}", _Loader.construct_located)
 
 # libyaml's parser feeding the same Python constructors, when PyYAML has it
 _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
@@ -110,8 +113,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file. Raises ScenarioError."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     try:
         data = _parse(text)
@@ -300,17 +303,13 @@ def _build_disks(
         if isinstance(iops, bool) or not isinstance(iops, int) or iops < 0:
             diags.append(f"{dwhere}.profiled_iops: expected an integer >= 0")
             continue
-        medium_raw = disk.get("medium", "hdd")
-        try:
-            medium = Medium(medium_raw)
-        except ValueError:
-            diags.append(f"{dwhere}.medium: expected one of hdd, ssd, got {medium_raw!r}")
+        medium = disk.get("medium", "hdd")
+        if medium not in ("hdd", "ssd"):  # checked, then discarded: nothing reads it
+            diags.append(f"{dwhere}.medium: expected one of hdd, ssd, got {medium!r}")
             continue
         if capacity is None:
             continue
-        disks.append(
-            DiskSpec(disk_id=disk_id, capacity_bytes=capacity, medium=medium, profiled_iops=iops)
-        )
+        disks.append(DiskSpec(disk_id=disk_id, capacity_bytes=capacity, profiled_iops=iops))
     return disks
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import heapq
 import statistics
-import time
 from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence, Union
@@ -26,7 +25,6 @@ from .model import (
     iops_budget,
     redundancy_factor,
     usable_capacity,
-    volume_id_for,
 )
 from .statedb import ClusterSnapshot, RankedGroup
 
@@ -48,7 +46,7 @@ class VolumeRequest:
     @property
     def volume_id(self) -> str:
         """The id of the volume this request creates when admitted."""
-        return volume_id_for(self.request_id)
+        return f"vol-{self.request_id}"
 
 
 class RejectReason(str, enum.Enum):
@@ -230,17 +228,3 @@ def latency_stats(samples: Sequence[float]) -> LatencyStats:
         median_s=float(statistics.median(ordered)),
         p99_s=ordered[p99_index],
     )
-
-
-def measure_decision_latency(
-    requests: Sequence[VolumeRequest], snapshot: ClusterSnapshot
-) -> LatencyStats:
-    """Time schedule() for each request against one fixed snapshot."""
-    if not requests:
-        raise InputError("measure_decision_latency needs at least one request")
-    samples = []
-    for request in requests:
-        start = time.perf_counter()
-        schedule(request, snapshot)
-        samples.append(time.perf_counter() - start)
-    return latency_stats(samples)

@@ -26,7 +26,7 @@ from .cluster import ControlPlane, RequestOutcome
 from .errors import InvalidStateError, NotFoundError
 from .fairshare import IopsValue, allocate_iops, capacity_degradation
 from .manager import StorageManager
-from .model import LayoutKind, StorageImplementation, format_layout
+from .model import LayoutKind, StorageImplementation
 from .scenario import RequestSpec, Scenario
 from .scheduler import Provision, Reject, UseExisting, VolumeRequest, latency_stats
 from .workload import DemandStreams
@@ -104,8 +104,7 @@ class _Engine:
     def __init__(self, scenario: Scenario, seed: int, static_layout: LayoutKind | None):
         self.scenario = scenario
         self.seed = seed
-        self.static_layout = static_layout
-        self.plane = ControlPlane(scenario.nodes, scenario.control, static_layout=static_layout)
+        self.plane = ControlPlane(scenario.nodes, static_layout=static_layout)
         self.streams = DemandStreams(seed)
         self.events: list[SimEvent] = []
         self.timeseries: list[TimeSeriesPoint] = []
@@ -122,14 +121,14 @@ class _Engine:
         gc_stride = round(scenario.control.effective_gc_period_s / delta)
         pending = deque(scenario.requests)
 
-        if self.static_layout is not None:
+        if self.plane.static_layout is not None:
             for manager in self.plane.preprovision_static(0.0):
                 self._emit_provisioned(0.0, None, manager.impl)
 
         for k in range(n_steps):
             t = k * delta
             # fixed-layout fleets are never reclaimed
-            if self.static_layout is None and k > 0 and k % gc_stride == 0:
+            if self.plane.static_layout is None and k > 0 and k % gc_stride == 0:
                 self._collect_garbage(t)
             while pending and pending[0].time_s <= t:
                 self._handle_request(pending.popleft(), t)
@@ -300,7 +299,7 @@ class _Engine:
             ratio = as_number(Fraction(raw, stored))
         return {
             "scenario": self.scenario.name,
-            "mode": "static" if self.static_layout is not None else "dynamic",
+            "mode": "static" if self.plane.static_layout is not None else "dynamic",
             "seed": self.seed,
             "duration_s": self.scenario.duration_s,
             "control_interval_s": self.scenario.control.control_interval_s,
@@ -367,7 +366,7 @@ def _impl_fields(impl: StorageImplementation) -> dict[str, JsonValue]:
     return {
         "impl_id": impl.impl_id,
         "node_id": impl.node_id,
-        "layout": format_layout(impl.layout),
+        "layout": str(impl.layout),
         "disk_ids": list(impl.disk_ids),
         "usable_capacity_bytes": impl.usable_capacity_bytes,
         "total_iops_budget": impl.total_iops_budget,
@@ -382,7 +381,7 @@ def _decision_payload(outcome: RequestOutcome) -> dict[str, JsonValue]:
         return {
             "action": "provision",
             "node_id": decision.node_id,
-            "layout": format_layout(decision.layout),
+            "layout": str(decision.layout),
             "disk_count": len(decision.disk_ids),
         }
     assert isinstance(decision, Reject)

@@ -264,6 +264,42 @@ MALFORMED_YAML = {
             "                ^",
         ],
     ),
+    "bool-not-a-bool": (
+        "duration_s: !!bool maybe\n",
+        [
+            "expected a !!bool scalar, got 'maybe'",
+            '  in "<unicode string>", line 1, column 13:',
+            "    duration_s: !!bool maybe",
+            "                ^",
+        ],
+    ),
+    "empty-int": (
+        "duration_s: !!int\n",
+        [
+            "expected a !!int scalar, got ''",
+            '  in "<unicode string>", line 1, column 13:',
+            "    duration_s: !!int",
+            "                ^",
+        ],
+    ),
+    "timestamp-not-a-date": (
+        "duration_s: !!timestamp x\n",
+        [
+            "expected a !!timestamp scalar, got 'x'",
+            '  in "<unicode string>", line 1, column 13:',
+            "    duration_s: !!timestamp x",
+            "                ^",
+        ],
+    ),
+    "float-not-a-number": (
+        "duration_s: !!float x\n",
+        [
+            "could not convert string to float: 'x'",
+            '  in "<unicode string>", line 1, column 13:',
+            "    duration_s: !!float x",
+            "                ^",
+        ],
+    ),
 }
 
 
@@ -281,6 +317,15 @@ def test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case):
 
 def test_missing_scenario_file_is_a_user_error(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == 2
+
+
+def test_non_utf8_scenario_file_is_a_user_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"duration_s: 20\n\xff\n")
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte\n"
+    )
 
 
 def test_compare_static_writes_comparison(tmp_path, capsys):

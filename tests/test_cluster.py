@@ -9,7 +9,6 @@ import pytest
 from storbind.cluster import ControlPlane
 from storbind.errors import ConflictError, NotFoundError
 from storbind.model import (
-    ControlConfig,
     DiskSpec,
     Jbod,
     Raid,
@@ -45,7 +44,7 @@ def req(request_id: str, layout=RAID6_4, min_iops=100, size=100 * GiB) -> Volume
 
 
 def test_submit_provisions_then_reuses():
-    plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 8}))
     first = plane.submit(req("r1"), now=0.0)
     assert isinstance(first.decision, Provision)
     assert first.provisioned is not None
@@ -58,7 +57,7 @@ def test_submit_provisions_then_reuses():
 
 
 def test_submit_reject_has_no_side_effects():
-    plane = ControlPlane(make_nodes({"node1": 2}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 2}))
     outcome = plane.submit(req("r1"), now=0.0)
     assert outcome.decision == Reject(RejectReason.NO_RAW_DISKS)
     assert outcome.admission is None
@@ -66,7 +65,7 @@ def test_submit_reject_has_no_side_effects():
 
 
 def test_forged_ledger_conflicts_without_mutation():
-    plane = ControlPlane(make_nodes({"node1": 4}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 4}))
     plane.submit(req("r1", min_iops=400), now=0.0)
     # forge a report that hides the allocation; the scheduler picks the
     # group and its real ledger, which has no budget left, raises
@@ -83,7 +82,7 @@ def test_forged_ledger_conflicts_without_mutation():
 
 
 def test_ghost_implementation_raises():
-    plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 8}))
     plane.statedb.upsert_manager_report(
         StorageImplementation(
             impl_id="impl-9999",
@@ -100,7 +99,7 @@ def test_ghost_implementation_raises():
 
 def test_forged_free_disk_conflicts_without_mutation():
     nodes = make_nodes({"node1": 6})
-    plane = ControlPlane(nodes, ControlConfig())
+    plane = ControlPlane(nodes)
     plane.submit(req("r1", layout=ReplicatedPool(3), min_iops=0), now=0.0)
     # forge a broker report that lists node1-d00..d02 as free again
     plane.statedb.upsert_broker_report("node1", nodes[0].disks)
@@ -113,14 +112,14 @@ def test_forged_free_disk_conflicts_without_mutation():
 
 
 def test_duplicate_request_id_conflicts():
-    plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 8}))
     plane.submit(req("r1"), now=0.0)
     with pytest.raises(ConflictError):
         plane.submit(req("r1"), now=1.0)
 
 
 def test_repeated_request_id_on_another_group_conflicts_without_a_twin():
-    plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 8}))
     plane.submit(req("r1", min_iops=400), now=0.0)
     seq = plane.statedb.snapshot().seq
     # impl-0001 has no budget left, so a twin would need a second group
@@ -132,7 +131,7 @@ def test_repeated_request_id_on_another_group_conflicts_without_a_twin():
 
 
 def test_deleted_volume_id_can_be_created_again():
-    plane = ControlPlane(make_nodes({"node1": 8}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 8}))
     plane.submit(req("r1", min_iops=400), now=0.0)
     plane.delete_volume("vol-r1", now=1.0)
     with pytest.raises(NotFoundError):
@@ -143,7 +142,7 @@ def test_deleted_volume_id_can_be_created_again():
 
 
 def test_delete_and_reuse_capacity():
-    plane = ControlPlane(make_nodes({"node1": 4}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 4}))
     plane.submit(req("r1", min_iops=400), now=0.0)
     rejected = plane.submit(req("r2", min_iops=100), now=1.0)
     assert rejected.admission is None or not rejected.admission.accepted
@@ -157,7 +156,7 @@ def test_delete_and_reuse_capacity():
 
 
 def test_attach_detach_cycle():
-    plane = ControlPlane(make_nodes({"node1": 4}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 4}))
     plane.submit(req("r1"), now=0.0)
     attached = plane.attach_volume("vol-r1", "vm-7")
     assert attached.attached_to == "vm-7"
@@ -168,7 +167,6 @@ def test_attach_detach_cycle():
 def test_preprovision_static_carves_whole_fleet():
     plane = ControlPlane(
         make_nodes({"node1": 10, "node2": 7}),
-        ControlConfig(),
         static_layout=RAID6_4,
     )
     managers = plane.preprovision_static(0.0)
@@ -179,7 +177,7 @@ def test_preprovision_static_carves_whole_fleet():
 
 
 def test_preprovision_static_requires_layout():
-    plane = ControlPlane(make_nodes({"node1": 4}), ControlConfig())
+    plane = ControlPlane(make_nodes({"node1": 4}))
     with pytest.raises(ConflictError):
         plane.preprovision_static(0.0)
 
@@ -187,7 +185,6 @@ def test_preprovision_static_requires_layout():
 def test_static_submit_binds_by_redundancy():
     plane = ControlPlane(
         make_nodes({"node1": 6}, capacity=100 * GiB),
-        ControlConfig(),
         static_layout=ReplicatedPool(3),
     )
     plane.preprovision_static(0.0)

@@ -14,19 +14,19 @@ from storbind.fairshare import allocate_iops, capacity_degradation
 
 
 def test_underloaded_everyone_gets_demand():
-    out = allocate_iops({"a": 100, "b": 50}, None, 400)
+    out = allocate_iops({"a": 100, "b": 50}, {}, 400)
     assert out == {"a": Fraction(100), "b": Fraction(50)}
 
 
 def test_frozen_two_volume_split():
-    assert allocate_iops({"a": 100, "b": 500}, None, 400) == {
+    assert allocate_iops({"a": 100, "b": 500}, {}, 400) == {
         "a": Fraction(100),
         "b": Fraction(300),
     }
 
 
 def test_frozen_equal_split_when_both_hungry():
-    assert allocate_iops({"a": 500, "b": 500}, None, 180) == {
+    assert allocate_iops({"a": 500, "b": 500}, {}, 180) == {
         "a": Fraction(90),
         "b": Fraction(90),
     }
@@ -47,7 +47,7 @@ def test_frozen_cap_with_floor():
 
 
 def test_frozen_three_way():
-    assert allocate_iops({"a": 50, "b": 400, "c": 700}, None, 400) == {
+    assert allocate_iops({"a": 50, "b": 400, "c": 700}, {}, 400) == {
         "a": Fraction(50),
         "b": Fraction(175),
         "c": Fraction(175),
@@ -55,13 +55,13 @@ def test_frozen_three_way():
 
 
 def test_fractional_equal_shares_are_exact():
-    out = allocate_iops({"a": 500, "b": 500, "c": 500}, None, 400)
+    out = allocate_iops({"a": 500, "b": 500, "c": 500}, {}, 400)
     assert out == {k: Fraction(400, 3) for k in "abc"}
     assert sum(out.values()) == 400
 
 
 def test_zero_demand_gets_zero():
-    out = allocate_iops({"a": 0, "b": 300}, None, 200)
+    out = allocate_iops({"a": 0, "b": 300}, {}, 200)
     assert out == {"a": Fraction(0), "b": Fraction(200)}
 
 
@@ -71,14 +71,14 @@ def test_cap_zero_silences_volume():
 
 
 def test_empty_demands():
-    assert allocate_iops({}, None, 100) == {}
+    assert allocate_iops({}, {}, 100) == {}
 
 
 def test_negative_demand_rejected():
     with pytest.raises(InputError):
-        allocate_iops({"a": -1}, None, 100)
+        allocate_iops({"a": -1}, {}, 100)
     with pytest.raises(InputError):
-        allocate_iops({"a": 1}, None, -5)
+        allocate_iops({"a": 1}, {}, -5)
 
 
 names = st.lists(
@@ -109,7 +109,7 @@ def test_matches_oracle(names, demands, caps, capacity):
 )
 def test_allocation_invariants(names, demands, capacity):
     demand_map = {n: d for n, d in zip(names, demands)}
-    out = allocate_iops(demand_map, None, capacity)
+    out = allocate_iops(demand_map, {}, capacity)
     # never exceed demand, never exceed capacity
     assert all(out[n] <= demand_map[n] for n in demand_map)
     assert sum(out.values()) <= capacity
@@ -155,17 +155,17 @@ def test_degradation_takes_only_exact_factors(bad):
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), "lots", None])
 def test_non_finite_or_non_number_rejected(bad):
     with pytest.raises(InputError):
-        allocate_iops({"a": bad}, None, 100)
+        allocate_iops({"a": bad}, {}, 100)
     with pytest.raises(InputError):
         allocate_iops({"a": 10}, {"a": bad}, 100)
     with pytest.raises(InputError):
-        allocate_iops({"a": 10}, None, bad)
+        allocate_iops({"a": 10}, {}, bad)
 
 
 def test_level_is_exact_not_float_rounded():
     # the level is (51 - 2**-60), which a float rounds up to 51.0; a
     # throttle comparing it against a floor of 51 must see the shortfall
-    out = allocate_iops({"a": 2.0**-60, "b": 100.0}, None, 51)
+    out = allocate_iops({"a": 2.0**-60, "b": 100.0}, {}, 51)
     assert out["b"] < 51
     assert float(out["b"]) == 51.0
     assert out["a"] + out["b"] == 51
@@ -180,7 +180,7 @@ def test_whole_grants_are_the_callers_numbers_and_the_level_is_one_object():
     assert out["c"] is caps["c"]
     assert out["b"] == Fraction(121, 2) - 10.5 - 7 - 20
     assert list(out) == list(demands)
-    level = allocate_iops({"a": 500.0, "b": 600.0, "c": 700.0}, None, 100)
+    level = allocate_iops({"a": 500.0, "b": 600.0, "c": 700.0}, {}, 100)
     assert level["a"] is level["b"] is level["c"]
     assert level["a"] == Fraction(100, 3)
 

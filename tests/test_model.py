@@ -12,12 +12,10 @@ from storbind.model import (
     DiskSpec,
     ErasureCodedPool,
     Jbod,
-    Medium,
     Raid,
     ReplicatedPool,
     StorageNode,
     disk_count,
-    format_layout,
     iops_budget,
     parse_layout,
     parse_size,
@@ -58,7 +56,6 @@ def test_layout_grammar_roundtrip():
         ("ec:6:3", ErasureCodedPool(k=6, m=3)),
     ]:
         assert parse_layout(text) == layout
-        assert format_layout(layout) == text
         assert str(layout) == text
 
 
@@ -184,11 +181,6 @@ def test_parse_volume_type_rejects_unknown_keys():
         parse_volume_type({"jbod": "1", "app-copies": "3", "team": "cdn", "min_iops": "5"})
     with pytest.raises(ParseError, match="key 'app-copies': must be >= 1, got 0"):
         parse_volume_type({"jbod": "1", "app-copies": "0"})
-
-
-def test_medium_values():
-    assert Medium("hdd") is Medium.HDD
-    assert Medium("ssd") is Medium.SSD
 
 
 @pytest.mark.parametrize("factor", [Fraction(0), Fraction(3, 2)])

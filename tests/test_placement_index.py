@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from oracles import schedule_oracle, schedule_static_oracle
 from storbind.cluster import ControlPlane
 from storbind.model import (
-    ControlConfig,
     DiskSpec,
     Jbod,
     Raid,
@@ -236,7 +235,7 @@ def test_decisions_read_only_what_they_need_on_a_10k_node_fleet():
 
 
 def test_submit_decides_on_the_live_state_without_a_snapshot(monkeypatch):
-    plane = ControlPlane(fleet_10k(), ControlConfig())
+    plane = ControlPlane(fleet_10k())
 
     def no_snapshot():
         raise AssertionError("the request path copied the state database")

@@ -100,6 +100,24 @@ def test_explicit_disk_list():
     assert scn.nodes[0].disks[1].capacity_bytes == 4096
 
 
+@pytest.mark.parametrize("form", ["shorthand", "list"])
+def test_medium_is_checked(form):
+    def with_medium(medium: object) -> dict:
+        data = deep(GOOD)
+        disk = {"capacity": "1T", "medium": medium}
+        data["nodes"][0]["disks"] = (
+            {"count": 1, **disk} if form == "shorthand" else [{"disk_id": "node1-d00", **disk}]
+        )
+        return data
+
+    for medium in ("hdd", "ssd"):
+        scn = build_scenario(with_medium(medium))
+        assert [d.disk_id for d in scn.nodes[0].disks] == ["node1-d00"]
+    assert diags_of(with_medium("floppy")) == [
+        "nodes[0].disks[0].medium: expected one of hdd, ssd, got 'floppy'"
+    ]
+
+
 def test_every_diagnostic_is_reported_not_just_the_first():
     data = deep(GOOD)
     data["duration_s"] = -1

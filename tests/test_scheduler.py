@@ -14,7 +14,6 @@ from storbind.scheduler import (
     VolumeRequest,
     latency_stats,
     layout_admits,
-    measure_decision_latency,
     schedule,
     schedule_static,
 )
@@ -248,10 +247,3 @@ def test_latency_stats_percentiles():
     assert stats.min_s == 0.001
     assert stats.median_s == 0.0025
     assert stats.p99_s == 0.004
-
-
-def test_measure_decision_latency_runs():
-    snap = snapshot(reports=[impl_report("impl-0001")])
-    stats = measure_decision_latency([request() for _ in range(50)], snap)
-    assert stats.count == 50
-    assert stats.min_s >= 0
