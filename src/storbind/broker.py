@@ -139,9 +139,6 @@ class StorageBroker:
             raise NotFoundError(f"no volume {volume_id}")
         return manager
 
-    def free_disk_count(self) -> dict[str, int]:
-        return {node_id: len(self._free[node_id]) for node_id in sorted(self.nodes)}
-
     def _node(self, node_id: str) -> StorageNode:
         node = self.nodes.get(node_id)
         if node is None:

@@ -97,11 +97,13 @@ _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
 
 
 def _parse(text: str) -> object:
-    """The key tree of `text`, parsed by libyaml when PyYAML has it. `_Loader`
+    """The key tree of `text`, parsed by libyaml when PyYAML has it, unless
+    the text holds a tag or a byte-order mark: libyaml reads a bare `!` as
+    '' where `_Loader` reads None, and drops marks `_Loader` keeps. `_Loader`
     parses again what libyaml fails on: it accepts some of that (a lone
     surrogate escape) and words every diagnostic. libyaml also accepts some
     text `_Loader` rejects, such as a tab after a plain scalar."""
-    if _FAST_LOADER is not None:
+    if _FAST_LOADER is not None and "!" not in text and "\ufeff" not in text:
         try:
             return yaml.load(text, Loader=_FAST_LOADER)
         except Exception:  # any failure: `_Loader` decides, as without libyaml
@@ -272,23 +274,17 @@ def _build_disks(
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             diags.append(f"{where}.disks.count: expected a positive integer")
             return []
-        entries = [
-            {
-                "disk_id": f"{node_id}-d{idx:0{max(2, len(str(count - 1)))}d}",
-                "capacity": raw.get("capacity"),
-                "profiled_iops": raw.get("profiled_iops", 200),
-                "medium": raw.get("medium", "hdd"),
-            }
-            for idx in range(count)
-        ]
-    elif isinstance(raw, list):
-        entries = raw
-    else:
+        values = _disk_values(raw, f"{where}.disks", diags)
+        if values is None:
+            return []
+        width = max(2, len(str(count - 1)))
+        return [DiskSpec(f"{node_id}-d{idx:0{width}d}", *values) for idx in range(count)]
+    if not isinstance(raw, list):
         diags.append(f"{where}.disks: expected a mapping with count or a list")
         return []
 
     disks = []
-    for j, disk in enumerate(entries):
+    for j, disk in enumerate(raw):
         dwhere = f"{where}.disks[{j}]"
         if not isinstance(disk, dict):
             diags.append(f"{dwhere}: expected a mapping")
@@ -298,19 +294,27 @@ def _build_disks(
         if not isinstance(disk_id, str) or not disk_id:
             diags.append(f"{dwhere}.disk_id: expected a nonempty string")
             continue
-        capacity = _bytes(disk.get("capacity"), f"{dwhere}.capacity", diags)
-        iops = disk.get("profiled_iops", 200)
-        if isinstance(iops, bool) or not isinstance(iops, int) or iops < 0:
-            diags.append(f"{dwhere}.profiled_iops: expected an integer >= 0")
-            continue
-        medium = disk.get("medium", "hdd")
-        if medium not in ("hdd", "ssd"):  # checked, then discarded: nothing reads it
-            diags.append(f"{dwhere}.medium: expected one of hdd, ssd, got {medium!r}")
-            continue
-        if capacity is None:
-            continue
-        disks.append(DiskSpec(disk_id=disk_id, capacity_bytes=capacity, profiled_iops=iops))
+        values = _disk_values(disk, dwhere, diags)
+        if values is not None:
+            disks.append(DiskSpec(disk_id, *values))
     return disks
+
+
+def _disk_values(raw: dict, where: str, diags: list[str]) -> tuple[int, int] | None:
+    """Capacity in bytes and profiled IOPS of one disk, or of every disk of
+    a shorthand, or None after their diagnostics."""
+    capacity = _bytes(raw.get("capacity"), f"{where}.capacity", diags)
+    iops = raw.get("profiled_iops", 200)
+    if isinstance(iops, bool) or not isinstance(iops, int) or iops < 0:
+        diags.append(f"{where}.profiled_iops: expected an integer >= 0")
+        return None
+    medium = raw.get("medium", "hdd")
+    if medium not in ("hdd", "ssd"):  # checked, then discarded: nothing reads it
+        diags.append(f"{where}.medium: expected one of hdd, ssd, got {medium!r}")
+        return None
+    if capacity is None:
+        return None
+    return capacity, iops
 
 
 def _build_volume_types(raw: object, diags: list[str]) -> dict[str, VolumeType]:

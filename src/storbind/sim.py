@@ -5,8 +5,9 @@ demand once per control interval per live volume, splits each
 implementation's degraded budget max-min fairly, and runs the throttle
 loop. Everything observable lands in one of three places: an ordered
 event log, a per-volume time series, and an end-of-run summary. The
-event log is the record of what happened to each request: the summary's
-counts and request log are a fold of it (`fold_requests`).
+event log is the record of what the run did: apart from the run's
+identity and decision latency, the summary is a fold of it and of the
+scenario's fleet (`fold_summary`).
 
 Determinism contract: the same scenario and seed produce the same event
 log and time series, byte for byte once serialized. Wall-clock latency
@@ -218,7 +219,17 @@ class _Engine:
         self, t: float, request_id: str | None, impl: StorageImplementation
     ) -> None:
         self.emit(
-            t, EventKind.PROVISIONED, {"request_id": request_id, **_impl_fields(impl)}
+            t,
+            EventKind.PROVISIONED,
+            {
+                "request_id": request_id,
+                "impl_id": impl.impl_id,
+                "node_id": impl.node_id,
+                "layout": str(impl.layout),
+                "disk_ids": list(impl.disk_ids),
+                "usable_capacity_bytes": impl.usable_capacity_bytes,
+                "total_iops_budget": impl.total_iops_budget,
+            },
         )
 
     def _control_tick(self, manager: StorageManager, t: float, delta: float) -> None:
@@ -271,106 +282,24 @@ class _Engine:
             )
 
     def _summary(self) -> dict[str, JsonValue]:
-        """End-of-run counts, request log, groups, free disks and overheads.
+        """The run's identity, the fold of its event log, and decision_latency.
 
-        Counts and request log are folded from the event log; groups and
-        free disks are read from the live end state. decision_latency is
-        wall-clock time of whole ControlPlane.submit calls (schedule +
-        provision + admit), not of schedule alone, and the only entry that
-        varies between identical runs.
+        decision_latency is wall-clock time of whole ControlPlane.submit
+        calls (schedule + provision + admit), not of schedule alone, and
+        the only entry that varies between identical runs.
         """
-        impls: list[dict[str, JsonValue]] = [
-            {
-                **_impl_fields(manager.impl),
-                "allocated_iops": manager.impl.allocated_iops,
-                "allocated_capacity_bytes": manager.impl.allocated_capacity_bytes,
-                "volumes": sorted(manager.volumes),
-            }
-            for manager in self.plane.managers()
-        ]
-        counts, requests = fold_requests(self.events)
-        volume_type = {r["volume_id"]: r["type"] for r in requests if r["result"] == "admitted"}
-        overhead_by_class, overhead_total, raw, stored = self._overheads(volume_type)
         latency = None
         if self.latency_samples:
             latency = asdict(latency_stats(self.latency_samples))
-        ratio = None
-        if stored:
-            ratio = as_number(Fraction(raw, stored))
         return {
             "scenario": self.scenario.name,
             "mode": "static" if self.plane.static_layout is not None else "dynamic",
             "seed": self.seed,
             "duration_s": self.scenario.duration_s,
             "control_interval_s": self.scenario.control.control_interval_s,
-            "counts": counts,
-            "requests": requests,
-            "implementations": impls,
-            "free_disks": self.plane.broker.free_disk_count(),
-            "storage": {
-                "raw_bytes_reserved": raw,
-                "logical_bytes_stored": stored,
-                "overhead_ratio": ratio,
-            },
-            "overhead_by_class": overhead_by_class,
-            "overhead_total": overhead_total,
+            **fold_summary(self.scenario, self.events),
             "decision_latency": latency,
         }
-
-    def _overheads(
-        self, volume_type: Mapping[str, str]
-    ) -> tuple[dict[str, JsonValue], int | float | None, int, int]:
-        """Raw-to-user-data multipliers, per volume type and overall.
-
-        An implementation's raw bytes are its whole member disks,
-        counted only while it hosts at least one volume, and attributed
-        to types in proportion to stored bytes. A type's user data is
-        its stored bytes divided by its application-level copy count, so
-        application-side replication shows up as overhead too.
-        """
-        raw_by_class: dict[str, Fraction] = {}
-        stored_by_class: dict[str, int] = {}
-        total_raw = 0
-        total_stored = 0
-        for manager in self.plane.managers():
-            if not manager.volumes:
-                continue
-            impl = manager.impl
-            node = self.plane.broker.nodes[impl.node_id]
-            raw = sum(node.disk(d).capacity_bytes for d in impl.disk_ids)
-            total_raw += raw
-            stored = {
-                vid: manager.volumes[vid].size_bytes for vid in sorted(manager.volumes)
-            }
-            impl_stored = sum(stored.values())
-            total_stored += impl_stored
-            for vid, size in stored.items():
-                cls = volume_type[vid]
-                share = Fraction(raw) * Fraction(size, impl_stored)
-                raw_by_class[cls] = raw_by_class.get(cls, Fraction(0)) + share
-                stored_by_class[cls] = stored_by_class.get(cls, 0) + size
-
-        by_class: dict[str, JsonValue] = {}
-        total = Fraction(0)
-        for cls in sorted(raw_by_class):
-            copies = self.scenario.volume_types[cls].app_copies
-            multiplier = raw_by_class[cls] * copies / stored_by_class[cls]
-            total += multiplier
-            by_class[cls] = as_number(multiplier)
-        overhead_total = as_number(total) if raw_by_class else None
-        return by_class, overhead_total, total_raw, total_stored
-
-
-def _impl_fields(impl: StorageImplementation) -> dict[str, JsonValue]:
-    """The fixed facts of a group, shared by its event and its summary entry."""
-    return {
-        "impl_id": impl.impl_id,
-        "node_id": impl.node_id,
-        "layout": str(impl.layout),
-        "disk_ids": list(impl.disk_ids),
-        "usable_capacity_bytes": impl.usable_capacity_bytes,
-        "total_iops_budget": impl.total_iops_budget,
-    }
 
 
 def _decision_payload(outcome: RequestOutcome) -> dict[str, JsonValue]:
@@ -403,16 +332,32 @@ _COUNTED = {
 _SUCCEEDED = {"attach": "attached", "detach": "detached"}
 
 
-def fold_requests(events: Sequence[SimEvent]) -> tuple[dict[str, int], list[dict[str, JsonValue]]]:
-    """The summary's counts and request log, read from the event log alone.
+def fold_summary(scenario: Scenario, events: Sequence[SimEvent]) -> dict[str, JsonValue]:
+    """Every summary entry but the run's identity and decision_latency.
 
-    Each request-arrived opens an entry from its payload and time; the
-    outcome event that follows it sets the entry's result. A successful
-    attach or detach has no event of its own, so it reads as succeeded.
+    Read from the event log and the scenario's fleet alone, in one pass.
+    Each request-arrived opens a request entry from its payload and time;
+    the outcome event that follows it sets the entry's result. A
+    successful attach or detach has no event of its own, so it reads as
+    succeeded. A provisioned event opens a group and takes its disks from
+    its node's free count; admitted and volume-deleted move the group's
+    ledger; gc-reclaimed closes it and returns its disks.
+
+    Overheads are raw-to-user-data multipliers, per volume type and
+    overall. A group's raw bytes are its whole member disks, counted
+    only while it hosts at least one volume, and attributed to types in
+    proportion to stored bytes. A type's user data is its stored bytes
+    divided by its application-level copy count, so application-side
+    replication shows up as overhead too.
     """
     kinds = Counter(e.kind for e in events)
     counts = {name: kinds[kind] for name, kind in _COUNTED.items()}
     requests: list[dict[str, JsonValue]] = []
+    nodes = {node.node_id: node for node in scenario.nodes}
+    free = {node_id: len(node.disks) for node_id, node in nodes.items()}
+    # impl_id -> its provisioned payload, and -> {volume_id: admitted payload}
+    groups: dict[str, dict] = {}
+    hosted: dict[str, dict[str, dict]] = {}
     for e in events:
         kind, payload = e.kind, e.payload
         if kind == EventKind.REQUEST_ARRIVED:
@@ -421,13 +366,72 @@ def fold_requests(events: Sequence[SimEvent]) -> tuple[dict[str, int], list[dict
             requests[-1].update(
                 result="admitted", volume_id=payload["volume_id"], impl_id=payload["impl_id"]
             )
+            hosted[payload["impl_id"]][payload["volume_id"]] = payload
         elif kind == EventKind.REJECTED:
             requests[-1].update(result="rejected", reason=payload["reason"])
         elif kind == EventKind.VOLUME_DELETED:
             requests[-1].update(result="deleted", impl_id=payload["impl_id"])
+            del hosted[payload["impl_id"]][payload["volume_id"]]
         elif kind == EventKind.REQUEST_FAILED:
             requests[-1].update(result="error", error=payload["error"])
-    return counts, requests
+        elif kind == EventKind.PROVISIONED:
+            groups[payload["impl_id"]] = payload
+            hosted[payload["impl_id"]] = {}
+            free[payload["node_id"]] -= len(payload["disk_ids"])
+        elif kind == EventKind.GC_RECLAIMED:
+            del groups[payload["impl_id"]], hosted[payload["impl_id"]]
+            free[payload["node_id"]] += len(payload["disk_ids"])
+
+    volume_type = {r["volume_id"]: r["type"] for r in requests if r["result"] == "admitted"}
+    impls: list[JsonValue] = []
+    raw_by_class: dict[str, Fraction] = {}
+    stored_by_class: dict[str, int] = {}
+    total_raw = total_stored = 0
+    for impl_id in sorted(groups):
+        group, volumes = groups[impl_id], hosted[impl_id]
+        sizes = {vid: volumes[vid]["size_bytes"] for vid in sorted(volumes)}
+        stored = sum(sizes.values())
+        impls.append(
+            {
+                **{k: v for k, v in group.items() if k != "request_id"},
+                "allocated_iops": sum(v["min_iops"] for v in volumes.values()),
+                "allocated_capacity_bytes": stored,
+                "volumes": list(sizes),
+            }
+        )
+        if not sizes:
+            continue
+        node = nodes[group["node_id"]]
+        raw = sum(node.disk(d).capacity_bytes for d in group["disk_ids"])
+        total_raw += raw
+        total_stored += stored
+        for vid, size in sizes.items():
+            cls = volume_type[vid]
+            share = Fraction(raw) * Fraction(size, stored)
+            raw_by_class[cls] = raw_by_class.get(cls, Fraction(0)) + share
+            stored_by_class[cls] = stored_by_class.get(cls, 0) + size
+
+    by_class: dict[str, JsonValue] = {}
+    total = Fraction(0)
+    for cls in sorted(raw_by_class):
+        copies = scenario.volume_types[cls].app_copies
+        multiplier = raw_by_class[cls] * copies / stored_by_class[cls]
+        total += multiplier
+        by_class[cls] = as_number(multiplier)
+    ratio = as_number(Fraction(total_raw, total_stored)) if total_stored else None
+    return {
+        "counts": counts,
+        "requests": requests,
+        "implementations": impls,
+        "free_disks": {node_id: free[node_id] for node_id in sorted(free)},
+        "storage": {
+            "raw_bytes_reserved": total_raw,
+            "logical_bytes_stored": total_stored,
+            "overhead_ratio": ratio,
+        },
+        "overhead_by_class": by_class,
+        "overhead_total": as_number(total) if raw_by_class else None,
+    }
 
 
 def run_scenario(

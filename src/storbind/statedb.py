@@ -6,8 +6,7 @@ as given. Alongside them the database keeps the two orders the
 scheduler walks, each moved one entry per report with `bisect`: every
 layout's groups by (-remaining_iops, impl_id), and every node by
 (-free disk count, node_id). `view` reads the live state for a caller
-that decides before the next report; `snapshot` copies it. Every
-mutation bumps a single sequence counter.
+that decides before the next report; `snapshot` copies it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ class ClusterSnapshot:
     # node_id -> that node's free disks, in disk_id order
     nodes: Mapping[str, tuple[DiskSpec, ...]]
     implementations: Mapping[str, StorageImplementation]
-    seq: int
     # layout -> its groups as (-remaining_iops, impl_id, record), ascending
     ranked_groups: Mapping[LayoutKind, Sequence[RankedGroup]]
     # every node as (-len(free disks), node_id), ascending
@@ -44,10 +42,9 @@ class ClusterSnapshot:
 class StateDatabase:
     """Stores the newest report per node and per implementation.
 
-    One thread drives it, so nothing is locked. Sequence numbers strictly
-    increase with every accepted change, including removals. Reports for
-    an implementation that was already removed (reclaimed) are rejected,
-    so a straggling manager cannot resurrect a dead ledger. Each accepted
+    One thread drives it, so nothing is locked. Reports for an
+    implementation that was already removed (reclaimed) are rejected, so
+    a straggling manager cannot resurrect a dead ledger. Each accepted
     report moves exactly one entry of the group or node order.
     """
 
@@ -55,21 +52,18 @@ class StateDatabase:
         self._nodes: dict[str, tuple[DiskSpec, ...]] = {}
         self._impls: dict[str, StorageImplementation] = {}
         self._removed: set[str] = set()
-        self._seq = 0
         self._ranked_groups: dict[LayoutKind, list[RankedGroup]] = {}
         self._ranked_nodes: list[tuple[int, str]] = []
 
-    def upsert_broker_report(self, node_id: str, free_disks: tuple[DiskSpec, ...]) -> int:
+    def upsert_broker_report(self, node_id: str, free_disks: tuple[DiskSpec, ...]) -> None:
         ranked = self._ranked_nodes
         old = self._nodes.get(node_id)
         if old is not None:
             del ranked[bisect_left(ranked, (-len(old), node_id))]
         insort(ranked, (-len(free_disks), node_id))
         self._nodes[node_id] = free_disks
-        self._seq += 1
-        return self._seq
 
-    def upsert_manager_report(self, report: StorageImplementation) -> int:
+    def upsert_manager_report(self, report: StorageImplementation) -> None:
         if report.volume_count < 0:
             raise ConsistencyError(f"impl {report.impl_id}: negative volume_count")
         if not 0 <= report.allocated_iops <= report.total_iops_budget:
@@ -92,18 +86,14 @@ class StateDatabase:
             (-report.remaining_iops, report.impl_id, report),
         )
         self._impls[report.impl_id] = report
-        self._seq += 1
-        return self._seq
 
-    def remove_manager_report(self, impl_id: str) -> int:
+    def remove_manager_report(self, impl_id: str) -> None:
         """Drop an implementation's report after it was reclaimed."""
         old = self._impls.pop(impl_id, None)
         if old is None:
             raise NotFoundError(f"impl {impl_id}: no report to remove")
         self._unrank(old)
         self._removed.add(impl_id)
-        self._seq += 1
-        return self._seq
 
     def view(self) -> ClusterSnapshot:
         """The live state behind read-only wrappers, copied nowhere.
@@ -114,7 +104,6 @@ class StateDatabase:
         return ClusterSnapshot(
             nodes=MappingProxyType(self._nodes),
             implementations=MappingProxyType(self._impls),
-            seq=self._seq,
             ranked_groups=MappingProxyType(self._ranked_groups),
             ranked_nodes=self._ranked_nodes,
         )
@@ -124,7 +113,6 @@ class StateDatabase:
         return ClusterSnapshot(
             nodes=MappingProxyType(dict(self._nodes)),
             implementations=MappingProxyType(dict(self._impls)),
-            seq=self._seq,
             ranked_groups=MappingProxyType(
                 {layout: tuple(ranked) for layout, ranked in self._ranked_groups.items()}
             ),

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import free_disk_count
 from oracles import waterfill_oracle
 from storbind.cluster import ControlPlane
 from storbind.errors import InvalidStateError
@@ -394,7 +395,7 @@ def test_criterion_10_ledger_invariant_fuzz():
                 assert disk_id not in held[impl.node_id], "disk owned twice"
                 held[impl.node_id].add(disk_id)
             assert snap.implementations[impl.impl_id] is manager.impl
-        free = plane.broker.free_disk_count()
+        free = free_disk_count(plane.broker)
         for node_id, total in total_disks.items():
             assert len(held[node_id]) + free[node_id] == total
             free_specs = plane.broker.free_disk_specs(node_id)

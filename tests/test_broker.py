@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import free_disk_count
 from storbind.broker import StorageBroker
 from storbind.errors import (
     ConflictError,
@@ -81,7 +82,7 @@ def test_provision_assigns_sequential_ids():
 def test_provision_moves_disks_out_of_free_pool():
     broker, db = make_broker()
     broker.provision(broker.make_order("node2", RAID6_4), now=0.0)
-    assert broker.free_disk_count() == {"node1": 10, "node2": 3}
+    assert free_disk_count(broker) == {"node1": 10, "node2": 3}
     snap = db.snapshot()
     assert snap.nodes["node2"] is broker.free_disk_specs("node2")
     assert [d.disk_id for d in snap.nodes["node2"]] == ["node2-d04", "node2-d05", "node2-d06"]
@@ -95,7 +96,7 @@ def test_provision_conflicting_order_rejected_without_mutation():
     with pytest.raises(ConflictError):
         broker.provision(order, now=0.0)
     # the failed call must not have leaked any disks
-    assert broker.free_disk_count()["node2"] == 3
+    assert free_disk_count(broker)["node2"] == 3
 
 
 def test_stale_snapshot_provision_conflicts_without_mutation():
@@ -104,12 +105,12 @@ def test_stale_snapshot_provision_conflicts_without_mutation():
     assert stale == Provision("node1", RAID6_4, ("node1-d00", "node1-d01", "node1-d02", "node1-d03"))
     # a competing build takes the disks the stale decision named
     broker.provision(broker.make_order("node1", ReplicatedPool(3)), now=0.0)
-    free, managers, seq = broker.free_disk_count(), set(broker.managers), db.snapshot().seq
+    free, managers, before = free_disk_count(broker), set(broker.managers), db.snapshot()
     with pytest.raises(ConflictError):
         broker.provision(stale, now=1.0)
-    assert broker.free_disk_count() == free
+    assert free_disk_count(broker) == free
     assert set(broker.managers) == managers
-    assert db.snapshot().seq == seq
+    assert db.snapshot() == before
 
 
 def test_provision_unknown_node_and_disks():
@@ -128,19 +129,19 @@ def test_provision_checks_each_disk_in_order():
         broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d99", "node1-d00")), now=1.0)
     with pytest.raises(ConflictError):
         broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d00", "node1-d99")), now=1.0)
-    assert broker.free_disk_count() == {"node1": 9, "node2": 7}
+    assert free_disk_count(broker) == {"node1": 9, "node2": 7}
 
 
 def test_provision_order_validation():
     broker, db = make_broker()
-    seq = db.snapshot().seq
+    before = db.snapshot()
     with pytest.raises(InputError):
         broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d00", "node1-d00")), now=0.0)
     with pytest.raises(LayoutError):
         broker.provision(Provision("node1", RAID6_4, ("node1-d00",)), now=0.0)
-    assert broker.free_disk_count() == {"node1": 10, "node2": 7}
+    assert free_disk_count(broker) == {"node1": 10, "node2": 7}
     assert broker.managers == {}
-    assert db.snapshot().seq == seq
+    assert db.snapshot() == before
 
 
 def test_garbage_collect_honors_dwell():
@@ -153,7 +154,7 @@ def test_garbage_collect_honors_dwell():
     assert broker.garbage_collect(now=150.0, config=config) == []
     assert broker.garbage_collect(now=399.0, config=config) == []
     assert broker.garbage_collect(now=400.0, config=config) == [manager.impl]
-    assert broker.free_disk_count() == {"node1": 10, "node2": 7}
+    assert free_disk_count(broker) == {"node1": 10, "node2": 7}
 
 
 def test_garbage_collect_skips_occupied_implementations():
@@ -203,14 +204,14 @@ def test_reclaimed_disks_are_reused_in_lex_order():
 def test_disk_conservation_under_churn():
     broker, _ = make_broker()
     config = ControlConfig(gc_dwell_s=0.0)
-    total = sum(broker.free_disk_count().values())
+    total = sum(free_disk_count(broker).values())
     for round_no in range(5):
         m1 = broker.provision(broker.make_order("node1", RAID6_4), now=round_no)
         m2 = broker.provision(broker.make_order("node2", ReplicatedPool(3)), now=round_no)
         held = sum(len(m.impl.disk_ids) for m in (m1, m2))
-        assert sum(broker.free_disk_count().values()) == total - held
+        assert sum(free_disk_count(broker).values()) == total - held
         broker.garbage_collect(now=round_no + 0.5, config=config)
-        assert sum(broker.free_disk_count().values()) == total
+        assert sum(free_disk_count(broker).values()) == total
 
 
 def test_owner_of_finds_volume():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import free_disk_count
 from storbind.cluster import ControlPlane
 from storbind.errors import ConflictError, NotFoundError
 from storbind.model import (
@@ -72,10 +73,10 @@ def test_forged_ledger_conflicts_without_mutation():
     manager = plane.broker.manager_for("impl-0001")
     real = manager.impl
     plane.statedb.upsert_manager_report(replace(real, allocated_iops=0))
-    seq = plane.statedb.snapshot().seq
+    before = plane.statedb.snapshot()
     with pytest.raises(ConflictError, match="request r2 needs 100 IOPS"):
         plane.submit(req("r2", min_iops=100), now=1.0)
-    assert plane.statedb.snapshot().seq == seq
+    assert plane.statedb.snapshot() == before
     assert manager.impl is real
     assert sorted(manager.volumes) == ["vol-r1"]
     assert plane.broker.volume_owners == {"vol-r1": manager}
@@ -103,11 +104,11 @@ def test_forged_free_disk_conflicts_without_mutation():
     plane.submit(req("r1", layout=ReplicatedPool(3), min_iops=0), now=0.0)
     # forge a broker report that lists node1-d00..d02 as free again
     plane.statedb.upsert_broker_report("node1", nodes[0].disks)
-    seq = plane.statedb.snapshot().seq
+    before = plane.statedb.snapshot()
     with pytest.raises(ConflictError):
         plane.submit(req("r2", layout=Jbod(), min_iops=0), now=1.0)
-    assert plane.statedb.snapshot().seq == seq
-    assert plane.broker.free_disk_count() == {"node1": 3}
+    assert plane.statedb.snapshot() == before
+    assert free_disk_count(plane.broker) == {"node1": 3}
     assert [m.impl.impl_id for m in plane.managers()] == ["impl-0001"]
 
 
@@ -121,11 +122,11 @@ def test_duplicate_request_id_conflicts():
 def test_repeated_request_id_on_another_group_conflicts_without_a_twin():
     plane = ControlPlane(make_nodes({"node1": 8}))
     plane.submit(req("r1", min_iops=400), now=0.0)
-    seq = plane.statedb.snapshot().seq
+    before = plane.statedb.snapshot()
     # impl-0001 has no budget left, so a twin would need a second group
     with pytest.raises(ConflictError):
         plane.submit(req("r1", min_iops=400), now=1.0)
-    assert plane.statedb.snapshot().seq == seq
+    assert plane.statedb.snapshot() == before
     assert [m.impl.impl_id for m in plane.managers()] == ["impl-0001"]
     assert plane.broker.owner_of("vol-r1") is plane.broker.manager_for("impl-0001")
 
@@ -173,7 +174,7 @@ def test_preprovision_static_carves_whole_fleet():
     assert [m.impl.impl_id for m in managers] == ["impl-0001", "impl-0002", "impl-0003"]
     assert [m.impl.node_id for m in managers] == ["node1", "node1", "node2"]
     # leftovers that cannot fill a group stay free
-    assert plane.broker.free_disk_count() == {"node1": 2, "node2": 3}
+    assert free_disk_count(plane.broker) == {"node1": 2, "node2": 3}
 
 
 def test_preprovision_static_requires_layout():

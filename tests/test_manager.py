@@ -53,7 +53,7 @@ def test_admit_creates_volume_and_charges_ledger():
 
 
 def ledger_state(mgr: StorageManager, db: StateDatabase) -> tuple:
-    return dict(mgr.volumes), dict(mgr._owners), mgr.impl, db.snapshot().seq
+    return dict(mgr.volumes), dict(mgr._owners), mgr.impl, db.snapshot()
 
 
 def test_admit_until_budget_exhausted():

@@ -113,9 +113,17 @@ def test_medium_is_checked(form):
     for medium in ("hdd", "ssd"):
         scn = build_scenario(with_medium(medium))
         assert [d.disk_id for d in scn.nodes[0].disks] == ["node1-d00"]
+    where = "nodes[0].disks" if form == "shorthand" else "nodes[0].disks[0]"
     assert diags_of(with_medium("floppy")) == [
-        "nodes[0].disks[0].medium: expected one of hdd, ssd, got 'floppy'"
+        f"{where}.medium: expected one of hdd, ssd, got 'floppy'"
     ]
+
+
+def test_a_bad_shorthand_value_is_reported_once():
+    data = deep(GOOD)
+    data["nodes"][0]["disks"] = {"count": 24, "capacity": "1X", "medium": "floppy"}
+    diags = diags_of(data)
+    assert [d.split(":")[0] for d in diags] == ["nodes[0].disks.capacity", "nodes[0].disks.medium"]
 
 
 def test_every_diagnostic_is_reported_not_just_the_first():
@@ -374,6 +382,22 @@ def test_text_only_the_pure_loader_accepts_loads_as_before(tmp_path, monkeypatch
     assert load_scenario(path) == loaded
 
 
+@pytest.mark.parametrize(
+    "tail",
+    ["control: !\n", "workloads: [{volume: vol-r1, walk: {mean: 9, jitter: 1, seed: ! }}]\n"],
+)
+def test_a_bare_tag_loads_the_same_without_libyaml(tmp_path, monkeypatch, tail):
+    path = tmp_path / "tagged.yaml"
+    path.write_text(
+        "duration_s: 20\nnodes: [{node_id: n1, disks: {count: 1, capacity: 1G}}]\n"
+        "volume_types: {t: {jbod: 1}}\nrequests: [{time: 0, op: create, id: r1, type: t, size: 1G}]\n"
+        + tail
+    )
+    loaded = load_scenario(path)
+    monkeypatch.setattr(scenario, "_FAST_LOADER", None)
+    assert load_scenario(path) == loaded
+
+
 @needs_libyaml
 def test_an_empty_document_is_not_parsed_twice(tmp_path, monkeypatch):
     path = tmp_path / "empty.yaml"
@@ -395,7 +419,8 @@ def test_malformed_yaml_pins_hold_without_libyaml(tmp_path, capsys, monkeypatch,
 
 # Pieces of YAML text. Left out: a bare `!` tag with no value, which libyaml
 # reads as '' and the pure loader as None, and a byte-order mark inside the
-# text, which libyaml drops and the pure loader keeps.
+# text, which libyaml drops and the pure loader keeps; `_parse` leaves text
+# holding either to the pure loader.
 YAML_PIECES = [
     *"ab01 :-,[]{}#&*|>?%@`.\t\n\"'\\", "  ", "- ", ": ", "\n  ", "\n- ", "0x1", "1_0",
     ".inf", ".nan", "2020-01-01", "~", "yes", "<<", "---", "&a ", "*a", "!!str ", "\r\n",

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from helpers import free_disk_count
 from storbind import sim
 from storbind.model import ReplicatedPool, parse_layout
 from storbind.scenario import build_scenario, load_scenario
-from storbind.scenarios import scenario_path
+from storbind.scenarios import bundled_names, scenario_path
 from storbind.sim import EventKind, as_number, run_scenario
 
 GiB = 1024**3
+DATA = Path(__file__).parent / "data"
 
 
 def mini_scenario(**overrides) -> dict:
@@ -259,6 +261,41 @@ def test_summary_counts_and_free_disks():
     assert result.summary["free_disks"] == {"node1": 0, "node2": 2}
     impl_ids = [i["impl_id"] for i in result.summary["implementations"]]
     assert impl_ids == ["impl-0001", "impl-0002", "impl-0003"]
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "rep:3"])
+def test_folded_groups_match_the_end_state(mode):
+    """The summary is a fold of the event log; the control plane a run
+    leaves behind is an independent record of the same groups and disks."""
+    layout = None if mode == "dynamic" else parse_layout(mode)
+    for path in [*map(scenario_path, bundled_names()), *sorted(DATA.glob("*.yaml"))]:
+        engine = sim._Engine(load_scenario(path), 0, layout)
+        summary = engine.run().summary
+        plane = engine.plane
+        assert summary["implementations"] == [
+            {
+                "impl_id": m.impl.impl_id,
+                "node_id": m.impl.node_id,
+                "layout": str(m.impl.layout),
+                "disk_ids": list(m.impl.disk_ids),
+                "usable_capacity_bytes": m.impl.usable_capacity_bytes,
+                "total_iops_budget": m.impl.total_iops_budget,
+                "allocated_iops": m.impl.allocated_iops,
+                "allocated_capacity_bytes": m.impl.allocated_capacity_bytes,
+                "volumes": sorted(m.volumes),
+            }
+            for m in plane.managers()
+        ], path.name
+        assert summary["free_disks"] == free_disk_count(plane.broker), path.name
+        hosting = [m for m in plane.managers() if m.volumes]
+        assert summary["storage"]["raw_bytes_reserved"] == sum(
+            plane.broker.nodes[m.impl.node_id].disk(d).capacity_bytes
+            for m in hosting
+            for d in m.impl.disk_ids
+        ), path.name
+        assert summary["storage"]["logical_bytes_stored"] == sum(
+            m.impl.allocated_capacity_bytes for m in hosting
+        ), path.name
 
 
 def test_same_seed_same_run_walk_demand():

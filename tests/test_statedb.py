@@ -120,14 +120,6 @@ def test_old_snapshot_keeps_deciding_as_it_did():
     assert before != [(schedule(a, db.snapshot()), schedule_static(a, db.snapshot())) for a in asks]
 
 
-def test_snapshot_seq_increases():
-    db = StateDatabase()
-    first = db.snapshot()
-    db.upsert_broker_report("node1", free_disks())
-    second = db.snapshot()
-    assert second.seq > first.seq
-
-
 def test_upsert_replaces():
     db = StateDatabase()
     db.upsert_manager_report(manager_report(allocated_iops=0))
