@@ -53,7 +53,7 @@ from .report import (
     write_summary_json,
     write_timeseries_csv,
 )
-from .scenario import RequestSpec, Scenario, load_scenario, scenario_diagnostics
+from .scenario import RequestSpec, Scenario, load_scenario
 from .scheduler import (
     LatencyStats,
     LayoutMatch,
@@ -134,7 +134,6 @@ __all__ = [
     "redundancy_factor",
     "run_scenario",
     "run_to_directory",
-    "scenario_diagnostics",
     "schedule",
     "schedule_static",
     "usable_capacity",

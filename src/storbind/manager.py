@@ -185,7 +185,6 @@ class StorageManager:
             total_iops_budget=impl.total_iops_budget,
             allocated_iops=allocated_iops,
             allocated_capacity_bytes=allocated_capacity_bytes,
-            volume_count=len(self.volumes),
             idle_since=idle_since,
         )
         self.statedb.upsert_manager_report(self.impl)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -122,48 +122,43 @@ class ErasureCodedPool:
 LayoutKind = Union[Jbod, Raid, ReplicatedPool, ErasureCodedPool]
 
 
+def _shape(layout: LayoutKind) -> tuple[int, int, bool]:
+    """(member disks, data disks, pooled): the facts every layout rule reads."""
+    if isinstance(layout, Jbod):
+        return 1, 1, False
+    if isinstance(layout, Raid):
+        return layout.width, layout.width - layout.parity_count, False
+    if isinstance(layout, ReplicatedPool):
+        return layout.replicas, 1, True
+    if isinstance(layout, ErasureCodedPool):
+        return layout.k + layout.m, layout.k, True
+    raise LayoutError(f"unknown layout {layout!r}")
+
+
 def disk_count(layout: LayoutKind) -> int:
     """Minimum number of disks an implementation of `layout` consumes."""
-    if isinstance(layout, Jbod):
-        return 1
-    if isinstance(layout, Raid):
-        return layout.width
-    if isinstance(layout, ReplicatedPool):
-        return layout.replicas
-    if isinstance(layout, ErasureCodedPool):
-        return layout.k + layout.m
-    raise LayoutError(f"unknown layout {layout!r}")
+    return _shape(layout)[0]
 
 
 def redundancy_factor(layout: LayoutKind) -> Fraction:
     """Raw bytes written per logical byte stored, as an exact ratio."""
-    if isinstance(layout, Jbod):
-        return Fraction(1)
-    if isinstance(layout, Raid):
-        return Fraction(layout.width, layout.width - layout.parity_count)
-    if isinstance(layout, ReplicatedPool):
-        return Fraction(layout.replicas)
-    if isinstance(layout, ErasureCodedPool):
-        return Fraction(layout.k + layout.m, layout.k)
-    raise LayoutError(f"unknown layout {layout!r}")
+    member, data, _ = _shape(layout)
+    return Fraction(member, data)
+
+
+# the CLI spelling of each family: its name, then its fields in order
+_LAYOUT_FAMILIES = {"jbod": Jbod, "raid": Raid, "rep": ReplicatedPool, "ec": ErasureCodedPool}
 
 
 def parse_layout(spec: str) -> LayoutKind:
     """Parse the CLI layout grammar. Raises ParseError on malformed input."""
-    parts = spec.strip().lower().split(":")
-    try:
-        if parts == ["jbod"]:
-            return Jbod()
-        if parts[0] == "raid" and len(parts) == 3:
-            return Raid(width=int(parts[1]), parity_count=int(parts[2]))
-        if parts[0] == "rep" and len(parts) == 2:
-            return ReplicatedPool(replicas=int(parts[1]))
-        if parts[0] == "ec" and len(parts) == 3:
-            return ErasureCodedPool(k=int(parts[1]), m=int(parts[2]))
-    except ValueError as exc:
-        raise ParseError(f"layout spec {spec!r}: {exc}") from exc
-    except LayoutError as exc:
-        raise ParseError(f"layout spec {spec!r}: {exc}") from exc
+    name, *args = spec.strip().lower().split(":")
+    family = _LAYOUT_FAMILIES.get(name)
+    if family is not None and len(args) == len(fields(family)):
+        try:
+            return family(*map(int, args))
+        except (ValueError, LayoutError) as exc:
+            raise ParseError(f"layout spec {spec!r}: {exc}") from exc
     raise ParseError(f"layout spec {spec!r}: expected jbod | raid:<w>:<p> | rep:<r> | ec:<k>:<m>")
 
 
@@ -296,7 +291,7 @@ class StorageImplementation:
 
     The one record of a group: its manager swaps in a new one on each
     admit or delete and publishes that same object to the state database.
-    idle_since is set exactly while volume_count is zero; the garbage
+    idle_since is set exactly while the group hosts no volume; the garbage
     collector uses it to find reclaim candidates.
     """
 
@@ -308,7 +303,6 @@ class StorageImplementation:
     total_iops_budget: int
     allocated_iops: int = 0
     allocated_capacity_bytes: int = 0
-    volume_count: int = 0
     idle_since: float | None = None
 
     @property
@@ -363,19 +357,14 @@ def _usable(layout: LayoutKind, amounts: Sequence[int]) -> int:
     Striped layouts get their smallest member times the data width; pools
     get the aggregate over the redundancy ratio, rounded down.
     """
-    need = disk_count(layout)
-    if isinstance(layout, (Jbod, Raid)):
-        if len(amounts) != need:
-            raise LayoutError(f"layout {layout} needs exactly {need} disks, got {len(amounts)}")
-        if isinstance(layout, Jbod):
-            return amounts[0]
-        return (layout.width - layout.parity_count) * min(amounts)
-    if len(amounts) < need:
-        raise LayoutError(f"layout {layout} needs at least {need} disks, got {len(amounts)}")
-    total = sum(amounts)
-    if isinstance(layout, ReplicatedPool):
-        return total // layout.replicas
-    return total * layout.k // (layout.k + layout.m)
+    member, data, pooled = _shape(layout)
+    if not pooled:
+        if len(amounts) != member:
+            raise LayoutError(f"layout {layout} needs exactly {member} disks, got {len(amounts)}")
+        return data * min(amounts)
+    if len(amounts) < member:
+        raise LayoutError(f"layout {layout} needs at least {member} disks, got {len(amounts)}")
+    return sum(amounts) * data // member
 
 
 def usable_capacity(layout: LayoutKind, disks: Sequence[DiskSpec]) -> int:

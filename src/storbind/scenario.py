@@ -125,15 +125,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return build_scenario(data, default_name=path.stem)
 
 
-def scenario_diagnostics(path: str | Path) -> list[str]:
-    """All validation diagnostics for a file; empty means runnable."""
-    try:
-        load_scenario(path)
-    except ScenarioError as exc:
-        return exc.diagnostics
-    return []
-
-
 def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
     """Build a Scenario from a parsed key tree. Raises ScenarioError."""
     diags: list[str] = []

@@ -64,8 +64,6 @@ class StateDatabase:
         self._nodes[node_id] = free_disks
 
     def upsert_manager_report(self, report: StorageImplementation) -> None:
-        if report.volume_count < 0:
-            raise ConsistencyError(f"impl {report.impl_id}: negative volume_count")
         if not 0 <= report.allocated_iops <= report.total_iops_budget:
             raise ConsistencyError(
                 f"impl {report.impl_id}: allocated_iops {report.allocated_iops} "

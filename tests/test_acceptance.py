@@ -312,7 +312,6 @@ def test_criterion_08_decision_latency():
                 total_iops_budget=budget,
                 allocated_iops=rng.randint(0, budget),
                 allocated_capacity_bytes=rng.randrange(0, 4 * TiB),
-                volume_count=i % 5,
             )
         )
     snapshot = db.snapshot()
@@ -389,8 +388,7 @@ def test_criterion_10_ledger_invariant_fuzz():
             )
             assert 0 <= impl.allocated_iops <= impl.total_iops_budget
             assert 0 <= impl.allocated_capacity_bytes <= impl.usable_capacity_bytes
-            assert impl.volume_count == len(manager.volumes)
-            assert (impl.volume_count == 0) == (impl.idle_since is not None)
+            assert (not manager.volumes) == (impl.idle_since is not None)
             for disk_id in impl.disk_ids:
                 assert disk_id not in held[impl.node_id], "disk owned twice"
                 held[impl.node_id].add(disk_id)

@@ -362,6 +362,21 @@ def test_compare_static_bad_layout(tmp_path, capsys):
     assert "layout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_out_is_a_user_error(tmp_path, capsys, under):
+    scenario = str(write_mini(tmp_path))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = str(taken / "x" if under else taken)
+    for argv in (
+        ["run", "--scenario", scenario, "--out", out],
+        ["compare-static", "--scenario", scenario, "--layout", "jbod", "--out", out],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and f"'{out}" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -135,7 +135,7 @@ def test_admission_publishes_report():
     mgr.admit(req("r1"))
     rep = db.snapshot().implementations["impl-0001"]
     assert rep.allocated_iops == 100
-    assert rep.volume_count == 1
+    assert len(mgr.volumes) == 1
 
 
 def test_report_shape():
@@ -145,11 +145,11 @@ def test_report_shape():
     rep = db.snapshot().implementations["impl-0001"]
     assert rep is mgr.impl
     assert rep.remaining_iops == 300
-    assert rep.volume_count == 1
+    assert len(mgr.volumes) == 1
     mgr.delete_volume("vol-r1", now=5.0)
     rep = db.snapshot().implementations["impl-0001"]
     assert rep is mgr.impl
-    assert (rep.volume_count, rep.allocated_iops, rep.idle_since) == (0, 0, 5.0)
+    assert (len(mgr.volumes), rep.allocated_iops, rep.idle_since) == (0, 0, 5.0)
 
 
 # throttle loop

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storbind.errors import ConfigError, InputError, LayoutError, ParseError
 from storbind.model import (
@@ -59,10 +61,24 @@ def test_layout_grammar_roundtrip():
         assert str(layout) == text
 
 
-@pytest.mark.parametrize("bad", ["", "raid", "raid:4", "raid:2:2", "rep:0", "ec:6", "nope:1"])
+GRAMMAR = "expected jbod | raid:<w>:<p> | rep:<r> | ec:<k>:<m>"
+PARSE_LAYOUT_ERRORS = {
+    "": GRAMMAR,
+    "raid": GRAMMAR,
+    "raid:4": GRAMMAR,
+    "raid:2:2": "raid width 2 must exceed parity_count 2",
+    "raid:a:2": "invalid literal for int() with base 10: 'a'",
+    "rep:0": "replicas must be >= 1, got 0",
+    "ec:6": GRAMMAR,
+    "nope:1": GRAMMAR,
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_LAYOUT_ERRORS))
 def test_parse_layout_rejects(bad):
-    with pytest.raises((ParseError, LayoutError)):
+    with pytest.raises(ParseError) as exc:
         parse_layout(bad)
+    assert str(exc.value) == f"layout spec {bad!r}: {PARSE_LAYOUT_ERRORS[bad]}"
 
 
 def test_raid_validation():
@@ -119,6 +135,47 @@ def test_capacity_needs_right_disk_count():
         usable_capacity(Jbod(), disks(2))
     # pools take at least their minimum
     assert usable_capacity(ReplicatedPool(replicas=3), disks(4)) == TiB * 4 // 3
+
+
+# each family as (layout, member disks, data disks, pooled)
+SHAPED_LAYOUTS = st.one_of(
+    st.just((Jbod(), 1, 1, False)),
+    st.integers(1, 2).flatmap(
+        lambda p: st.integers(p + 1, 16).map(lambda w: (Raid(w, p), w, w - p, False))
+    ),
+    st.integers(1, 8).map(lambda r: (ReplicatedPool(r), r, 1, True)),
+    st.tuples(st.integers(1, 10), st.integers(0, 4)).map(
+        lambda km: (ErasureCodedPool(*km), sum(km), km[0], True)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped=SHAPED_LAYOUTS, extra=st.integers(0, 5), data=st.data())
+def test_layout_arithmetic_follows_its_shape(shaped, extra, data):
+    """Striped layouts take exactly their members and give data x the
+    smallest; pools take at least their members and give the aggregate
+    times data over members, rounded down."""
+    layout, member, data_disks, pooled = shaped
+    n = member + extra if pooled else member
+    amounts = st.lists(st.integers(1, 4 * TiB), min_size=n, max_size=n)
+    capacities, iops = data.draw(amounts), data.draw(amounts)
+    members = [
+        DiskSpec(disk_id=f"d{i:02d}", capacity_bytes=c, profiled_iops=p)
+        for i, (c, p) in enumerate(zip(capacities, iops))
+    ]
+    assert disk_count(layout) == member
+    assert redundancy_factor(layout) == Fraction(member, data_disks)
+    for rule, given_amounts in ((usable_capacity, capacities), (iops_budget, iops)):
+        if pooled:
+            assert rule(layout, members) == sum(given_amounts) * data_disks // member
+        else:
+            assert rule(layout, members) == data_disks * min(given_amounts)
+        with pytest.raises(LayoutError, match=f"needs (exactly|at least) {member} disks"):
+            rule(layout, members[: member - 1])
+        if not pooled:
+            with pytest.raises(LayoutError, match=f"needs exactly {member} disks"):
+                rule(layout, members + disks(1, prefix="x"))
 
 
 def test_disk_spec_validation():

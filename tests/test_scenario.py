@@ -19,7 +19,7 @@ import test_cli
 from storbind import scenario
 from storbind.errors import ScenarioError
 from storbind.model import Jbod, Raid
-from storbind.scenario import build_scenario, load_scenario, scenario_diagnostics
+from storbind.scenario import build_scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
 from storbind.scheduler import VolumeRequest
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
@@ -309,7 +309,6 @@ def test_load_scenario_from_file(tmp_path: Path):
     path.write_text(text)
     scn = load_scenario(path)
     assert scn.name == "mini"
-    assert scenario_diagnostics(path) == []
 
 
 def test_load_scenario_bad_yaml(tmp_path: Path):
@@ -317,7 +316,6 @@ def test_load_scenario_bad_yaml(tmp_path: Path):
     path.write_text("nodes: [unclosed")
     with pytest.raises(ScenarioError):
         load_scenario(path)
-    assert scenario_diagnostics(path)
 
 
 def test_missing_file():

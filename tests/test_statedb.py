@@ -19,9 +19,7 @@ def free_disks(node_id="node1", n_disks=3) -> tuple[DiskSpec, ...]:
     )
 
 
-def manager_report(
-    impl_id="impl-0001", allocated_iops=0, volume_count=0, **kw
-) -> StorageImplementation:
+def manager_report(impl_id="impl-0001", allocated_iops=0, **kw) -> StorageImplementation:
     return StorageImplementation(
         impl_id=impl_id,
         node_id=kw.get("node_id", "node1"),
@@ -31,7 +29,6 @@ def manager_report(
         total_iops_budget=kw.get("total_iops_budget", 400),
         allocated_iops=allocated_iops,
         allocated_capacity_bytes=kw.get("allocated_capacity_bytes", 0),
-        volume_count=volume_count,
     )
 
 
@@ -39,7 +36,7 @@ def test_snapshot_reflects_latest_reports():
     db = StateDatabase()
     disks = free_disks()
     db.upsert_broker_report("node1", disks)
-    db.upsert_manager_report(manager_report(allocated_iops=100, volume_count=1))
+    db.upsert_manager_report(manager_report(allocated_iops=100))
     snap = db.snapshot()
     assert set(snap.nodes) == {"node1"}
     assert snap.nodes["node1"] is disks
@@ -123,7 +120,7 @@ def test_old_snapshot_keeps_deciding_as_it_did():
 def test_upsert_replaces():
     db = StateDatabase()
     db.upsert_manager_report(manager_report(allocated_iops=0))
-    db.upsert_manager_report(manager_report(allocated_iops=200, volume_count=2))
+    db.upsert_manager_report(manager_report(allocated_iops=200))
     assert db.snapshot().implementations["impl-0001"].allocated_iops == 200
 
 
@@ -131,8 +128,6 @@ def test_consistency_checks():
     db = StateDatabase()
     with pytest.raises(ConsistencyError):
         db.upsert_manager_report(manager_report(allocated_iops=500))
-    with pytest.raises(ConsistencyError):
-        db.upsert_manager_report(manager_report(volume_count=-1))
     with pytest.raises(ConsistencyError):
         db.upsert_manager_report(manager_report(allocated_capacity_bytes=3 * TiB))
 
@@ -154,7 +149,7 @@ def test_remove_unknown_impl():
 
 
 def test_manager_report_remaining_properties():
-    rep = manager_report(allocated_iops=150, allocated_capacity_bytes=TiB, volume_count=2)
+    rep = manager_report(allocated_iops=150, allocated_capacity_bytes=TiB)
     assert rep.remaining_iops == 250
     assert rep.remaining_capacity_bytes == TiB
 
