@@ -56,7 +56,6 @@ from .report import (
 from .scenario import RequestSpec, Scenario, load_scenario
 from .scheduler import (
     LatencyStats,
-    LayoutMatch,
     Provision,
     Reject,
     RejectReason,
@@ -92,7 +91,6 @@ __all__ = [
     "LatencyStats",
     "LayoutError",
     "LayoutKind",
-    "LayoutMatch",
     "NotFoundError",
     "ParseError",
     "Provision",

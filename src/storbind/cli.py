@@ -53,9 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(out: str | None, name: str, suffix: str = "") -> Path:
+    """`--out`, or out/<name><suffix> when the scenario's name is one plain path component."""
+    if out:
+        return Path(out)
+    if name in (".", "..") or "/" in name or "\0" in name:
+        raise ScenarioError([f"name: {name!r} is not one plain path component; give --out"])
+    return Path("out") / f"{name}{suffix}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    out = Path(args.out) if args.out else Path("out") / scenario.name
+    out = _out_dir(args.out, scenario.name)
     result = run_to_directory(scenario, out, seed=args.seed)
     counts = result.summary["counts"]
     print(f"scenario {scenario.name}: seed {args.seed}, {len(result.events)} events")
@@ -70,7 +79,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare_static(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     layout = parse_layout(args.layout)
-    out = Path(args.out) if args.out else Path("out") / f"{scenario.name}-compare"
+    out = _out_dir(args.out, scenario.name, "-compare")
     comparison = compare_static_to_directory(scenario, layout, out, seed=args.seed)
     for mode in ("dynamic", "static"):
         side = comparison[mode]

@@ -22,7 +22,6 @@ from .model import (
     disk_count,
 )
 from .scheduler import (
-    LayoutMatch,
     Provision,
     Reject,
     ScheduleDecision,
@@ -91,10 +90,7 @@ class ControlPlane:
         """
         if request.volume_id in self.broker.volume_owners:
             raise ConflictError(f"volume {request.volume_id} already exists")
-        static = self.static_layout is not None
-        decide = schedule_static if static else schedule
-        match = LayoutMatch.REDUNDANCY if static else LayoutMatch.EXACT
-
+        decide = schedule if self.static_layout is None else schedule_static
         decision: ScheduleDecision = decide(request, self.statedb.view())
         outcome = RequestOutcome(decision=decision)
         if isinstance(decision, Reject):
@@ -104,7 +100,7 @@ class ControlPlane:
             outcome.provisioned = manager.impl
         else:
             manager = self.broker.manager_for(decision.impl_id)
-        outcome.admission = manager.admit(request, match)
+        outcome.admission = manager.admit(request)
         return outcome
 
     def delete_volume(self, volume_id: str, now: float) -> tuple[str, Volume]:

@@ -13,9 +13,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .errors import ConflictError, InputError, InvalidStateError, LayoutError, NotFoundError
+from .errors import ConflictError, InputError, InvalidStateError, NotFoundError
 from .model import ControlConfig, StorageImplementation, Volume
-from .scheduler import LayoutMatch, VolumeRequest, layout_admits
+from .scheduler import VolumeRequest
 from .statedb import StateDatabase
 
 IntervalStats = Mapping[str, Union[int, float, Fraction]]
@@ -85,20 +85,13 @@ class StorageManager:
         self._owners = owners
         self.caps: Mapping[str, int] = _NO_CAPS
 
-    def admit(self, request: VolumeRequest, match: LayoutMatch = LayoutMatch.EXACT) -> Admission:
-        """Charge a request to this group and host its volume.
+    def admit(self, request: VolumeRequest) -> Admission:
+        """Charge a request to this group, which the scheduler chose, and host its volume.
 
-        Raises, before anything changes, LayoutError if the request should
-        never have been routed here, and ConflictError if its volume id is
-        already hosted anywhere in the cluster or it does not fit what the
-        group has left (the scheduler read a forged report).
+        Raises ConflictError, before anything changes, if the volume id is
+        already hosted anywhere in the cluster or the request does not fit
+        what the group has left (the scheduler read a forged report).
         """
-        wanted = request.volume_type.layout
-        if not layout_admits(self.impl.layout, wanted, match):
-            raise LayoutError(
-                f"impl {self.impl.impl_id} has layout {self.impl.layout}, "
-                f"request {request.request_id} wants {wanted}"
-            )
         volume_id = request.volume_id
         if volume_id in self._owners:
             raise ConflictError(f"volume {volume_id} already exists")

@@ -75,13 +75,17 @@ class Scenario:
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader whose tagged-scalar errors (an impossible date, an int over
-    Python's digit limit, `!!bool maybe`, an empty `!!int`) name their
-    position, as syntax errors do."""
+    """SafeLoader whose scalar errors (an impossible date, an int over
+    Python's digit limit, `!!bool maybe`, an empty `!!int`, a lone surrogate
+    escape that no output file can encode) name their position, as syntax
+    errors do."""
 
     def construct_located(self, node):
         try:
-            return yaml.SafeLoader.yaml_constructors[node.tag](self, node)
+            value = yaml.SafeLoader.yaml_constructors[node.tag](self, node)
+            if isinstance(value, str):
+                value.encode("utf-8")  # UnicodeEncodeError is a ValueError
+            return value
         except ValueError as exc:  # worded by Python: "month must be in 1..12"
             problem = str(exc)
         except (LookupError, AttributeError):  # PyYAML's own lookups missed
@@ -89,7 +93,7 @@ class _Loader(yaml.SafeLoader):
         raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark)
 
 
-for _tag in ("bool", "int", "float", "timestamp"):
+for _tag in ("bool", "int", "float", "timestamp", "str"):
     _Loader.add_constructor(f"tag:yaml.org,2002:{_tag}", _Loader.construct_located)
 
 # libyaml's parser feeding the same Python constructors, when PyYAML has it
@@ -100,9 +104,9 @@ def _parse(text: str) -> object:
     """The key tree of `text`, parsed by libyaml when PyYAML has it, unless
     the text holds a tag or a byte-order mark: libyaml reads a bare `!` as
     '' where `_Loader` reads None, and drops marks `_Loader` keeps. `_Loader`
-    parses again what libyaml fails on: it accepts some of that (a lone
-    surrogate escape) and words every diagnostic. libyaml also accepts some
-    text `_Loader` rejects, such as a tab after a plain scalar."""
+    parses again what libyaml fails on and words every diagnostic; a lone
+    surrogate escape fails on both. libyaml also accepts some text `_Loader`
+    rejects, such as a tab after a plain scalar."""
     if _FAST_LOADER is not None and "!" not in text and "\ufeff" not in text:
         try:
             return yaml.load(text, Loader=_FAST_LOADER)
@@ -141,11 +145,13 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
     nodes = _build_nodes(data.get("nodes"), diags)
     vtypes = _build_volume_types(data.get("volume_types"), diags)
     control = _build_control(data.get("control"), diags)
-    requests = _build_requests(data.get("requests"), vtypes, diags)
-    workloads = _build_workloads(data.get("workloads"), requests, diags)
-
+    steps = None
     if duration_s is not None and control is not None:
         steps = math.ceil(duration_s / control.control_interval_s)
+    requests = _build_requests(data.get("requests"), vtypes, diags)
+    workloads = _build_workloads(data.get("workloads"), requests, steps, diags)
+
+    if steps is not None:
         last_start = (steps - 1) * control.control_interval_s
         for req in requests:
             if req.time_s > last_start:
@@ -401,8 +407,10 @@ def _build_requests(
 
 
 def _build_workloads(
-    raw: object, requests: list[RequestSpec], diags: list[str]
+    raw: object, requests: list[RequestSpec], steps: int | None, diags: list[str]
 ) -> dict[str, DemandModel]:
+    """Each volume's demand model; `steps` is the run's interval count, or
+    None when the duration or the control section is invalid."""
     if raw is None:
         return {}
     if not isinstance(raw, list):
@@ -427,14 +435,14 @@ def _build_workloads(
         if len(kinds) != 1:
             diags.append(f"{where}: expected exactly one of constant, trace, walk")
             continue
-        model = _build_demand(entry[kinds[0]], kinds[0], where, diags)
+        model = _build_demand(entry[kinds[0]], kinds[0], where, steps, diags)
         if model is not None:
             out[volume_id] = model
     return out
 
 
 def _build_demand(
-    raw: object, kind: str, where: str, diags: list[str]
+    raw: object, kind: str, where: str, steps: int | None, diags: list[str]
 ) -> DemandModel | None:
     try:
         if kind == "constant":
@@ -468,6 +476,10 @@ def _build_demand(
             diags.append(f"{where}.walk.seed: expected an integer")
             return None
         if mean is None or jitter is None:
+            return None
+        # a step adds at most 2 x jitter: random.uniform(-j, j) computes 2j first
+        if steps is not None and not math.isfinite(mean + 2.0 * jitter * steps):
+            diags.append(f"{where}.walk: mean + 2 x jitter x {steps} intervals is not finite")
             return None
         return WalkDemand(mean=mean, jitter=jitter, seed=seed)
     except (InputError, OverflowError) as exc:

@@ -78,19 +78,6 @@ class Reject:
 ScheduleDecision = Union[UseExisting, Provision, Reject]
 
 
-class LayoutMatch(enum.Enum):
-    """How a request's layout is compared against an implementation's."""
-
-    EXACT = "exact"
-    REDUNDANCY = "redundancy"
-
-
-def layout_admits(impl_layout: LayoutKind, wanted: LayoutKind, match: LayoutMatch) -> bool:
-    if match is LayoutMatch.EXACT:
-        return impl_layout == wanted
-    return redundancy_factor(impl_layout) >= redundancy_factor(wanted)
-
-
 def _pick_existing(
     ranked: Iterable[RankedGroup], request: VolumeRequest
 ) -> StorageImplementation | None:
@@ -190,11 +177,11 @@ def schedule_static(request: VolumeRequest, snapshot: ClusterSnapshot) -> Schedu
     The admissible layouts' orders are merged lazily into one, so the
     choice is the same (-remaining_iops, impl_id) rule as in `schedule`.
     """
-    wanted = request.volume_type.layout
+    wanted = redundancy_factor(request.volume_type.layout)
     rankings = [
         ranked
         for layout, ranked in snapshot.ranked_groups.items()
-        if layout_admits(layout, wanted, LayoutMatch.REDUNDANCY)
+        if redundancy_factor(layout) >= wanted
     ]
     chosen = _pick_existing(heapq.merge(*rankings), request)
     if chosen is not None:

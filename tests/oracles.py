@@ -16,17 +16,16 @@ from storbind.model import (
     StorageImplementation,
     disk_count,
     iops_budget,
+    redundancy_factor,
     usable_capacity,
 )
 from storbind.scheduler import (
-    LayoutMatch,
     Provision,
     Reject,
     RejectReason,
     ScheduleDecision,
     UseExisting,
     VolumeRequest,
-    layout_admits,
 )
 from storbind.statedb import ClusterSnapshot
 
@@ -63,12 +62,14 @@ def waterfill_oracle(
 
 
 def _matching_impls(
-    snapshot: ClusterSnapshot, wanted: LayoutKind, match: LayoutMatch
+    snapshot: ClusterSnapshot, wanted: LayoutKind, exact: bool
 ) -> list[StorageImplementation]:
+    """Dynamic mode matches the layout itself; static mode, any at least as redundant."""
     return [
         impl
         for impl in snapshot.implementations.values()
-        if layout_admits(impl.layout, wanted, match)
+        if (impl.layout == wanted if exact
+            else redundancy_factor(impl.layout) >= redundancy_factor(wanted))
     ]
 
 
@@ -109,7 +110,7 @@ def _provision_plan(
 
 def schedule_oracle(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:
     """Dynamic placement by scanning every group and sorting every node."""
-    matches = _matching_impls(snapshot, request.volume_type.layout, LayoutMatch.EXACT)
+    matches = _matching_impls(snapshot, request.volume_type.layout, exact=True)
     chosen = _pick_existing(matches, request)
     if chosen is not None:
         return UseExisting(chosen.impl_id)
@@ -128,7 +129,7 @@ def schedule_oracle(request: VolumeRequest, snapshot: ClusterSnapshot) -> Schedu
 
 def schedule_static_oracle(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:
     """Static placement by scanning every group for a redundancy match."""
-    matches = _matching_impls(snapshot, request.volume_type.layout, LayoutMatch.REDUNDANCY)
+    matches = _matching_impls(snapshot, request.volume_type.layout, exact=False)
     chosen = _pick_existing(matches, request)
     if chosen is not None:
         return UseExisting(chosen.impl_id)

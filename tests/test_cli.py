@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import textwrap
 from pathlib import Path
@@ -53,6 +54,21 @@ def test_run_writes_outputs(tmp_path, capsys):
 
     header = (out / "timeseries.csv").read_text().splitlines()[0]
     assert header == "time_s,volume_id,demand_iops,achieved_iops,cap_iops"
+
+
+def test_timeseries_quotes_volume_ids_the_csv_way(tmp_path):
+    ids = ["a,b", 'say "hi"', "two\nlines", "nul\0byte", "crlf\r\n"]
+    creates = "".join(
+        f"  - {{time: 0, op: create, id: {json.dumps(i)}, type: plain, size: 1G}}\n" for i in ids
+    )
+    path = tmp_path / "ids.yaml"
+    path.write_text(MINI.split("requests:")[0] + "requests:\n" + creates)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    with open(out / "timeseries.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["time_s", "volume_id", "demand_iops", "achieved_iops", "cap_iops"]
+    assert {row[1] for row in rows[1:]} == {f"vol-{i}" for i in ids}
 
 
 def test_run_is_reproducible_byte_for_byte(tmp_path):
@@ -300,6 +316,15 @@ MALFORMED_YAML = {
             "                ^",
         ],
     ),
+    "lone-surrogate": (
+        'name: "\\ud800"\n',
+        [
+            "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed",
+            '  in "<unicode string>", line 1, column 7:',
+            '    name: "\\ud800"',
+            "          ^",
+        ],
+    ),
 }
 
 
@@ -313,6 +338,48 @@ def test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case):
     for command in ("validate", "run"):
         assert main([command, "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == "\n".join(expected) + "\n"
+
+
+# MALFORMED_YAML's lone-surrogate case covers the run's name
+SURROGATE_PROBES = {
+    # a create id, which ends up in timeseries.csv
+    "create-id": ("run", MINI.replace("id: r1", 'id: "\\ud800"')),
+    # a volume-type name, which ends up in compare-static's summary line
+    "type-name": ("compare-static", MINI.replace("plain", '"\\ud800"')),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURROGATE_PROBES))
+def test_lone_surrogate_string_is_a_yaml_diagnostic(tmp_path, capsys, case):
+    command, text = SURROGATE_PROBES[case]
+    path = tmp_path / "surrogate.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    layout = ["--layout", "rep:3"] if command == "compare-static" else []
+    assert main([command, "--scenario", str(path), *layout, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not parseable as YAML: ")
+    assert "surrogates not allowed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, code", [("1.7e+308", 2), ("4.0e+306", 0)], ids=["overflows", "fits"])
+def test_walk_that_can_overflow_is_an_input_error(tmp_path, capsys, value, code):
+    # 100 s at 5 s intervals is 20 intervals, and 4e306 + 2 * 4e306 * 20 is finite
+    path = tmp_path / "walk.yaml"
+    path.write_text(
+        MINI.replace("duration_s: 20", "duration_s: 100")
+        + f"workloads: [{{volume: vol-r1, walk: {{mean: {value}, jitter: {value}}}}}]\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (
+            "error: workloads[0].walk: mean + 2 x jitter x 20 intervals is not finite\n"
+        )
+        assert not out.exists()
+    else:
+        assert (out / "timeseries.csv").is_file()
 
 
 def test_missing_scenario_file_is_a_user_error(tmp_path):
@@ -375,6 +442,42 @@ def test_unusable_out_is_a_user_error(tmp_path, capsys, under):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and f"'{out}" in err
+
+
+def write_named(tmp_path: Path, name: str) -> Path:
+    path = tmp_path / "named.yaml"
+    path.write_text(f"name: {json.dumps(name)}\n" + MINI)
+    return path
+
+
+def test_default_out_is_under_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_named(tmp_path, "plain")
+    assert main(["run", "--scenario", str(path)]) == 0
+    assert main(["compare-static", "--scenario", str(path), "--layout", "jbod"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["plain", "plain-compare"]
+
+
+@pytest.mark.parametrize("name", ["a\0b", "absolute", "../escaped", "..", "."])
+def test_name_that_is_not_one_path_component_needs_out(tmp_path, capsys, monkeypatch, name):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if name == "absolute":
+        name = str(tmp_path / "escaped")
+    path = write_named(tmp_path, name)
+    for argv in (
+        ["run", "--scenario", str(path)],
+        ["compare-static", "--scenario", str(path), "--layout", "jbod"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: name: {name!r} is not one plain path component; give --out\n"
+        )
+    assert not any(work.iterdir()) and not (tmp_path / "escaped").exists()
+    # with --out the name is not restricted
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "given")]) == 0
+    assert json.loads((tmp_path / "given" / "summary.json").read_text())["scenario"] == name
 
 
 def test_unknown_subcommand_exits_2():

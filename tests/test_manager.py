@@ -6,17 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from storbind.errors import ConflictError, InputError, InvalidStateError, LayoutError, NotFoundError
+from storbind.errors import ConflictError, InputError, InvalidStateError, NotFoundError
 from storbind.manager import StorageManager, compute_throttle
 from storbind.model import (
     ControlConfig,
     DiskSpec,
-    Jbod,
     Raid,
     StorageImplementation,
     VolumeType,
 )
-from storbind.scheduler import LayoutMatch, VolumeRequest
+from storbind.scheduler import VolumeRequest
 from storbind.statedb import StateDatabase
 
 TiB = 1024**4
@@ -38,8 +37,8 @@ def make_manager(db: StateDatabase | None = None) -> StorageManager:
     return StorageManager(impl, db or StateDatabase(), {})
 
 
-def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB, layout=RAID6_4) -> VolumeRequest:
-    vtype = VolumeType(name="t", layout=layout, min_iops=min_iops)
+def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRequest:
+    vtype = VolumeType(name="t", layout=RAID6_4, min_iops=min_iops)
     return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
 
 
@@ -74,12 +73,6 @@ def test_admit_capacity_exhausted():
     with pytest.raises(ConflictError, match=f"needs 0 IOPS and {3 * TiB} bytes"):
         mgr.admit(req("big", min_iops=0, size=3 * TiB))
     assert ledger_state(mgr, db) == before
-
-
-def test_admit_wrong_layout_raises():
-    mgr = make_manager()
-    with pytest.raises(LayoutError):
-        mgr.admit(req("r1", layout=Jbod()))
 
 
 def test_admit_duplicate_volume_conflicts():

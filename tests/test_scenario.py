@@ -234,6 +234,18 @@ def test_workload_exactly_one_model():
     assert any("exactly one of" in d for d in diags_of(data))
 
 
+def test_walk_bound_uses_the_run_interval_count():
+    # GOOD runs 60 s at 5 s intervals: 12 intervals
+    data = deep(GOOD)
+    data["workloads"][0] = {"volume": "vol-r1", "walk": {"mean": 1e306, "jitter": 7e306}}
+    assert build_scenario(deep(data)).workloads["vol-r1"] == WalkDemand(1e306, 7e306)
+    data["workloads"][0]["walk"]["jitter"] = 8e306
+    assert diags_of(data) == ["workloads[0].walk: mean + 2 x jitter x 12 intervals is not finite"]
+    # with no interval count to bound it by, only the duration is reported
+    data["duration_s"] = -1
+    assert diags_of(data) == ["duration_s: must be > 0.0, got -1"]
+
+
 def test_workload_trace_and_walk_parse():
     data = deep(GOOD)
     data["requests"].insert(
@@ -369,15 +381,21 @@ SURROGATE = (
 
 
 def test_text_only_the_pure_loader_accepts_loads_as_before(tmp_path, monkeypatch):
+    """The pure loader used to accept a lone surrogate escape, which no
+    output file can encode; now both parse paths give one located error."""
     path = tmp_path / "surrogate.yaml"
     path.write_text(SURROGATE)
     if scenario._FAST_LOADER is not None:
         with pytest.raises(yaml.YAMLError):
             yaml.load(SURROGATE, Loader=scenario._FAST_LOADER)
-    loaded = load_scenario(path)
-    assert loaded.name == "\ud800"
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert "surrogates not allowed" in caught.value.diagnostics[0]
+    assert "line 1, column 7" in caught.value.diagnostics[0]
     monkeypatch.setattr(scenario, "_FAST_LOADER", None)
-    assert load_scenario(path) == loaded
+    with pytest.raises(ScenarioError) as pure:
+        load_scenario(path)
+    assert pure.value.diagnostics == caught.value.diagnostics
 
 
 @pytest.mark.parametrize(

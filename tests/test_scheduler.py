@@ -6,14 +6,12 @@ import random
 
 from storbind.model import DiskSpec, Jbod, Raid, ReplicatedPool, StorageImplementation, VolumeType
 from storbind.scheduler import (
-    LayoutMatch,
     Provision,
     Reject,
     RejectReason,
     UseExisting,
     VolumeRequest,
     latency_stats,
-    layout_admits,
     schedule,
     schedule_static,
 )
@@ -64,15 +62,6 @@ def snapshot(reports=(), nodes=()):
 def request(layout=RAID6_4, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRequest:
     vtype = VolumeType(name="t", layout=layout, min_iops=min_iops)
     return VolumeRequest(request_id="r1", volume_type=vtype, size_bytes=size)
-
-
-def test_layout_admits_exact_and_redundancy():
-    assert layout_admits(RAID6_4, RAID6_4, LayoutMatch.EXACT)
-    assert not layout_admits(RAID6_4, Jbod(), LayoutMatch.EXACT)
-    # redundancy match only needs at least the requested factor
-    assert layout_admits(ReplicatedPool(3), Jbod(), LayoutMatch.REDUNDANCY)
-    assert layout_admits(RAID6_4, RAID6_4, LayoutMatch.REDUNDANCY)
-    assert not layout_admits(Jbod(), ReplicatedPool(3), LayoutMatch.REDUNDANCY)
 
 
 def test_reuse_preferred_over_provision():
@@ -220,9 +209,29 @@ def test_dynamic_schedule_never_rejects_no_layout_match():
 
 
 def test_static_matches_by_redundancy():
+    # a group only needs at least the requested redundancy factor
     snap = snapshot(reports=[impl_report("impl-0001", layout=ReplicatedPool(3))])
     decision = schedule_static(request(layout=Jbod(), min_iops=0), snap)
     assert decision == UseExisting("impl-0001")
+
+
+def test_static_less_redundant_fleet_rejects_no_layout_match():
+    snap = snapshot(reports=[impl_report("impl-0001", layout=Jbod())])
+    decision = schedule_static(request(layout=ReplicatedPool(3), min_iops=0), snap)
+    assert decision == Reject(RejectReason.NO_LAYOUT_MATCH)
+
+
+def test_equal_layouts_match_in_both_modes():
+    snap = snapshot(reports=[impl_report("impl-0001")])
+    assert schedule(request(), snap) == UseExisting("impl-0001")
+    assert schedule_static(request(), snap) == UseExisting("impl-0001")
+
+
+def test_dynamic_never_reuses_another_layout():
+    # the raid group has room, but a jbod request builds its own group
+    snap = snapshot(reports=[impl_report("impl-0001")], nodes=[node_report("node1", 1)])
+    decision = schedule(request(layout=Jbod(), min_iops=0), snap)
+    assert decision == Provision("node1", Jbod(), ("node1-d00",))
 
 
 def test_static_never_provisions():
