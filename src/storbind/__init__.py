@@ -55,18 +55,16 @@ from .report import (
 )
 from .scenario import RequestSpec, Scenario, load_scenario
 from .scheduler import (
-    LatencyStats,
     Provision,
     Reject,
     RejectReason,
     ScheduleDecision,
     UseExisting,
     VolumeRequest,
-    latency_stats,
     schedule,
     schedule_static,
 )
-from .sim import EventKind, SimEvent, SimResult, TimeSeriesPoint, run_scenario
+from .sim import EventKind, SimEvent, SimResult, TimeSeriesPoint, latency_stats, run_scenario
 from .statedb import ClusterSnapshot, StateDatabase
 from .workload import ConstantDemand, DemandStreams, TraceDemand, WalkDemand
 
@@ -88,7 +86,6 @@ __all__ = [
     "InputError",
     "InvalidStateError",
     "Jbod",
-    "LatencyStats",
     "LayoutError",
     "LayoutKind",
     "NotFoundError",

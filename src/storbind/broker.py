@@ -1,7 +1,8 @@
 """Storage broker: turns raw disks into implementations and back.
 
 The broker owns each node's free-disk pool: one tuple of DiskSpec in
-disk_id order, replaced on every change and published as is.
+disk_id order, published when the broker is built and replaced and
+published as is on every change.
 Provisioning is all-or-nothing, and the garbage collector returns an
 implementation's disks to the pool once it has sat empty for the
 configured dwell time.
@@ -44,25 +45,24 @@ class StorageBroker:
                 raise InputError(f"duplicate node_id {node.node_id}")
             self.nodes[node.node_id] = node
             self._free[node.node_id] = tuple(sorted(node.disks, key=lambda d: d.disk_id))
+        # published only once every node is enrolled: a duplicate changes no report
+        for node_id in sorted(self.nodes):
+            statedb.upsert_broker_report(node_id, self._free[node_id])
 
     def free_disk_specs(self, node_id: str) -> tuple[DiskSpec, ...]:
         """The node's free disks in disk_id order, as last published."""
         self._node(node_id)
         return self._free[node_id]
 
-    def publish_all(self) -> None:
-        for node_id in sorted(self.nodes):
-            self.statedb.upsert_broker_report(node_id, self._free[node_id])
-
     def make_order(self, node_id: str, layout: LayoutKind) -> Provision:
         """Plan a build from the live pool's lexicographically smallest free disks."""
         free = self.free_disk_specs(node_id)
-        chosen = candidate_disks(free, layout)
-        if chosen is None:
+        if len(free) < disk_count(layout):
             raise LayoutError(
                 f"node {node_id}: layout {layout} needs {disk_count(layout)} free disks,"
                 f" have {len(free)}"
             )
+        chosen = candidate_disks(free, layout)
         return Provision(node_id, layout, tuple(d.disk_id for d in chosen))
 
     def provision(self, decision: Provision, now: float) -> StorageManager:

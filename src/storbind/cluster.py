@@ -59,7 +59,6 @@ class ControlPlane:
         self.static_layout = static_layout
         self.statedb = StateDatabase()
         self.broker = StorageBroker(nodes, self.statedb)
-        self.broker.publish_all()
 
     def preprovision_static(self, now: float = 0.0) -> list[StorageManager]:
         """Carve every node's free disks into fixed-layout implementations.

@@ -43,14 +43,14 @@ def write_timeseries_csv(points: Iterable[TimeSeriesPoint], path: str | Path) ->
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TIMESERIES_HEADER)
         for p in points:
-            cap = "" if p.cap_iops is None else str(p.cap_iops)
+            # csv writes None as "" and an int as str() does
             writer.writerow(
                 (
                     "%.6f" % p.time_s,
                     p.volume_id,
                     "%.6f" % p.demand_iops,
                     "%.6f" % p.achieved_iops,
-                    cap,
+                    p.cap_iops,
                 )
             )
 

@@ -27,7 +27,7 @@ from .model import (
     parse_size,
     parse_volume_type,
 )
-from .scheduler import VolumeRequest
+from .scheduler import VolumeRequest, volume_id_for
 from .workload import ConstantDemand, DemandModel, TraceDemand, WalkDemand
 
 _TOP_KEYS = {"name", "duration_s", "nodes", "volume_types", "requests", "workloads", "control"}
@@ -55,7 +55,6 @@ class RequestSpec:
     other op; `instance_id` is set for an attach only.
     """
 
-    index: int
     time_s: float
     op: str
     volume_id: str
@@ -145,20 +144,12 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
     nodes = _build_nodes(data.get("nodes"), diags)
     vtypes = _build_volume_types(data.get("volume_types"), diags)
     control = _build_control(data.get("control"), diags)
-    steps = None
+    steps = last_start = None  # the file's interval grid, if it has a valid one
     if duration_s is not None and control is not None:
         steps = math.ceil(duration_s / control.control_interval_s)
-    requests = _build_requests(data.get("requests"), vtypes, diags)
-    workloads = _build_workloads(data.get("workloads"), requests, steps, diags)
-
-    if steps is not None:
         last_start = (steps - 1) * control.control_interval_s
-        for req in requests:
-            if req.time_s > last_start:
-                diags.append(
-                    f"requests[{req.index}].time: {req.time_s} is past the last "
-                    f"control interval start ({last_start})"
-                )
+    requests, declared = _build_requests(data.get("requests"), vtypes, last_start, diags)
+    workloads = _build_workloads(data.get("workloads"), declared, steps, diags)
 
     if diags:
         raise ScenarioError(diags)
@@ -167,7 +158,7 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
         name=name,
         duration_s=duration_s,
         nodes=tuple(nodes),
-        volume_types=vtypes,
+        volume_types=vtypes,  # holds no None: an invalid type is a diagnostic
         requests=tuple(requests),
         workloads=workloads,
         control=control,
@@ -314,27 +305,28 @@ def _disk_values(raw: dict, where: str, diags: list[str]) -> tuple[int, int] | N
     return capacity, iops
 
 
-def _build_volume_types(raw: object, diags: list[str]) -> dict[str, VolumeType]:
+def _build_volume_types(raw: object, diags: list[str]) -> dict[str, VolumeType | None]:
+    """Each declared type by name; None for one that is declared but invalid,
+    after its diagnostic, so that naming it is not reported again."""
     if raw is None:
         diags.append("volume_types: missing")
         return {}
     if not isinstance(raw, dict) or not raw:
         diags.append("volume_types: expected a nonempty mapping")
         return {}
-    vtypes: dict[str, VolumeType] = {}
+    vtypes: dict[str, VolumeType | None] = {}
     for type_name, spec in raw.items():
         where = f"volume_types[{type_name!r}]"
+        vtypes[str(type_name)] = None
         if not isinstance(spec, dict):
             diags.append(f"{where}: expected a key-value mapping")
             continue
         _unknown_keys(spec, VOLUME_TYPE_KEYS, where, diags)
         known = {k: _scalar_str(v) for k, v in spec.items() if k in VOLUME_TYPE_KEYS}
         try:
-            vtype = parse_volume_type(known, name=str(type_name))
+            vtypes[str(type_name)] = parse_volume_type(known, name=str(type_name))
         except (ParseError, LayoutError, InputError) as exc:
             diags.append(f"{where}: {exc}")
-            continue
-        vtypes[str(type_name)] = vtype
     return vtypes
 
 
@@ -345,14 +337,20 @@ def _scalar_str(value: object) -> str:
 
 
 def _build_requests(
-    raw: object, vtypes: dict[str, VolumeType], diags: list[str]
-) -> list[RequestSpec]:
+    raw: object,
+    vtypes: Mapping[str, VolumeType | None],
+    last_start: float | None,
+    diags: list[str],
+) -> tuple[list[RequestSpec], set[str]]:
+    """The tape, and the volume of every create with a nonempty string id,
+    whatever else is wrong with it; `last_start` is None with no interval grid."""
     if raw is None:
-        return []
+        return [], set()
     if not isinstance(raw, list):
         diags.append("requests: expected a list")
-        return []
+        return [], set()
     out: list[RequestSpec] = []
+    declared: set[str] = set()
     seen_ids: set[str] = set()
     last_time: float | None = None
     for i, entry in enumerate(raw):
@@ -365,6 +363,10 @@ def _build_requests(
             diags.append(f"{where}.op: expected one of {', '.join(OPS)}, got {op!r}")
             continue
         _unknown_keys(entry, _OP_KEYS[op], where, diags)
+        request_id = entry.get("id")
+        has_id = isinstance(request_id, str) and request_id != ""
+        if op == "create" and has_id:
+            declared.add(volume_id_for(request_id))
         time_s = _number(entry.get("time"), f"{where}.time", diags, minimum=0.0)
         if time_s is None:
             continue
@@ -372,10 +374,14 @@ def _build_requests(
             diags.append(f"{where}.time: {time_s} decreases from {last_time}")
             continue
         last_time = time_s
+        if last_start is not None and time_s > last_start:
+            # the request is kept, so nothing that names it is reported again
+            diags.append(
+                f"{where}.time: {time_s} is past the last control interval start ({last_start})"
+            )
 
         if op == "create":
-            request_id = entry.get("id")
-            if not isinstance(request_id, str) or not request_id:
+            if not has_id:
                 diags.append(f"{where}.id: create needs a nonempty string id")
                 continue
             if request_id in seen_ids:
@@ -383,14 +389,16 @@ def _build_requests(
                 continue
             seen_ids.add(request_id)
             type_name = entry.get("type")
-            if not isinstance(type_name, str) or type_name not in vtypes:
+            vtype = None
+            if isinstance(type_name, str) and type_name in vtypes:
+                vtype = vtypes[type_name]  # None if invalid, reported where declared
+            else:
                 diags.append(f"{where}.type: unknown volume type {type_name!r}")
-                continue
             size = _bytes(entry.get("size"), f"{where}.size", diags)
-            if size is None:
+            if vtype is None or size is None:
                 continue
-            create = VolumeRequest(request_id, vtypes[type_name], size)
-            out.append(RequestSpec(i, time_s, op, create.volume_id, create=create))
+            create = VolumeRequest(request_id, vtype, size)
+            out.append(RequestSpec(time_s, op, create.volume_id, create=create))
         else:
             volume_id = entry.get("volume")
             if not isinstance(volume_id, str) or not volume_id:
@@ -402,21 +410,20 @@ def _build_requests(
                 if not isinstance(instance_id, str) or not instance_id:
                     diags.append(f"{where}.instance: attach needs an instance id")
                     continue
-            out.append(RequestSpec(i, time_s, op, volume_id, instance_id))
-    return out
+            out.append(RequestSpec(time_s, op, volume_id, instance_id))
+    return out, declared
 
 
 def _build_workloads(
-    raw: object, requests: list[RequestSpec], steps: int | None, diags: list[str]
+    raw: object, declared: AbstractSet[str], steps: int | None, diags: list[str]
 ) -> dict[str, DemandModel]:
-    """Each volume's demand model; `steps` is the run's interval count, or
-    None when the duration or the control section is invalid."""
+    """Each declared volume's demand model; `steps` is the run's interval
+    count, or None when the duration or the control section is invalid."""
     if raw is None:
         return {}
     if not isinstance(raw, list):
         diags.append("workloads: expected a list")
         return {}
-    known_volumes = {r.volume_id for r in requests if r.create is not None}
     out: dict[str, DemandModel] = {}
     for i, entry in enumerate(raw):
         where = f"workloads[{i}]"
@@ -425,7 +432,7 @@ def _build_workloads(
             continue
         _unknown_keys(entry, _WORKLOAD_KEYS, where, diags)
         volume_id = entry.get("volume")
-        if not isinstance(volume_id, str) or volume_id not in known_volumes:
+        if not isinstance(volume_id, str) or volume_id not in declared:
             diags.append(f"{where}.volume: {volume_id!r} is not created by any request")
             continue
         if volume_id in out:
@@ -488,11 +495,13 @@ def _build_demand(
 
 
 def _build_control(raw: object, diags: list[str]) -> ControlConfig | None:
+    """The control knobs, or None when the section is not a mapping or its
+    interval is invalid: then no interval grid is checked against."""
     if raw is None:
         return ControlConfig()
     if not isinstance(raw, dict):
         diags.append("control: expected a mapping")
-        return ControlConfig()
+        return None
     _unknown_keys(raw, _CONTROL_KEYS, "control", diags)
 
     kwargs: dict[str, float | int | Fraction] = {}
@@ -504,8 +513,7 @@ def _build_control(raw: object, diags: list[str]) -> ControlConfig | None:
         kwargs["gc_dwell_s"] = dwell
     if "gc_period_s" in raw:
         period = _number(raw.get("gc_period_s"), "control.gc_period_s", diags, 0.0, exclusive=True)
-        # checked against the interval, so only once the interval parsed
-        if period is not None and interval is not None:
+        if period is not None:
             kwargs["gc_period_s"] = period
     floor = raw.get("throttle_floor_iops", 0)
     if isinstance(floor, bool) or not isinstance(floor, int) or floor < 0:
@@ -527,8 +535,11 @@ def _build_control(raw: object, diags: list[str]) -> ControlConfig | None:
             else:
                 diags.append(f"control.degradation: must be a number in (0, 1], got {value!r}")
 
+    if interval is None:
+        return None
     try:
         return ControlConfig(**kwargs)
-    except ConfigError as exc:
+    except ConfigError as exc:  # only the period can disagree with a valid interval
         diags.append(f"control: {exc}")
-        return None
+        del kwargs["gc_period_s"]
+        return ControlConfig(**kwargs)

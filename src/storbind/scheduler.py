@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-import statistics
 from dataclasses import dataclass
-from math import ceil
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -46,7 +44,12 @@ class VolumeRequest:
     @property
     def volume_id(self) -> str:
         """The id of the volume this request creates when admitted."""
-        return f"vol-{self.request_id}"
+        return volume_id_for(self.request_id)
+
+
+def volume_id_for(request_id: str) -> str:
+    """The id of the volume that a create with this request id makes."""
+    return f"vol-{request_id}"
 
 
 class RejectReason(str, enum.Enum):
@@ -95,21 +98,17 @@ def _pick_existing(
     return None
 
 
-def candidate_disks(
-    free_disks: Sequence[DiskSpec], layout: LayoutKind
-) -> tuple[DiskSpec, ...] | None:
-    """The free disks a new implementation of `layout` would consume, or None.
+def candidate_disks(free_disks: Sequence[DiskSpec], layout: LayoutKind) -> tuple[DiskSpec, ...]:
+    """The free disks a new implementation of `layout` would consume.
 
-    `free_disks` must be in disk_id order, as every published free pool
-    is; the first `need` of them are then the lexicographically smallest
-    free disk ids, so the same free set maps to the same disks no matter
-    who asks: the scheduler against a snapshot, or the broker against its
-    live pool.
+    The caller has checked that the pool holds at least
+    `disk_count(layout)` disks. `free_disks` must be in disk_id order, as
+    every published free pool is; the first `disk_count(layout)` of them
+    are then the lexicographically smallest free disk ids, so the same
+    free set maps to the same disks no matter who asks: the scheduler
+    against a snapshot, or the broker against its live pool.
     """
-    need = disk_count(layout)
-    if len(free_disks) < need:
-        return None
-    return tuple(free_disks[:need])
+    return tuple(free_disks[: disk_count(layout)])
 
 
 def _provision_plan(
@@ -131,7 +130,6 @@ def _provision_plan(
             break
         any_count = True
         disks = candidate_disks(snapshot.nodes[node_id], layout)
-        assert disks is not None
         fits_size = usable_capacity(layout, disks) >= request.size_bytes
         if fits_size and iops_budget(layout, disks) >= request.volume_type.min_iops:
             return Provision(node_id, layout, tuple(d.disk_id for d in disks)), True, any_size_short
@@ -192,26 +190,3 @@ def schedule_static(request: VolumeRequest, snapshot: ClusterSnapshot) -> Schedu
     if any(-ranked[-1][0] < min_iops for ranked in rankings):
         return Reject(RejectReason.NO_IOPS_BUDGET)
     return Reject(RejectReason.NO_CAPACITY)
-
-
-@dataclass(frozen=True)
-class LatencyStats:
-    """Wall-clock scheduling latency over a batch of requests, in seconds."""
-
-    count: int
-    min_s: float
-    median_s: float
-    p99_s: float
-
-
-def latency_stats(samples: Sequence[float]) -> LatencyStats:
-    if not samples:
-        raise InputError("latency_stats needs at least one sample")
-    ordered = sorted(samples)
-    p99_index = min(len(ordered) - 1, ceil(0.99 * len(ordered)) - 1)
-    return LatencyStats(
-        count=len(ordered),
-        min_s=ordered[0],
-        median_s=float(statistics.median(ordered)),
-        p99_s=ordered[p99_index],
-    )

@@ -17,19 +17,20 @@ lives only in the summary.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
-from .errors import InvalidStateError, NotFoundError
+from .errors import InputError, InvalidStateError, NotFoundError
 from .fairshare import IopsValue, allocate_iops, capacity_degradation
 from .manager import StorageManager
 from .model import LayoutKind, StorageImplementation
 from .scenario import RequestSpec, Scenario
-from .scheduler import Provision, Reject, UseExisting, VolumeRequest, latency_stats
+from .scheduler import Provision, Reject, UseExisting, VolumeRequest
 from .workload import DemandStreams
 
 
@@ -288,9 +289,7 @@ class _Engine:
         calls (schedule + provision + admit), not of schedule alone, and
         the only entry that varies between identical runs.
         """
-        latency = None
-        if self.latency_samples:
-            latency = asdict(latency_stats(self.latency_samples))
+        latency = latency_stats(self.latency_samples) if self.latency_samples else None
         return {
             "scenario": self.scenario.name,
             "mode": "static" if self.plane.static_layout is not None else "dynamic",
@@ -300,6 +299,20 @@ class _Engine:
             **fold_summary(self.scenario, self.events),
             "decision_latency": latency,
         }
+
+
+def latency_stats(samples: Sequence[float]) -> dict[str, JsonValue]:
+    """Count, min, median and p99 of wall-clock latency samples, in seconds."""
+    if not samples:
+        raise InputError("latency_stats needs at least one sample")
+    ordered = sorted(samples)
+    p99_index = min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)
+    return {
+        "count": len(ordered),
+        "min_s": ordered[0],
+        "median_s": float(statistics.median(ordered)),
+        "p99_s": ordered[p99_index],
+    }
 
 
 def _decision_payload(outcome: RequestOutcome) -> dict[str, JsonValue]:

@@ -47,7 +47,6 @@ def make_nodes(spec: dict[str, int]) -> list[StorageNode]:
 def make_broker(spec=None) -> tuple[StorageBroker, StateDatabase]:
     db = StateDatabase()
     broker = StorageBroker(make_nodes(spec or {"node1": 10, "node2": 7}), db)
-    broker.publish_all()
     return broker, db
 
 

@@ -1,5 +1,6 @@
 """Pinned output bytes: every bundled scenario, dynamic and static rep:3,
-and the fixtures under tests/data, dynamic (place-mix also static rep:3).
+the fixtures under tests/data, dynamic (place-mix also static rep:3), and
+the benchmark's workloads as perfbench generates them at seed 1.
 
 A refactor or a speed-up must leave events.jsonl and timeseries.csv
 byte-identical. These sha256 digests were recorded at seed 0; a change
@@ -13,7 +14,9 @@ the written event log folds to.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from storbind.sim import EventKind, SimEvent, fold_summary
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
 DATA = Path(__file__).parent / "data"
+BENCH_GENERATOR = Path(__file__).parents[1] / "perfbench" / "scenarios.py"
 
 # (scenario, mode) -> (events.jsonl sha256, timeseries.csv sha256)
 PINNED = {
@@ -106,6 +110,24 @@ REQUESTS_PINNED = {
 }
 
 
+# benchmark workload -> (events.jsonl sha256, timeseries.csv sha256), each
+# generated and run at seed 1 in the generator's own mode (dynamic for all three)
+BENCH_PINNED = {
+    "qos-steady": (
+        "e6b0fdd07d1a1fc6f17eed4d2b18703226c8ddcf7677b4c823694594851dc661",
+        "56ded9685a1fd3942d522304bff792f1bd57449f6f6abb3c3e02f8004d604efe",
+    ),
+    "place-burst": (
+        "2b111dc1eaecb8cd562374de8ae93184020821b02215acf386bde17e88eb316a",
+        "e9180f4a53d4e31feabb4b97c62d42cc3369f28db53fbdf6fec09ee0713c1b5c",
+    ),
+    "churn-gc": (
+        "50115076f5cf77c35806dbf85e84f913f45358fa0d8d73d666425d6bd1284995",
+        "181fa2e239feafd15a700dbac981681adad4e17d159d394ae5b4bb83b554eb19",
+    ),
+}
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -135,6 +157,30 @@ def test_fixture_rep3_output_bytes_match_pin(name: str, tmp_path: Path):
     run_to_directory(scenario, tmp_path, seed=0, static_layout=parse_layout("rep:3"))
     got = (sha256(tmp_path / EVENTS_FILE), sha256(tmp_path / TIMESERIES_FILE))
     assert got == FIXTURES_REP3_PINNED[name]
+
+
+@pytest.fixture(scope="module")
+def bench_generator():
+    """perfbench's scenario generator, imported from its file and left as is."""
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios", BENCH_GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINNED))
+def test_bench_workload_output_bytes_match_pin(name: str, bench_generator, tmp_path: Path):
+    generated = bench_generator.generate(name, 1)
+    source = tmp_path / "scenario.yaml"
+    source.write_text(generated.text)
+    layout = None if generated.static_layout is None else parse_layout(generated.static_layout)
+    run_to_directory(load_scenario(source), tmp_path / "out", seed=1, static_layout=layout)
+    got = (sha256(tmp_path / "out" / EVENTS_FILE), sha256(tmp_path / "out" / TIMESERIES_FILE))
+    assert got == BENCH_PINNED[name]
 
 
 def load_source(name: str) -> Scenario:

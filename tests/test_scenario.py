@@ -289,6 +289,72 @@ def test_gc_period_must_be_a_whole_number_of_intervals():
     assert diags_of(data) == ["control.interval_s: must be > 0.0, got 0"]
 
 
+@pytest.mark.parametrize("control", [{"interval_s": 0}, "fast"], ids=["zero-interval", "scalar"])
+def test_without_a_valid_interval_nothing_is_checked_against_a_grid(control):
+    # a walk that overflows over 12 default intervals and a delete past the
+    # default grid's last start (55) both need a grid the file does not give
+    data = deep(GOOD)
+    data["control"] = control
+    data["workloads"][0] = {"volume": "vol-r1", "walk": {"mean": 1e306, "jitter": 8e306}}
+    data["requests"].append({"time": 59, "op": "delete", "volume": "vol-r1"})
+    (diag,) = diags_of(data)
+    assert diag.startswith("control")
+
+
+def test_a_bad_gc_period_leaves_the_files_grid_checked():
+    data = deep(GOOD)
+    data["control"] = {"interval_s": 10, "gc_period_s": 15}
+    data["requests"].append({"time": 55, "op": "delete", "volume": "vol-r1"})
+    assert diags_of(data) == [
+        "control: gc_period_s must be a whole multiple of control_interval_s (10.0), got 15.0",
+        "requests[4].time: 55.0 is past the last control interval start (50.0)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path,value,diag",
+    [
+        (
+            ("volume_types", "plain"),
+            {"raid": 7},
+            "volume_types['plain']: key 'raid': unsupported level '7' (expected 5 or 6)",
+        ),
+        (
+            ("requests", 0, "size"),
+            "heavy",
+            "requests[0].size: size 'heavy': expected digits with optional k/m/g/t suffix",
+        ),
+        (("requests", 0, "time"), -1, "requests[0].time: must be >= 0.0, got -1"),
+    ],
+    ids=["invalid-type", "bad-size", "bad-time"],
+)
+def test_an_entry_declared_but_invalid_is_reported_once(path, value, diag):
+    data = deep(GOOD)
+    *parents, key = path
+    target = data
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    assert diags_of(data) == [diag]
+
+
+def test_undeclared_types_and_volumes_are_still_reported():
+    data = deep(GOOD)
+    data["requests"][0]["type"] = "nope"
+    data["workloads"][0]["volume"] = "vol-zzz"
+    assert diags_of(data) == [
+        "requests[0].type: unknown volume type 'nope'",
+        "workloads[0].volume: 'vol-zzz' is not created by any request",
+    ]
+    # a create with an empty id declares no volume
+    data = deep(GOOD)
+    data["requests"][0]["id"] = ""
+    assert diags_of(data) == [
+        "requests[0].id: create needs a nonempty string id",
+        "workloads[0].volume: 'vol-r1' is not created by any request",
+    ]
+
+
 def test_bad_app_copies_is_a_diagnostic():
     data = deep(GOOD)
     data["volume_types"]["plain"]["app-copies"] = 0

@@ -11,10 +11,10 @@ from storbind.scheduler import (
     RejectReason,
     UseExisting,
     VolumeRequest,
-    latency_stats,
     schedule,
     schedule_static,
 )
+from storbind.sim import latency_stats
 from storbind.statedb import StateDatabase
 
 TiB = 1024**4
@@ -251,8 +251,9 @@ def test_static_capacity_reject():
 
 
 def test_latency_stats_percentiles():
-    stats = latency_stats([0.004, 0.001, 0.002, 0.003])
-    assert stats.count == 4
-    assert stats.min_s == 0.001
-    assert stats.median_s == 0.0025
-    assert stats.p99_s == 0.004
+    assert latency_stats([0.004, 0.001, 0.002, 0.003]) == {
+        "count": 4,
+        "min_s": 0.001,
+        "median_s": 0.0025,
+        "p99_s": 0.004,
+    }

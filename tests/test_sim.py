@@ -322,6 +322,35 @@ def test_events_are_globally_ordered():
     assert times == sorted(times)
 
 
+def test_ticks_visit_groups_in_sorted_impl_id_order_past_impl_9999():
+    # ids are impl-%04d, so from impl-10000 on sorted order is not creation
+    # order; ticks (rows, throttle events) follow sorted order
+    creates = 10_001
+    data = mini_scenario(
+        duration_s=10,
+        nodes=[
+            {"node_id": f"n{i:04d}", "disks": {"count": 10, "capacity": "1T", "profiled_iops": 100}}
+            for i in range(1001)
+        ],
+        volume_types={"one": {"jbod": 1, "min-iops": 100}},
+        requests=[
+            {"time": 0, "op": "create", "id": f"c{i:05d}", "type": "one", "size": "1G"}
+            for i in range(creates)
+        ],
+    )
+    result = run_scenario(build_scenario(data), seed=0)
+    host = {
+        e.payload["volume_id"]: e.payload["impl_id"]
+        for e in result.events
+        if e.kind == EventKind.ADMITTED
+    }
+    assert len(host) == creates
+    ticked = [host[p.volume_id] for p in result.timeseries if p.time_s == 0]
+    assert ticked == sorted(host.values())
+    at = ticked.index("impl-1000")
+    assert ticked[at : at + 4] == ["impl-1000", "impl-10000", "impl-10001", "impl-1001"]
+
+
 def test_readme_lists_every_event_kind():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Output files\n", 1)[1].split("\n## ", 1)[0]
