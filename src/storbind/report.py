@@ -10,6 +10,7 @@ not.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 from typing import Iterable
@@ -25,6 +26,13 @@ SUMMARY_FILE = "summary.json"
 TIMESERIES_HEADER = ("time_s", "volume_id", "demand_iops", "achieved_iops", "cap_iops")
 
 
+# json.dumps builds an encoder per call; one encoder writes the same bytes
+_encode_event = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# time_s, volume_id, demand_iops, achieved_iops, cap_iops
+_TIMESERIES_ROW = "%.6f,%s,%.6f,%.6f,%s\n"
+
+
 def write_events_jsonl(events: Iterable[SimEvent], path: str | Path) -> None:
     with open(path, "w") as fh:
         for event in events:
@@ -34,25 +42,42 @@ def write_events_jsonl(events: Iterable[SimEvent], path: str | Path) -> None:
                 "kind": event.kind,
                 "payload": event.payload,
             }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            fh.write(_encode_event(record))
             fh.write("\n")
 
 
+class _CsvFields(dict):
+    """A string -> that string as a field of a csv row of several fields.
+
+    Quoted by a `csv.writer` with the time series' dialect, once per
+    distinct string, so `csv` stays the one quoting rule.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._buffer = io.StringIO()
+        self._writer = csv.writer(self._buffer, lineterminator="\n")
+
+    def __missing__(self, value: str) -> str:
+        self._buffer.seek(0)
+        self._buffer.truncate()
+        # a second field, as a lone empty field is quoted where one of several is not
+        self._writer.writerow((value, ""))
+        field = self[value] = self._buffer.getvalue()[: -len(",\n")]
+        return field
+
+
 def write_timeseries_csv(points: Iterable[TimeSeriesPoint], path: str | Path) -> None:
+    """One row per point; the numbers need no quoting and are formatted as csv would."""
+    fields = _CsvFields()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIMESERIES_HEADER)
-        for p in points:
-            # csv writes None as "" and an int as str() does
-            writer.writerow(
-                (
-                    "%.6f" % p.time_s,
-                    p.volume_id,
-                    "%.6f" % p.demand_iops,
-                    "%.6f" % p.achieved_iops,
-                    p.cap_iops,
-                )
-            )
+        fh.write(",".join(TIMESERIES_HEADER) + "\n")
+        # csv writes None as "" and an int as str() does
+        fh.writelines(
+            _TIMESERIES_ROW
+            % (time_s, fields[volume_id], demand, achieved, "" if cap is None else cap)
+            for time_s, volume_id, demand, achieved, cap in points
+        )
 
 
 def write_summary_json(summary: dict, path: str | Path) -> None:

@@ -22,11 +22,11 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
 from .errors import InputError, InvalidStateError, NotFoundError
-from .fairshare import IopsValue, allocate_iops, capacity_degradation
+from .fairshare import allocate_iops, capacity_degradation
 from .manager import StorageManager
 from .model import LayoutKind, StorageImplementation
 from .scenario import RequestSpec, Scenario
@@ -52,8 +52,7 @@ class EventKind:
 JsonValue = Union[None, bool, int, float, str, list, dict]
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     """One event log record: what happened, when, in global order."""
 
     time_s: float
@@ -62,8 +61,7 @@ class SimEvent:
     payload: dict[str, JsonValue]
 
 
-@dataclass(frozen=True)
-class TimeSeriesPoint:
+class TimeSeriesPoint(NamedTuple):
     """One volume's demand and achieved IOPS over one control interval."""
 
     time_s: float
@@ -82,17 +80,22 @@ class SimResult:
 
 @dataclass
 class _GroupShare:
-    """One group's degraded budget and its last fair-share inputs and result.
+    """One group's degraded budget and its last interval's inputs and rows.
 
     Budget and degradation factor are fixed for the group's life, so the
-    degraded budget is computed once. The allocation is reused for as long
-    as the demands and caps repeat the previous interval's.
+    degraded budget is computed once. An interval repeats the last one that
+    allocated when its demands, its caps and the group's ledger record all
+    do; `StorageManager` swaps that record on every admit and delete, so
+    the record's identity stands for the reservations. A repeated interval
+    reuses the allocation's rows, (volume_id, achieved, cap) in volume_id
+    order, and skips the throttle step.
     """
 
     capacity: int
     demands: dict[str, float] = field(default_factory=dict)
     caps: Mapping[str, int] = field(default_factory=dict)
-    achieved: dict[str, IopsValue] = field(default_factory=dict)
+    impl: StorageImplementation | None = None
+    rows: list[tuple[str, float, int | None]] = field(default_factory=list)
 
 
 def as_number(value: Fraction) -> int | float:
@@ -249,21 +252,26 @@ class _Engine:
                 )
             )
         caps = manager.caps
-        if demands == share.demands and caps == share.caps:
-            achieved = share.achieved
-        else:
+        repeated = (
+            manager.impl is share.impl and demands == share.demands and caps == share.caps
+        )
+        if not repeated:
             achieved = allocate_iops(demands, caps, share.capacity)
-            share.demands, share.caps, share.achieved = demands, caps, achieved
-        for vid in volume_ids:
-            self.timeseries.append(
-                TimeSeriesPoint(
-                    time_s=t,
-                    volume_id=vid,
-                    demand_iops=float(demands[vid]),
-                    achieved_iops=float(achieved[vid]),
-                    cap_iops=caps.get(vid),
-                )
-            )
+            share.demands, share.caps, share.impl = demands, caps, manager.impl
+            share.rows = [(vid, float(achieved[vid]), caps.get(vid)) for vid in volume_ids]
+        append = self.timeseries.append
+        # this interval's own demand: -0.0 equals 0.0 in the key but prints apart
+        for vid, achieved_iops, cap in share.rows:
+            append(TimeSeriesPoint(t, vid, float(demands[vid]), achieved_iops, cap))
+        if repeated:
+            # Every interval since the last allocation had these demands, caps
+            # and ledger. That allocating interval ran compute_throttle on the
+            # achieved IOPS, reservations and caps in force that this one would
+            # pass, and it returned caps equal to those in force, or this
+            # interval would not repeat. compute_throttle is pure, so the step
+            # would return the same caps again and emit nothing. Demands are
+            # in the key too, so the skip holds if the rule comes to read them.
+            return
         current = manager.throttle_tick(achieved, self.scenario.control)
         if current == caps:
             return

@@ -3,13 +3,16 @@
 These are deliberately written with different algorithms than the package
 (iterative redistribution instead of the closed-form sorted sweep; a scan
 of every group and a sort of every node instead of the state database's
-maintained orders) so that agreement between the two is meaningful.
+maintained orders; a `csv.writer` for every row instead of one format per
+row) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
-from typing import Mapping
+from pathlib import Path
+from typing import Iterable, Mapping
 
 from storbind.model import (
     LayoutKind,
@@ -27,6 +30,8 @@ from storbind.scheduler import (
     UseExisting,
     VolumeRequest,
 )
+from storbind.report import TIMESERIES_HEADER
+from storbind.sim import TimeSeriesPoint
 from storbind.statedb import ClusterSnapshot
 
 
@@ -138,3 +143,21 @@ def schedule_static_oracle(request: VolumeRequest, snapshot: ClusterSnapshot) ->
     if any(impl.remaining_iops < request.volume_type.min_iops for impl in matches):
         return Reject(RejectReason.NO_IOPS_BUDGET)
     return Reject(RejectReason.NO_CAPACITY)
+
+
+def timeseries_csv_oracle(points: Iterable[TimeSeriesPoint], path: str | Path) -> None:
+    """The time series as `csv.writer` writes it, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TIMESERIES_HEADER)
+        for p in points:
+            # csv writes None as "" and an int as str() does
+            writer.writerow(
+                (
+                    "%.6f" % p.time_s,
+                    p.volume_id,
+                    "%.6f" % p.demand_iops,
+                    "%.6f" % p.achieved_iops,
+                    p.cap_iops,
+                )
+            )

@@ -7,6 +7,10 @@ and the scenario it ran:
 - each row's achieved IOPS is at most min(demand, cap);
 - each group's achieved sum in a tick is at most its degraded budget,
   floor(budget x degradation), give or take float rounding of 1e-9 a row;
+- each row's cap is its group's cap in force, and its achieved IOPS is the
+  max-min fair share of its group's rows;
+- the throttle events are exactly the changes that compute_throttle
+  returns when replayed on every group's every tick;
 - two runs with the same seed write the same bytes.
 """
 
@@ -20,6 +24,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import waterfill_oracle
+from storbind.manager import compute_throttle
 from storbind.model import parse_layout
 from storbind.report import EVENTS_FILE, TIMESERIES_FILE, run_to_directory
 from storbind.scenario import Scenario, build_scenario
@@ -172,26 +178,60 @@ def check_run(scenario: Scenario, result: SimResult) -> None:
     # throttle events are decided in a tick but dated to the next one; they
     # change no membership, so each tick sees every other event up to its time
     events = [e for e in result.events if not e.kind.startswith("throttle-")]
+    throttles = [e for e in result.events if e.kind.startswith("throttle-")]
+    emitted = {
+        (e.payload["impl_id"], e.time_s): (e.kind, e.payload.get("caps")) for e in throttles
+    }
+    replayed: dict[tuple[str, float], tuple[str, dict | None]] = {}
+    # impl_id -> the caps in force: its last throttle-applied's, or none
+    # after a throttle-released; they hold the caps of deleted volumes too
+    in_force: dict[str, dict[str, int]] = defaultdict(dict)
     delta = scenario.control.control_interval_s
-    next_event = 0
+    floor_iops = scenario.control.throttle_floor_iops
+    next_event = next_throttle = 0
     for k in range(math.ceil(scenario.duration_s / delta)):
         t = k * delta
         while next_event < len(events) and events[next_event].time_s <= t:
             apply(events[next_event].kind, events[next_event].payload)
             next_event += 1
+        while next_throttle < len(throttles) and throttles[next_throttle].time_s <= t:
+            payload = throttles[next_throttle].payload
+            in_force[payload["impl_id"]] = payload.get("caps", {})
+            next_throttle += 1
         rows = rows_at.pop(t, [])
         assert sorted(row.volume_id for row in rows) == sorted(hosts)
-        achieved_by_group: dict[str, list[float]] = defaultdict(list)
+        rows_by_group: dict[str, list] = defaultdict(list)
         for row in rows:
             cap = row.demand_iops if row.cap_iops is None else row.cap_iops
             assert 0 <= row.achieved_iops <= min(row.demand_iops, cap)
-            achieved_by_group[hosts[row.volume_id]].append(row.achieved_iops)
-        for impl_id, achieved in achieved_by_group.items():
+            rows_by_group[hosts[row.volume_id]].append(row)
+        for impl_id, group_rows in rows_by_group.items():
             budget = groups[impl_id]["total_iops_budget"]
             degraded = budget * factor.numerator // factor.denominator
-            assert sum(achieved) <= degraded + 1e-9 * len(achieved)
+            assert sum(row.achieved_iops for row in group_rows) <= degraded + 1e-9 * len(group_rows)
+            # exact achieved IOPS, as the engine's throttle step sees them;
+            # their floats are what the rows say
+            achieved = waterfill_oracle(
+                {row.volume_id: row.demand_iops for row in group_rows},
+                degraded,
+                {row.volume_id: row.cap_iops for row in group_rows if row.cap_iops is not None},
+            )
+            assert [float(achieved[row.volume_id]) for row in group_rows] == [
+                row.achieved_iops for row in group_rows
+            ]
+            previous = in_force[impl_id]
+            assert [row.cap_iops for row in group_rows] == [
+                previous.get(row.volume_id) for row in group_rows
+            ]
+            reservations = {row.volume_id: admitted[row.volume_id]["min_iops"] for row in group_rows}
+            current = compute_throttle(achieved, reservations, previous, floor_iops)
+            if current != previous:
+                caps = {vid: current[vid] for vid in sorted(current)} if current else None
+                kind = EventKind.THROTTLE_APPLIED if current else EventKind.THROTTLE_RELEASED
+                replayed[(impl_id, t + delta)] = (kind, caps)
     assert not rows_at, "rows outside the interval grid"
     assert next_event == len(events)
+    assert emitted == replayed
 
 
 def written(scenario: Scenario, seed: int, static_layout) -> tuple[SimResult, bytes, bytes]:

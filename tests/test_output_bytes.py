@@ -8,7 +8,8 @@ that moves one on purpose changes the simulator's observable behaviour
 and must say so. The summary's counts and request log are pinned too,
 for every bundled scenario and fixture in both modes, and everything in
 the summary but the run's identity and decision latency must be what
-the written event log folds to.
+the written event log folds to. The time-series writer must write what
+`csv.writer` writes, row by row, for any rows at all.
 """
 
 from __future__ import annotations
@@ -17,15 +18,25 @@ import hashlib
 import importlib.util
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import timeseries_csv_oracle
 from storbind.model import parse_layout
-from storbind.report import EVENTS_FILE, SUMMARY_FILE, TIMESERIES_FILE, run_to_directory
+from storbind.report import (
+    EVENTS_FILE,
+    SUMMARY_FILE,
+    TIMESERIES_FILE,
+    run_to_directory,
+    write_timeseries_csv,
+)
 from storbind.scenario import Scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
-from storbind.sim import EventKind, SimEvent, fold_summary
+from storbind.sim import EventKind, SimEvent, TimeSeriesPoint, fold_summary
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
 DATA = Path(__file__).parent / "data"
@@ -270,3 +281,34 @@ def test_demand_mix_still_covers_what_it_pins(tmp_path: Path):
         assert f'"{kind}"' in kinds
     rows = (tmp_path / TIMESERIES_FILE).read_text().splitlines()[1:]
     assert any(float(row.split(",")[3]) % 1 for row in rows)
+
+
+# 0, -0.0, the least subnormal, the least normal and the largest float
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+@st.composite
+def timeseries_points(draw) -> list[TimeSeriesPoint]:
+    # the characters csv quotes, the one it quotes alone, and any others
+    chars = st.characters() | st.sampled_from([",", '"', "\r", "\n", "\0", " ", "\u00e9", "\u4e2d"])
+    volume_ids = draw(st.lists(st.text(chars, max_size=6), min_size=1, max_size=4))
+    numbers = st.floats() | EDGE_FLOATS
+    return [
+        TimeSeriesPoint(
+            time_s=draw(numbers),
+            volume_id=draw(st.sampled_from(volume_ids)),
+            demand_iops=draw(numbers),
+            achieved_iops=draw(numbers),
+            cap_iops=draw(st.none() | st.integers()),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+@given(points=timeseries_points())
+def test_timeseries_writer_matches_the_csv_oracle(points):
+    with tempfile.TemporaryDirectory() as name:
+        written, oracle = Path(name) / "written.csv", Path(name) / "oracle.csv"
+        write_timeseries_csv(points, written)
+        timeseries_csv_oracle(points, oracle)
+        assert written.read_bytes() == oracle.read_bytes()

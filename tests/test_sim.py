@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -11,9 +13,10 @@ import pytest
 from helpers import free_disk_count
 from storbind import sim
 from storbind.model import ReplicatedPool, parse_layout
+from storbind.report import EVENTS_FILE, run_to_directory
 from storbind.scenario import build_scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
-from storbind.sim import EventKind, as_number, run_scenario
+from storbind.sim import EventKind, SimEvent, TimeSeriesPoint, as_number, run_scenario
 
 GiB = 1024**3
 DATA = Path(__file__).parent / "data"
@@ -180,6 +183,44 @@ def test_fair_share_is_recomputed_only_when_demand_or_caps_change(monkeypatch):
     # one group: its degraded budget once; its allocation at t=0, on the
     # surge (120), the cap (125), the back-off (480) and the release (485)
     assert calls == {"allocate": 5, "degrade": 1}
+
+
+def test_a_repeated_interval_skips_the_throttle_step(monkeypatch):
+    scenario = load_scenario(scenario_path("noisy-neighbor"))
+    expected = run_scenario(scenario, seed=0)
+    ticks = []
+    throttle_tick = sim.StorageManager.throttle_tick
+
+    def recording_tick(manager, stats, config):
+        ticks.append(manager.impl.impl_id)
+        return throttle_tick(manager, stats, config)
+
+    monkeypatch.setattr(sim.StorageManager, "throttle_tick", recording_tick)
+    result = run_scenario(scenario, seed=0)
+    # only the five intervals that allocate run the step, of 140
+    assert ticks == ["impl-0001"] * 5
+    assert (result.events, result.timeseries) == (expected.events, expected.timeseries)
+
+
+def test_a_repeated_interval_writes_its_own_demand():
+    # -0.0 == 0.0, so the 10 s interval repeats the 5 s one; its row says -0.0
+    data = mini_scenario(duration_s=15)
+    data["workloads"] = [{"volume": "vol-r1", "trace": [[0, 0.0], [10, -0.0]]}]
+    result = run_scenario(build_scenario(data), seed=0)
+    assert [math.copysign(1, p.demand_iops) for p in result.timeseries] == [1, 1, -1]
+
+
+def test_records_are_immutable_and_an_events_line_round_trips(tmp_path):
+    point = TimeSeriesPoint(
+        time_s=0.0, volume_id="vol-r1", demand_iops=1.0, achieved_iops=1.0, cap_iops=None
+    )
+    event = SimEvent(time_s=0.0, seq=0, kind=EventKind.REJECTED, payload={})
+    for record, name in ((point, "cap_iops"), (event, "seq")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    result = run_to_directory(load_scenario(scenario_path("noisy-neighbor")), tmp_path, seed=0)
+    lines = (tmp_path / EVENTS_FILE).read_text().splitlines()
+    assert [SimEvent(**json.loads(line)) for line in lines] == result.events
 
 
 def test_gc_drops_the_reclaimed_groups_fair_share_state():
