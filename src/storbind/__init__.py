@@ -64,7 +64,15 @@ from .scheduler import (
     schedule,
     schedule_static,
 )
-from .sim import EventKind, SimEvent, SimResult, TimeSeriesPoint, latency_stats, run_scenario
+from .sim import (
+    EventKind,
+    SimEvent,
+    SimResult,
+    TimeSeries,
+    TimeSeriesPoint,
+    latency_stats,
+    run_scenario,
+)
 from .statedb import ClusterSnapshot, StateDatabase
 from .workload import ConstantDemand, DemandStreams, TraceDemand, WalkDemand
 
@@ -108,6 +116,7 @@ __all__ = [
     "StorageImplementation",
     "StorageManager",
     "StorageNode",
+    "TimeSeries",
     "TimeSeriesPoint",
     "TraceDemand",
     "UseExisting",

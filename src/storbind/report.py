@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .model import LayoutKind
 from .scenario import Scenario
-from .sim import SimEvent, SimResult, TimeSeriesPoint, run_scenario
+from .sim import Rows, SimEvent, SimResult, TimeSeries, run_scenario
 
 EVENTS_FILE = "events.jsonl"
 TIMESERIES_FILE = "timeseries.csv"
@@ -29,8 +29,8 @@ TIMESERIES_HEADER = ("time_s", "volume_id", "demand_iops", "achieved_iops", "cap
 # json.dumps builds an encoder per call; one encoder writes the same bytes
 _encode_event = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# time_s, volume_id, demand_iops, achieved_iops, cap_iops
-_TIMESERIES_ROW = "%.6f,%s,%.6f,%.6f,%s\n"
+# volume_id, demand_iops, achieved_iops, cap_iops; each row's time_s goes before it
+_TIMESERIES_ROW = "%s,%.6f,%.6f,%s\n"
 
 
 def write_events_jsonl(events: Iterable[SimEvent], path: str | Path) -> None:
@@ -67,17 +67,42 @@ class _CsvFields(dict):
         return field
 
 
-def write_timeseries_csv(points: Iterable[TimeSeriesPoint], path: str | Path) -> None:
-    """One row per point; the numbers need no quoting and are formatted as csv would."""
+def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
+    """One row per point; the numbers need no quoting and are formatted as csv would.
+
+    A block's time is formatted once per time object, and reused only while
+    the next block's time is that very object: -0.0 == 0.0 but prints apart.
+    A rows object's text is formatted once, keyed by its identity, which is
+    stable because `series` keeps every rows object alive. The text is kept
+    for the current and previous interval, long enough for an interval that
+    repeats the last to find it.
+    """
     fields = _CsvFields()
+
+    def texts_of(rows: Rows) -> list[str]:
+        # csv writes None as "" and an int as str() does
+        return [
+            _TIMESERIES_ROW % (fields[volume_id], demand, achieved, "" if cap is None else cap)
+            for volume_id, demand, achieved, cap in rows
+        ]
+
+    last_t: object = None
+    prefix = ""
+    current: dict[int, list[str]] = {}
+    previous: dict[int, list[str]] = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TIMESERIES_HEADER) + "\n")
-        # csv writes None as "" and an int as str() does
-        fh.writelines(
-            _TIMESERIES_ROW
-            % (time_s, fields[volume_id], demand, achieved, "" if cap is None else cap)
-            for time_s, volume_id, demand, achieved, cap in points
-        )
+        write = fh.write
+        for t, rows in series.blocks:
+            if not rows:
+                continue
+            if t is not last_t:
+                last_t, prefix = t, "%.6f," % t
+                previous, current = current, {}
+            key = id(rows)
+            # rows is not empty, so neither is its text
+            texts = current[key] = current.get(key) or previous.get(key) or texts_of(rows)
+            write(prefix + prefix.join(texts))
 
 
 def write_summary_json(summary: dict, path: str | Path) -> None:

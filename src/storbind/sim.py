@@ -1,9 +1,12 @@
 """Deterministic interval-stepped simulation of one scenario.
 
 The engine replays the request tape against a control plane, samples
-demand once per control interval per live volume, splits each
-implementation's degraded budget max-min fairly, and runs the throttle
-loop. Everything observable lands in one of three places: an ordered
+each group's demand on the control intervals where it can have changed,
+splits each implementation's degraded budget max-min fairly, and runs the
+throttle loop. A group samples every live volume's demand when its ledger
+or caps change, when a trace volume reaches its next point, and on every
+interval while it hosts a walk, so a walk steps exactly once per interval.
+Everything observable lands in one of three places: an ordered
 event log, a per-volume time series, and an end-of-run summary. The
 event log is the record of what the run did: apart from the run's
 identity and decision latency, the summary is a fold of it and of the
@@ -22,7 +25,9 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence, Union
+from itertools import islice, repeat
+from operator import eq, is_
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
 from .errors import InputError, InvalidStateError, NotFoundError
@@ -71,31 +76,78 @@ class TimeSeriesPoint(NamedTuple):
     cap_iops: int | None
 
 
+# one group-interval's rows: (volume_id, demand, achieved, cap) in volume_id order
+Rows = tuple[tuple[str, float, float, int | None], ...]
+
+
+class TimeSeries(Sequence[TimeSeriesPoint]):
+    """The per-volume time series, held as one block of rows per group-interval.
+
+    `blocks` is a list of `(t, rows)`. An interval that repeats its group's
+    last one appends that interval's `rows` object itself, so a repeat
+    costs one entry. Read as a sequence, it is the points in order: one
+    `TimeSeriesPoint(t, *row)` per row of each block.
+    """
+
+    def __init__(self, blocks: Iterable[tuple[float, Rows]] = ()) -> None:
+        self.blocks: list[tuple[float, Rows]] = []
+        self._len = 0
+        for t, rows in blocks:
+            self.append(t, rows)
+
+    def append(self, t: float, rows: Rows) -> None:
+        self.blocks.append((t, rows))
+        self._len += len(rows)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[TimeSeriesPoint]:
+        for t, rows in self.blocks:
+            for row in rows:
+                yield TimeSeriesPoint(t, *row)
+
+    def __getitem__(self, index):  # an int gives a point, a slice a list of them
+        if isinstance(index, slice):
+            return list(self)[index]
+        position = range(self._len)[index]  # IndexError out of range
+        return next(islice(self, position, None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimeSeries):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass
 class SimResult:
     events: list[SimEvent] = field(default_factory=list)
-    timeseries: list[TimeSeriesPoint] = field(default_factory=list)
+    timeseries: TimeSeries = field(default_factory=TimeSeries)
     summary: dict[str, JsonValue] = field(default_factory=dict)
 
 
 @dataclass
 class _GroupShare:
-    """One group's degraded budget and its last interval's inputs and rows.
+    """One group's degraded budget and its last sampled interval's inputs and rows.
 
     Budget and degradation factor are fixed for the group's life, so the
     degraded budget is computed once. An interval repeats the last one that
     allocated when its demands, its caps and the group's ledger record all
     do; `StorageManager` swaps that record on every admit and delete, so
     the record's identity stands for the reservations. A repeated interval
-    reuses the allocation's rows, (volume_id, achieved, cap) in volume_id
-    order, and skips the throttle step.
+    reuses the allocation's achieved IOPS and caps, and skips the throttle
+    step. `demands` and `rows` are the last sampled interval's, and `until`
+    the earliest time any of its volumes' demand can differ from them (the
+    group's demand calendar): before then, with the same ledger record and
+    caps, an interval samples nothing and appends `rows` itself.
     """
 
     capacity: int
     demands: dict[str, float] = field(default_factory=dict)
     caps: Mapping[str, int] = field(default_factory=dict)
     impl: StorageImplementation | None = None
-    rows: list[tuple[str, float, int | None]] = field(default_factory=list)
+    rows: Rows = ()
+    until: float = -math.inf
 
 
 def as_number(value: Fraction) -> int | float:
@@ -112,7 +164,7 @@ class _Engine:
         self.plane = ControlPlane(scenario.nodes, static_layout=static_layout)
         self.streams = DemandStreams(seed)
         self.events: list[SimEvent] = []
-        self.timeseries: list[TimeSeriesPoint] = []
+        self.timeseries = TimeSeries()
         self.latency_samples: list[float] = []
         self._shares: dict[str, _GroupShare] = {}
 
@@ -237,32 +289,45 @@ class _Engine:
         )
 
     def _control_tick(self, manager: StorageManager, t: float, delta: float) -> None:
-        volume_ids = sorted(manager.volumes)
-        if not volume_ids:
+        if not manager.volumes:
             return
-        demands = {
-            vid: self.streams.demand(vid, self.scenario.workloads.get(vid), t)
-            for vid in volume_ids
-        }
-        share = self._shares.get(manager.impl.impl_id)
+        impl, caps = manager.impl, manager.caps
+        share = self._shares.get(impl.impl_id)
         if share is None:
-            share = self._shares[manager.impl.impl_id] = _GroupShare(
-                capacity_degradation(
-                    manager.impl.total_iops_budget, self.scenario.control.degradation
-                )
+            share = self._shares[impl.impl_id] = _GroupShare(
+                capacity_degradation(impl.total_iops_budget, self.scenario.control.degradation)
             )
-        caps = manager.caps
-        repeated = (
-            manager.impl is share.impl and demands == share.demands and caps == share.caps
-        )
+        same_inputs = impl is share.impl and caps == share.caps
+        if same_inputs and t < share.until:
+            # A calendar hit: no volume's demand can have changed since the
+            # last sampled interval, so sampling would return the very float
+            # objects that interval had. That interval was an allocation or
+            # a repeat of one, so this is a repeat too (below), and its rows,
+            # demands included, are this interval's.
+            self.timeseries.append(t, share.rows)
+            return
+        volume_ids = sorted(manager.volumes)
+        workloads = self.scenario.workloads
+        models = [workloads.get(vid) for vid in volume_ids]
+        demand = self.streams.demand
+        demands = {vid: demand(vid, model, t) for vid, model in zip(volume_ids, models)}
+        share.until = min(map(self.streams.until, models, repeat(t)))
+        repeated = same_inputs and demands == share.demands
         if not repeated:
             achieved = allocate_iops(demands, caps, share.capacity)
-            share.demands, share.caps, share.impl = demands, caps, manager.impl
-            share.rows = [(vid, float(achieved[vid]), caps.get(vid)) for vid in volume_ids]
-        append = self.timeseries.append
-        # this interval's own demand: -0.0 equals 0.0 in the key but prints apart
-        for vid, achieved_iops, cap in share.rows:
-            append(TimeSeriesPoint(t, vid, float(demands[vid]), achieved_iops, cap))
+            share.caps, share.impl = caps, impl
+            share.rows = tuple(
+                (vid, float(demands[vid]), float(achieved[vid]), caps.get(vid))
+                for vid in volume_ids
+            )
+        elif not all(map(is_, demands.values(), share.demands.values())):
+            # this interval's own demand: -0.0 equals 0.0 in the key but prints apart
+            share.rows = tuple(
+                (vid, float(demands[vid]), achieved_iops, cap)
+                for vid, _, achieved_iops, cap in share.rows
+            )
+        share.demands = demands
+        self.timeseries.append(t, share.rows)
         if repeated:
             # Every interval since the last allocation had these demands, caps
             # and ledger. That allocating interval ran compute_throttle on the
@@ -271,6 +336,7 @@ class _Engine:
             # interval would not repeat. compute_throttle is pure, so the step
             # would return the same caps again and emit nothing. Demands are
             # in the key too, so the skip holds if the rule comes to read them.
+            # A calendar hit (above) is a case of this repeat.
             return
         current = manager.throttle_tick(achieved, self.scenario.control)
         if current == caps:

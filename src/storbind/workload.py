@@ -10,8 +10,10 @@ when other volumes come or go.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
+from operator import itemgetter
 from typing import Union
 
 from .errors import InputError
@@ -62,11 +64,22 @@ class WalkDemand:
 DemandModel = Union[ConstantDemand, TraceDemand, WalkDemand]
 
 
+_start = itemgetter(0)
+
+
+def _next_point(model: TraceDemand, t: float) -> int:
+    """The index of the trace's first point that starts after `t`."""
+    return bisect_right(model.points, t, key=_start)
+
+
 class DemandStreams:
     """Evaluates demand models, holding walk state per volume.
 
-    demand() must be called exactly once per control interval for each
-    live volume; walks advance one step per call.
+    A walk advances one step per demand() call, so demand() must be called
+    exactly once per control interval for each live volume that walks. A
+    constant or trace volume may be skipped: until() says how long its
+    demand holds, and over that span demand() returns the very same float
+    object on every call.
     """
 
     def __init__(self, seed: int):
@@ -84,14 +97,24 @@ class DemandStreams:
         if isinstance(model, ConstantDemand):
             return model.iops
         if isinstance(model, TraceDemand):
-            level = 0.0
-            for start_s, iops in model.points:
-                if start_s <= t:
-                    level = iops
-                else:
-                    break
-            return level
+            index = _next_point(model, t)
+            return model.points[index - 1][1] if index else 0.0
         return self._walk(volume_id, model)
+
+    @staticmethod
+    def until(model: DemandModel | None, t: float) -> float:
+        """The earliest time after `t` at which the model's demand can differ.
+
+        inf for no model or a constant, the start of the trace's next point
+        (inf after its last), and `t` itself for a walk, which steps every
+        interval.
+        """
+        if model is None or isinstance(model, ConstantDemand):
+            return inf
+        if isinstance(model, TraceDemand):
+            index = _next_point(model, t)
+            return model.points[index][0] if index < len(model.points) else inf
+        return t
 
     def _walk(self, volume_id: str, model: WalkDemand) -> float:
         state = self._walks.get(volume_id)

@@ -22,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import timeseries_csv_oracle
@@ -36,7 +36,7 @@ from storbind.report import (
 )
 from storbind.scenario import Scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
-from storbind.sim import EventKind, SimEvent, TimeSeriesPoint, fold_summary
+from storbind.sim import EventKind, SimEvent, TimeSeries, fold_summary
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
 DATA = Path(__file__).parent / "data"
@@ -287,28 +287,60 @@ def test_demand_mix_still_covers_what_it_pins(tmp_path: Path):
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
 
 
+def _flip_zero(x: float) -> float:
+    """-0.0 for 0.0 and 0.0 for -0.0: equal, but printed apart."""
+    return -x if x == 0 else x
+
+
 @st.composite
-def timeseries_points(draw) -> list[TimeSeriesPoint]:
+def timeseries_blocks(draw) -> TimeSeries:
     # the characters csv quotes, the one it quotes alone, and any others
     chars = st.characters() | st.sampled_from([",", '"', "\r", "\n", "\0", " ", "\u00e9", "\u4e2d"])
     volume_ids = draw(st.lists(st.text(chars, max_size=6), min_size=1, max_size=4))
     numbers = st.floats() | EDGE_FLOATS
-    return [
-        TimeSeriesPoint(
-            time_s=draw(numbers),
-            volume_id=draw(st.sampled_from(volume_ids)),
-            demand_iops=draw(numbers),
-            achieved_iops=draw(numbers),
-            cap_iops=draw(st.none() | st.integers()),
-        )
-        for _ in range(draw(st.integers(0, 8)))
-    ]
+    series = TimeSeries()
+    t, rows = draw(numbers), ()
+    for _ in range(draw(st.integers(0, 8))):
+        # the same time object, the other zero (or -t), or a new time
+        how = draw(st.sampled_from(["same", "flip", "new"]))
+        t = t if how == "same" else -t if how == "flip" else draw(numbers)
+        # the same rows object, rows equal to it but for the sign of a zero, or new rows
+        how = draw(st.sampled_from(["shared", "flipped", "new"]))
+        if how == "flipped":
+            rows = tuple((v, _flip_zero(d), _flip_zero(a), c) for v, d, a, c in rows)
+        elif how == "new":
+            rows = tuple(
+                (
+                    draw(st.sampled_from(volume_ids)),
+                    draw(numbers),
+                    draw(numbers),
+                    draw(st.none() | st.integers()),
+                )
+                for _ in range(draw(st.integers(0, 3)))  # 0: an empty block
+            )
+        series.append(t, rows)
+    return series
 
 
-@given(points=timeseries_points())
-def test_timeseries_writer_matches_the_csv_oracle(points):
+_ZERO_ROWS = (("vol-a", 0.0, 0.0, None), ("vol-b", 1.5, -0.0, 7))
+_NEG_ZERO_ROWS = tuple((v, _flip_zero(d), _flip_zero(a), c) for v, d, a, c in _ZERO_ROWS)
+
+
+@given(series=timeseries_blocks())
+@example(
+    series=TimeSeries(
+        [
+            (0.0, _ZERO_ROWS),
+            (-0.0, _ZERO_ROWS),  # adjacent 0.0 and -0.0; a rows object shared
+            (-0.0, ()),
+            (5.0, _NEG_ZERO_ROWS),  # equal to the last rows but for zero signs
+            (5.0, _ZERO_ROWS),
+        ]
+    )
+)
+def test_timeseries_writer_matches_the_csv_oracle(series):
     with tempfile.TemporaryDirectory() as name:
         written, oracle = Path(name) / "written.csv", Path(name) / "oracle.csv"
-        write_timeseries_csv(points, written)
-        timeseries_csv_oracle(points, oracle)
+        write_timeseries_csv(series, written)
+        timeseries_csv_oracle(list(series), oracle)
         assert written.read_bytes() == oracle.read_bytes()

@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
+import storbind
 from helpers import free_disk_count
 from storbind import sim
 from storbind.model import ReplicatedPool, parse_layout
 from storbind.report import EVENTS_FILE, run_to_directory
 from storbind.scenario import build_scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
-from storbind.sim import EventKind, SimEvent, TimeSeriesPoint, as_number, run_scenario
+from storbind.sim import EventKind, SimEvent, TimeSeries, TimeSeriesPoint, as_number, run_scenario
+from storbind.workload import DemandStreams
 
 GiB = 1024**3
 DATA = Path(__file__).parent / "data"
@@ -208,6 +210,82 @@ def test_a_repeated_interval_writes_its_own_demand():
     data["workloads"] = [{"volume": "vol-r1", "trace": [[0, 0.0], [10, -0.0]]}]
     result = run_scenario(build_scenario(data), seed=0)
     assert [math.copysign(1, p.demand_iops) for p in result.timeseries] == [1, 1, -1]
+
+
+def _record_demand_calls(monkeypatch) -> list[tuple[float, str]]:
+    calls: list[tuple[float, str]] = []
+    demand = DemandStreams.demand
+
+    def recording_demand(streams, volume_id, model, t):
+        calls.append((t, volume_id))
+        return demand(streams, volume_id, model, t)
+
+    monkeypatch.setattr(DemandStreams, "demand", recording_demand)
+    return calls
+
+
+def test_constant_demand_is_sampled_only_when_the_group_changes(monkeypatch):
+    data = mini_scenario(duration_s=30)
+    data["requests"].append(
+        {"time": 10, "op": "create", "id": "r2", "type": "plain", "size": "100G"}
+    )
+    # vol-r2 has no model, so it demands a constant 0.0
+    data["workloads"] = [{"volume": "vol-r1", "constant": 40}]
+    calls = _record_demand_calls(monkeypatch)
+    result = run_scenario(build_scenario(data), seed=0)
+    # sampled at t=0, and again at t=10 when vol-r2 joins the group
+    assert calls == [(0.0, "vol-r1"), (10.0, "vol-r1"), (10.0, "vol-r2")]
+    assert len(result.timeseries) == 6 + 4
+
+
+def test_a_trace_point_off_the_interval_grid_changes_the_next_row():
+    data = mini_scenario(duration_s=20)
+    data["workloads"] = [{"volume": "vol-r1", "trace": [[0, 10], [7, 20]]}]
+    result = run_scenario(build_scenario(data), seed=0)
+    # 7 s falls between the 5 s and 10 s interval starts
+    assert [(p.time_s, p.demand_iops) for p in result.timeseries] == [
+        (0.0, 10.0), (5.0, 10.0), (10.0, 20.0), (15.0, 20.0),
+    ]
+
+
+def test_a_group_with_a_walk_samples_every_volume_every_interval(monkeypatch):
+    data = mini_scenario(duration_s=20)
+    data["requests"].append(
+        {"time": 0, "op": "create", "id": "r2", "type": "plain", "size": "100G"}
+    )
+    data["workloads"] = [
+        {"volume": "vol-r1", "walk": {"mean": 100, "jitter": 30}},
+        {"volume": "vol-r2", "constant": 40},
+    ]
+    calls = _record_demand_calls(monkeypatch)
+    result = run_scenario(build_scenario(data), seed=0)
+    assert calls == [(t, vid) for t in (0.0, 5.0, 10.0, 15.0) for vid in ("vol-r1", "vol-r2")]
+    assert {p.volume_id for p in result.timeseries} == {"vol-r1", "vol-r2"}
+
+
+def test_timeseries_reads_as_a_sequence_of_points():
+    data = mini_scenario(duration_s=15)
+    data["requests"].append(
+        {"time": 5, "op": "create", "id": "r2", "type": "plain", "size": "100G"}
+    )
+    data["workloads"] = [{"volume": "vol-r2", "walk": {"mean": 100, "jitter": 30}}]
+    scenario = build_scenario(data)
+    a, b, c = (run_scenario(scenario, seed=seed) for seed in (3, 3, 4))
+    series = a.timeseries
+    assert isinstance(series, TimeSeries)
+    points = list(series)
+    assert all(isinstance(p, TimeSeriesPoint) for p in points)
+    assert [(p.time_s, p.volume_id) for p in points] == [
+        (0.0, "vol-r1"), (5.0, "vol-r1"), (5.0, "vol-r2"), (10.0, "vol-r1"), (10.0, "vol-r2"),
+    ]
+    assert len(series) == 5
+    assert [series[i] for i in range(-5, 5)] == points * 2
+    assert series[1:3] == points[1:3]
+    with pytest.raises(IndexError):
+        series[5]
+    assert series == b.timeseries
+    assert series != c.timeseries  # the walk's seed differs
+    assert "TimeSeries" in storbind.__all__
 
 
 def test_records_are_immutable_and_an_events_line_round_trips(tmp_path):

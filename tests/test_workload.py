@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 import pytest
 
 from storbind.errors import InputError
@@ -36,6 +38,35 @@ def test_trace_before_first_point_is_idle():
     streams = DemandStreams(seed=0)
     assert streams.demand("vol-b", model, 0.0) == 0
     assert streams.demand("vol-b", model, 60.0) == 80
+
+
+def test_trace_level_and_until_come_from_one_lookup():
+    model = TraceDemand(points=((10.0, 50.0), (20.0, 500.0)))
+    streams = DemandStreams(seed=0)
+    cases = {  # t -> (level, until)
+        0.0: (0.0, 10.0),  # before the first point
+        10.0: (50.0, 20.0),  # exactly on a point
+        15.0: (50.0, 20.0),  # between points
+        20.0: (500.0, inf),  # on the last point
+        25.0: (500.0, inf),  # after the last point
+    }
+    assert {t: (streams.demand("vol-b", model, t), streams.until(model, t)) for t in cases} == cases
+
+
+def test_until_of_no_model_a_constant_and_a_walk():
+    assert DemandStreams.until(None, 5.0) == inf
+    assert DemandStreams.until(ConstantDemand(iops=3.0), 5.0) == inf
+    # a walk steps every interval
+    assert DemandStreams.until(WalkDemand(mean=1.0, jitter=1.0), 5.0) == 5.0
+
+
+def test_a_held_demand_is_the_same_float_object():
+    # a skipped interval would have sampled the very object the last one did
+    constant, trace = ConstantDemand(iops=100.0), TraceDemand(points=((0.0, 7.5),))
+    streams = DemandStreams(seed=0)
+    for t in (0.0, 5.0, 50.0):
+        assert streams.demand("vol-a", constant, t) is constant.iops
+        assert streams.demand("vol-b", trace, t) is trace.points[0][1]
 
 
 def test_trace_validation():
