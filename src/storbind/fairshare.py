@@ -49,7 +49,11 @@ def allocate_iops(
     rn, rd = _checked(capacity, "capacity").as_integer_ratio()
     order = []
     for volume_id, demand in demands.items():
-        want = _checked(demand, "demand", volume_id)
+        # every sampled demand is a float: one type test, then the same bounds
+        if type(demand) is float and 0.0 <= demand < inf:  # nan fails
+            want = demand
+        else:
+            want = _checked(demand, "demand", volume_id)
         if volume_id in caps:
             cap = _checked(caps[volume_id], "cap", volume_id)
             if cap < want:

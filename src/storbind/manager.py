@@ -37,6 +37,13 @@ class Admission:
 _NO_CAPS: Mapping[str, int] = MappingProxyType({})
 
 
+def _below(observed: int | float | Fraction, bound: int) -> bool:
+    """observed < bound, exactly; a Fraction's denominator is positive."""
+    if type(observed) is Fraction:
+        return observed.numerator < bound * observed.denominator
+    return observed < bound
+
+
 def compute_throttle(
     stats: IntervalStats,
     reservations: Mapping[str, int],
@@ -52,9 +59,14 @@ def compute_throttle(
     appetite is unobservable below the cap, so releasing would only
     re-trigger the violation), and released otherwise. So a deleted volume
     keeps its cap until the caps next change.
+
+    Every comparison is exact. A `Fraction` stat (the fair share's water
+    level) is compared with an int reservation or cap in integers, as
+    `numerator < bound * denominator`, which is what `Fraction.__lt__`
+    computes, without its dispatch on the other operand's type.
     """
     violators = {
-        volume_id for volume_id, floor in reservations.items() if stats[volume_id] < floor
+        volume_id for volume_id, floor in reservations.items() if _below(stats[volume_id], floor)
     }
     if violators:
         return MappingProxyType({
@@ -63,7 +75,7 @@ def compute_throttle(
             if volume_id not in violators
         })
     for volume_id, cap in previous.items():
-        if volume_id in stats and stats[volume_id] >= cap:
+        if volume_id in stats and not _below(stats[volume_id], cap):
             return previous
     return _NO_CAPS
 

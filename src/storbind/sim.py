@@ -31,12 +31,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
 from .errors import InputError, InvalidStateError, NotFoundError
-from .fairshare import allocate_iops, capacity_degradation
+from .fairshare import IopsValue, allocate_iops, capacity_degradation
 from .manager import StorageManager
 from .model import LayoutKind, StorageImplementation
 from .scenario import RequestSpec, Scenario
 from .scheduler import Provision, Reject, UseExisting, VolumeRequest
-from .workload import DemandStreams
+from .workload import DemandModel, DemandStreams, WalkDemand
 
 
 class EventKind:
@@ -128,16 +128,22 @@ class SimResult:
 
 @dataclass
 class _GroupShare:
-    """One group's degraded budget and its last sampled interval's inputs and rows.
+    """One group's degraded budget, membership, and last sampled interval's inputs and rows.
 
     Budget and degradation factor are fixed for the group's life, so the
-    degraded budget is computed once. An interval repeats the last one that
-    allocated when its demands, its caps and the group's ledger record all
-    do; `StorageManager` swaps that record on every admit and delete, so
-    the record's identity stands for the reservations. A repeated interval
-    reuses the allocation's achieved IOPS and caps, and skips the throttle
-    step. `demands` and `rows` are the last sampled interval's, and `until`
-    the earliest time any of its volumes' demand can differ from them (the
+    degraded budget is computed once. `StorageManager` swaps the group's
+    ledger record on every admit and delete, and on nothing else, so the
+    record's identity stands for the reservations and for the set of
+    hosted volumes. `impl` is the record the membership was derived from:
+    `volume_ids` sorted, their demand `models`, and whether any of them is
+    a walk (`walks`). They are rebuilt only when the record is swapped;
+    attach and detach keep them.
+
+    An interval repeats the last one that allocated when its demands, its
+    caps and the group's ledger record all do. A repeated interval reuses
+    the allocation's achieved IOPS and caps, and skips the throttle step.
+    `demands` and `rows` are the last sampled interval's, and `until` the
+    earliest time any of its volumes' demand can differ from them (the
     group's demand calendar): before then, with the same ledger record and
     caps, an interval samples nothing and appends `rows` itself.
     """
@@ -146,8 +152,35 @@ class _GroupShare:
     demands: dict[str, float] = field(default_factory=dict)
     caps: Mapping[str, int] = field(default_factory=dict)
     impl: StorageImplementation | None = None
+    volume_ids: list[str] = field(default_factory=list)
+    models: list[DemandModel | None] = field(default_factory=list)
+    walks: bool = False
     rows: Rows = ()
     until: float = -math.inf
+
+
+def _rows(
+    volume_ids: Sequence[str],
+    demands: Mapping[str, float],
+    achieved: Mapping[str, IopsValue],
+    caps: Mapping[str, int],
+) -> Rows:
+    """One allocating group-interval's rows, in `volume_ids` order.
+
+    The volumes that share the water level all hold the one `Fraction`
+    that `allocate_iops` made, so it is converted to float once, not once
+    per row.
+    """
+    rows = []
+    level = level_iops = None
+    for vid in volume_ids:
+        iops = achieved[vid]
+        if type(iops) is Fraction:
+            if iops is not level:
+                level, level_iops = iops, float(iops)
+            iops = level_iops
+        rows.append((vid, float(demands[vid]), float(iops), caps.get(vid)))
+    return tuple(rows)
 
 
 def as_number(value: Fraction) -> int | float:
@@ -216,6 +249,7 @@ class _Engine:
         try:
             if req.op == "delete":
                 impl_id, _ = self.plane.delete_volume(req.volume_id, t)
+                self.streams.forget(req.volume_id)
                 self.emit(
                     t,
                     EventKind.VOLUME_DELETED,
@@ -306,20 +340,23 @@ class _Engine:
             # demands included, are this interval's.
             self.timeseries.append(t, share.rows)
             return
-        volume_ids = sorted(manager.volumes)
-        workloads = self.scenario.workloads
-        models = [workloads.get(vid) for vid in volume_ids]
+        if impl is not share.impl:
+            # an admit or a delete: the hosted volumes may differ
+            workloads = self.scenario.workloads
+            share.impl = impl
+            share.volume_ids = sorted(manager.volumes)
+            share.models = [workloads.get(vid) for vid in share.volume_ids]
+            share.walks = any(isinstance(model, WalkDemand) for model in share.models)
+        volume_ids, models = share.volume_ids, share.models
         demand = self.streams.demand
         demands = {vid: demand(vid, model, t) for vid, model in zip(volume_ids, models)}
-        share.until = min(map(self.streams.until, models, repeat(t)))
+        # a walk can differ on the next interval, so the minimum is `t` itself
+        share.until = t if share.walks else min(map(self.streams.until, models, repeat(t)))
         repeated = same_inputs and demands == share.demands
         if not repeated:
             achieved = allocate_iops(demands, caps, share.capacity)
-            share.caps, share.impl = caps, impl
-            share.rows = tuple(
-                (vid, float(demands[vid]), float(achieved[vid]), caps.get(vid))
-                for vid in volume_ids
-            )
+            share.caps = caps
+            share.rows = _rows(volume_ids, demands, achieved, caps)
         elif not all(map(is_, demands.values(), share.demands.values())):
             # this interval's own demand: -0.0 equals 0.0 in the key but prints apart
             share.rows = tuple(

@@ -79,7 +79,10 @@ class DemandStreams:
     exactly once per control interval for each live volume that walks. A
     constant or trace volume may be skipped: until() says how long its
     demand holds, and over that span demand() returns the very same float
-    object on every call.
+    object on every call. forget() drops a deleted volume's walk, so an id
+    created again starts its walk afresh, at the mean. (A loaded scenario
+    cannot do that: it rejects a duplicate request id, and a volume id is
+    made from its create's request id.)
     """
 
     def __init__(self, seed: int):
@@ -115,6 +118,10 @@ class DemandStreams:
             index = _next_point(model, t)
             return model.points[index][0] if index < len(model.points) else inf
         return t
+
+    def forget(self, volume_id: str) -> None:
+        """Drop the volume's walk state, if it has any."""
+        self._walks.pop(volume_id, None)
 
     def _walk(self, volume_id: str, model: WalkDemand) -> float:
         state = self._walks.get(volume_id)

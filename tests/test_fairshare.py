@@ -152,7 +152,7 @@ def test_degradation_takes_only_exact_factors(bad):
         capacity_degradation(400, bad)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), "lots", None])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0, "lots", None])
 def test_non_finite_or_non_number_rejected(bad):
     with pytest.raises(InputError):
         allocate_iops({"a": bad}, {}, 100)

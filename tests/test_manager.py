@@ -5,8 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from storbind.errors import ConflictError, InputError, InvalidStateError, NotFoundError
+from storbind.fairshare import allocate_iops
 from storbind.manager import StorageManager, compute_throttle
 from storbind.model import (
     ControlConfig,
@@ -197,6 +200,60 @@ def test_deleted_volume_keeps_its_cap_until_the_caps_change():
     assert dict(caps) == held
     caps = compute_throttle({"a": 100, "b": 50}, reservations, held, 60)
     assert not caps
+
+
+def test_a_level_a_hair_under_the_reservation_is_a_violator():
+    # the level is 51 - 2**-60, which a float rounds up to 51.0
+    stats = allocate_iops({"a": 2.0**-60, "b": 100.0}, {}, 51)
+    caps = compute_throttle(stats, {"a": 0, "b": 51}, {}, 10)
+    assert dict(caps) == {"a": 10}
+    # and it has not consumed a cap of 51, so that cap is released
+    assert not compute_throttle(stats, {"a": 0, "b": 0}, {"b": 51}, 10)
+
+
+def _reference_throttle(stats, reservations, previous, floor_iops):
+    """compute_throttle's rule with Python's own comparisons on every stat."""
+    violators = {vid for vid, floor in reservations.items() if stats[vid] < floor}
+    if violators:
+        return {
+            vid: max(floor, floor_iops)
+            for vid, floor in reservations.items()
+            if vid not in violators
+        }
+    if any(vid in stats and stats[vid] >= cap for vid, cap in previous.items()):
+        return dict(previous)
+    return {}
+
+
+@st.composite
+def _throttle_inputs(draw):
+    """Stats like an allocation's around int reservations, and previous caps."""
+    names = ["a", "b", "c", "d", "e"]
+    reservations = {vid: draw(st.integers(0, 120)) for vid in names}
+    near = st.sampled_from(sorted(set(reservations.values()))).flatmap(
+        lambda bound: st.integers(-3, 3).map(
+            lambda k: max(Fraction(0), bound + Fraction(k, 2**60))
+        )
+    )
+    # the water level: one Fraction object, shared like allocate_iops's
+    level = draw(near | st.fractions(0, 200, max_denominator=10**20))
+    stats = {
+        vid: draw(st.just(level) | near | st.integers(0, 200) | st.floats(0, 200))
+        for vid in names
+    }
+    caps = st.integers(0, 120) | st.sampled_from(sorted(set(reservations.values())))
+    previous = draw(st.dictionaries(st.sampled_from(names + ["gone"]), caps, max_size=4))
+    return stats, reservations, previous, draw(st.integers(0, 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_throttle_inputs())
+# the level 51 - 2**-60 against a reservation of 51
+@example(inputs=({"a": 2.0**-60, "b": 51 - Fraction(1, 2**60)}, {"a": 0, "b": 51}, {}, 10))
+def test_throttle_matches_plain_comparisons(inputs):
+    stats, reservations, previous, floor_iops = inputs
+    caps = compute_throttle(stats, reservations, previous, floor_iops)
+    assert dict(caps) == _reference_throttle(stats, reservations, previous, floor_iops)
 
 
 def test_throttle_tick_validates_volume_set():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -261,6 +262,61 @@ def test_a_group_with_a_walk_samples_every_volume_every_interval(monkeypatch):
     result = run_scenario(build_scenario(data), seed=0)
     assert calls == [(t, vid) for t in (0.0, 5.0, 10.0, 15.0) for vid in ("vol-r1", "vol-r2")]
     assert {p.volume_id for p in result.timeseries} == {"vol-r1", "vol-r2"}
+
+
+class _RecordingWorkloads(dict):
+    """A scenario's workloads that record each model lookup."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.lookups: list[str] = []
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+
+def test_group_membership_follows_the_ledger_not_attach_or_detach(monkeypatch):
+    data = mini_scenario(duration_s=40)
+    data["requests"] += [
+        {"time": 10, "op": "create", "id": "r2", "type": "plain", "size": "100G"},
+        {"time": 15, "op": "attach", "volume": "vol-r2", "instance": "vm-1"},
+        {"time": 20, "op": "detach", "volume": "vol-r2"},
+        {"time": 25, "op": "delete", "volume": "vol-r1"},
+    ]
+    data["workloads"] = [
+        {"volume": "vol-r1", "walk": {"mean": 100, "jitter": 30}},
+        {"volume": "vol-r2", "constant": 40},
+    ]
+    scenario = build_scenario(data)
+    workloads = _RecordingWorkloads(scenario.workloads)
+    scenario = dataclasses.replace(scenario, workloads=workloads)
+    calls = _record_demand_calls(monkeypatch)
+    forgotten: list[str] = []
+    forget = DemandStreams.forget
+
+    def recording_forget(streams, volume_id):
+        forgotten.append(volume_id)
+        forget(streams, volume_id)
+
+    monkeypatch.setattr(DemandStreams, "forget", recording_forget)
+    result = run_scenario(scenario, seed=0)
+    # the membership is derived on the admits (t=0, t=10) and the delete (t=25) alone
+    assert workloads.lookups == ["vol-r1", "vol-r1", "vol-r2", "vol-r2"]
+    # vol-r2 joins the walk group's next block and vol-r1 leaves it; with
+    # the walk gone, the constant is sampled once more and then held
+    walking = [0.0, 5.0, 10.0, 15.0, 20.0]
+    assert calls == (
+        [(0.0, "vol-r1"), (5.0, "vol-r1")]
+        + [(t, vid) for t in walking[2:] for vid in ("vol-r1", "vol-r2")]
+        + [(25.0, "vol-r2")]
+    )
+    assert [(p.time_s, p.volume_id) for p in result.timeseries] == (
+        [(0.0, "vol-r1"), (5.0, "vol-r1")]
+        + [(t, vid) for t in walking[2:] for vid in ("vol-r1", "vol-r2")]
+        + [(t, "vol-r2") for t in (25.0, 30.0, 35.0)]
+    )
+    assert forgotten == ["vol-r1"]
 
 
 def test_timeseries_reads_as_a_sequence_of_points():

@@ -112,6 +112,15 @@ def test_walk_starts_at_mean_and_stays_nonnegative():
     assert all(v >= 0 for v in series)
 
 
+def test_a_forgotten_walk_starts_again_at_the_mean():
+    model = WalkDemand(mean=10.0, jitter=50.0)
+    streams = DemandStreams(seed=3)
+    first = [streams.demand("vol-a", model, float(t)) for t in range(5)]
+    streams.forget("vol-a")
+    streams.forget("vol-never-sampled")
+    assert [streams.demand("vol-a", model, float(t)) for t in range(5)] == first
+
+
 def test_walk_validation():
     with pytest.raises(InputError):
         WalkDemand(mean=-1.0, jitter=5.0)
