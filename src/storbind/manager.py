@@ -96,6 +96,11 @@ class StorageManager:
         # manager of one broker; admit adds to it and delete_volume removes
         self._owners = owners
         self.caps: Mapping[str, int] = _NO_CAPS
+        # volume_id -> min_iops of the hosted volumes, and the ledger record it
+        # was built for: admit and delete swap the record, attach and detach
+        # keep min_iops
+        self._reservations: dict[str, int] = {}
+        self._reservations_of: StorageImplementation | None = None
 
     def admit(self, request: VolumeRequest) -> Admission:
         """Charge a request to this group, which the scheduler chose, and host its volume.
@@ -157,9 +162,6 @@ class StorageManager:
         self.volumes[volume_id] = detached
         return detached
 
-    def reservations(self) -> dict[str, int]:
-        return {volume_id: v.min_iops for volume_id, v in self.volumes.items()}
-
     def throttle_tick(self, stats: IntervalStats, config: ControlConfig) -> Mapping[str, int]:
         """Advance the throttle loop one interval on stats of exactly the hosted volumes."""
         if stats.keys() != self.volumes.keys():
@@ -169,8 +171,11 @@ class StorageManager:
                 f"impl {self.impl.impl_id}: stats must cover exactly the hosted volumes"
                 f" (missing {missing}, stray {stray})"
             )
+        if self._reservations_of is not self.impl:
+            self._reservations = {volume_id: v.min_iops for volume_id, v in self.volumes.items()}
+            self._reservations_of = self.impl
         self.caps = compute_throttle(
-            stats, self.reservations(), self.caps, config.throttle_floor_iops
+            stats, self._reservations, self.caps, config.throttle_floor_iops
         )
         return self.caps
 

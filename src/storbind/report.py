@@ -10,10 +10,13 @@ not.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+from itertools import islice, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .model import LayoutKind
 from .scenario import Scenario
@@ -26,24 +29,46 @@ SUMMARY_FILE = "summary.json"
 TIMESERIES_HEADER = ("time_s", "volume_id", "demand_iops", "achieved_iops", "cap_iops")
 
 
-# json.dumps builds an encoder per call; one encoder writes the same bytes
-_encode_event = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _sorted_keys_encoder(item_separator: str, key_separator: str) -> Callable[[object], str]:
+    """What json.dumps(obj, sort_keys=True, separators=...) returns, from one encoder.
+
+    json.dumps builds a new encoder on every call. This is CPython's C
+    encoder, built once, or json's own encoder where the `_json`
+    accelerator is missing; both write the same text. No container is
+    indented.
+    """
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(item_separator, key_separator)).encode
+    # no circular check, as a run's records are trees; skipkeys off, allow_nan on, as json.dumps
+    encode = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        key_separator, item_separator, True, False, True,
+    )
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_encode_event = _sorted_keys_encoder(",", ":")
+
+# events encoded and written at a time, so memory does not grow with the log
+_EVENTS_PER_WRITE = 1024
 
 # volume_id, demand_iops, achieved_iops, cap_iops; each row's time_s goes before it
 _TIMESERIES_ROW = "%s,%.6f,%.6f,%s\n"
 
 
 def write_events_jsonl(events: Iterable[SimEvent], path: str | Path) -> None:
+    """One compact JSON object with sorted keys per event and line."""
+    events = iter(events)
     with open(path, "w") as fh:
-        for event in events:
-            record = {
-                "time_s": event.time_s,
-                "seq": event.seq,
-                "kind": event.kind,
-                "payload": event.payload,
-            }
-            fh.write(_encode_event(record))
-            fh.write("\n")
+        while block := list(islice(events, _EVENTS_PER_WRITE)):
+            lines = [
+                _encode_event(
+                    {"time_s": e.time_s, "seq": e.seq, "kind": e.kind, "payload": e.payload}
+                )
+                for e in block
+            ]
+            lines.append("")
+            fh.write("\n".join(lines))
 
 
 class _CsvFields(dict):
@@ -105,9 +130,62 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
             write(prefix + prefix.join(texts))
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(level: int) -> Callable[[object], str]:
+    """An encoder for a container of scalars at nesting `level`.
+
+    Its items are laid out as json.dumps(indent=2) lays them out; the
+    newline and indent after the opening bracket and before the closing
+    one are the caller's.
+    """
+    return _sorted_keys_encoder(",\n" + "  " * (level + 1), ": ")
+
+
+def _write_indented(obj: object, level: int, write: Callable[[str], object]) -> None:
+    """Write obj as json.dumps(obj, indent=2, sort_keys=True) writes it at nesting `level`.
+
+    Dict keys are str. A container that holds no container is one call
+    to its level's encoder; only a container of containers is walked here.
+    """
+    encode = _flat_encoder(level)
+    if isinstance(obj, dict):
+        values, opener, closer = obj.values(), "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        values, opener, closer = obj, "[", "]"
+    else:
+        write(encode(obj))
+        return
+    if not values:
+        write(opener + closer)
+        return
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+        write(opener + inner + encode(obj)[1:-1] + outer + closer)
+        return
+    if isinstance(obj, dict):
+        entries = [
+            (encode_basestring_ascii(key) + ": ", value) for key, value in sorted(obj.items())
+        ]
+    else:
+        entries = zip(repeat(""), obj)
+    separator = opener + inner
+    for prefix, value in entries:
+        if isinstance(value, _CONTAINERS):
+            write(separator + prefix)
+            _write_indented(value, level + 1, write)
+        else:
+            write(separator + prefix + encode(value))
+        separator = "," + inner
+    write(outer + closer)
+
+
 def write_summary_json(summary: dict, path: str | Path) -> None:
+    """Exactly json.dumps(summary, indent=2, sort_keys=True) and a newline."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        _write_indented(summary, 0, fh.write)
         fh.write("\n")
 
 

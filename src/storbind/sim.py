@@ -477,8 +477,12 @@ def fold_summary(scenario: Scenario, events: Sequence[SimEvent]) -> dict[str, Js
     kinds = Counter(e.kind for e in events)
     counts = {name: kinds[kind] for name, kind in _COUNTED.items()}
     requests: list[dict[str, JsonValue]] = []
-    nodes = {node.node_id: node for node in scenario.nodes}
-    free = {node_id: len(node.disks) for node_id, node in nodes.items()}
+    free = {node.node_id: len(node.disks) for node in scenario.nodes}
+    capacity = {
+        (node.node_id, disk.disk_id): disk.capacity_bytes
+        for node in scenario.nodes
+        for disk in node.disks
+    }
     # impl_id -> its provisioned payload, and -> {volume_id: admitted payload}
     groups: dict[str, dict] = {}
     hosted: dict[str, dict[str, dict]] = {}
@@ -525,15 +529,18 @@ def fold_summary(scenario: Scenario, events: Sequence[SimEvent]) -> dict[str, Js
         )
         if not sizes:
             continue
-        node = nodes[group["node_id"]]
-        raw = sum(node.disk(d).capacity_bytes for d in group["disk_ids"])
+        node_id = group["node_id"]
+        raw = sum(capacity[node_id, d] for d in group["disk_ids"])
         total_raw += raw
         total_stored += stored
+        stored_by_type: dict[str, int] = {}
         for vid, size in sizes.items():
             cls = volume_type[vid]
-            share = Fraction(raw) * Fraction(size, stored)
-            raw_by_class[cls] = raw_by_class.get(cls, Fraction(0)) + share
-            stored_by_class[cls] = stored_by_class.get(cls, 0) + size
+            stored_by_type[cls] = stored_by_type.get(cls, 0) + size
+        # the group's raw bytes in proportion to each type's stored bytes, exactly
+        for cls, type_stored in stored_by_type.items():
+            raw_by_class[cls] = raw_by_class.get(cls, 0) + Fraction(raw * type_stored, stored)
+            stored_by_class[cls] = stored_by_class.get(cls, 0) + type_stored
 
     by_class: dict[str, JsonValue] = {}
     total = Fraction(0)

@@ -4,12 +4,15 @@ These are deliberately written with different algorithms than the package
 (iterative redistribution instead of the closed-form sorted sweep; a scan
 of every group and a sort of every node instead of the state database's
 maintained orders; a `csv.writer` for every row instead of one format per
-row) so that agreement between the two is meaningful.
+row; `json.dumps` for every record, and its own indented layout, instead of
+one C encoder built once; a `Fraction` share per volume instead of one per
+group and volume type) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -31,7 +34,7 @@ from storbind.scheduler import (
     VolumeRequest,
 )
 from storbind.report import TIMESERIES_HEADER
-from storbind.sim import TimeSeriesPoint
+from storbind.sim import SimEvent, TimeSeriesPoint
 from storbind.statedb import ClusterSnapshot
 
 
@@ -161,3 +164,60 @@ def timeseries_csv_oracle(points: Iterable[TimeSeriesPoint], path: str | Path) -
                     p.cap_iops,
                 )
             )
+
+
+def events_jsonl_oracle(events: Iterable[SimEvent], path: str | Path) -> None:
+    """The event log as `json.dumps` writes it, one record at a time."""
+    with open(path, "w") as fh:
+        for e in events:
+            record = {"time_s": e.time_s, "seq": e.seq, "kind": e.kind, "payload": e.payload}
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def summary_json_oracle(obj: object, path: str | Path) -> None:
+    """A summary as `json.dumps` lays it out with indent=2 and sorted keys."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def overhead_oracle(
+    groups: Iterable[tuple[int, Iterable[tuple[str, int]]]], app_copies: Mapping[str, int]
+) -> dict:
+    """The summary's storage and overhead entries, one `Fraction` share per volume.
+
+    `groups` holds each group's raw bytes (its disks' whole capacities) and
+    the (volume type, size_bytes) of each volume it hosts. A group's raw
+    bytes count only while it hosts a volume, and go to its volumes in
+    proportion to their sizes; a type's multiplier is its raw bytes times
+    its copy count over its stored bytes, and the total sums the types'.
+    """
+
+    def number(value: Fraction) -> int | float:
+        return int(value) if value.denominator == 1 else float(value)
+
+    raw_by_type: dict[str, Fraction] = {}
+    stored_by_type: dict[str, int] = {}
+    total_raw = total_stored = 0
+    for raw, volumes in groups:
+        volumes = list(volumes)
+        stored = sum(size for _, size in volumes)
+        if not volumes:
+            continue
+        total_raw += raw
+        total_stored += stored
+        for volume_type, size in volumes:
+            share = Fraction(raw) * Fraction(size, stored)
+            raw_by_type[volume_type] = raw_by_type.get(volume_type, Fraction(0)) + share
+            stored_by_type[volume_type] = stored_by_type.get(volume_type, 0) + size
+    by_type = {
+        t: raw_by_type[t] * app_copies[t] / stored_by_type[t] for t in sorted(raw_by_type)
+    }
+    return {
+        "storage": {
+            "raw_bytes_reserved": total_raw,
+            "logical_bytes_stored": total_stored,
+            "overhead_ratio": number(Fraction(total_raw, total_stored)) if total_stored else None,
+        },
+        "overhead_by_class": {t: number(m) for t, m in by_type.items()},
+        "overhead_total": number(sum(by_type.values())) if by_type else None,
+    }

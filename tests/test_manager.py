@@ -276,6 +276,20 @@ def test_throttle_tick_updates_state():
     assert mgr.caps is caps
 
 
+def test_throttle_tick_reads_the_reservations_of_the_volumes_hosted_now():
+    mgr = make_manager()
+    for request_id, min_iops in (("ra", 100), ("rb", 0), ("rc", 50)):
+        mgr.admit(req(request_id, min_iops=min_iops))
+    mgr.attach("vol-rc", "vm-1")
+    mgr.delete_volume("vol-rb", now=1.0)
+    mgr.detach("vol-rc")
+    config = ControlConfig(throttle_floor_iops=60)
+    assert dict(mgr.throttle_tick({"vol-ra": 90, "vol-rc": 90}, config)) == {"vol-rc": 60}
+    mgr.admit(req("rd", min_iops=200))
+    caps = mgr.throttle_tick({"vol-ra": 100, "vol-rc": 90, "vol-rd": 150}, config)
+    assert dict(caps) == {"vol-ra": 100, "vol-rc": 60}
+
+
 def test_throttle_tick_caps_reject_item_assignment():
     mgr = make_manager()
     mgr.admit(req("ra", min_iops=100))

@@ -9,7 +9,9 @@ and must say so. The summary's counts and request log are pinned too,
 for every bundled scenario and fixture in both modes, and everything in
 the summary but the run's identity and decision latency must be what
 the written event log folds to. The time-series writer must write what
-`csv.writer` writes, row by row, for any rows at all.
+`csv.writer` writes, row by row, for any rows at all, and the JSON writers
+what `json.dumps` writes for any str-keyed JSON tree; every summary and
+comparison written is laid out as `json.dumps(indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -20,18 +22,23 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import timeseries_csv_oracle
+from oracles import events_jsonl_oracle, summary_json_oracle, timeseries_csv_oracle
+from storbind import report
 from storbind.model import parse_layout
 from storbind.report import (
     EVENTS_FILE,
     SUMMARY_FILE,
     TIMESERIES_FILE,
+    compare_static_to_directory,
     run_to_directory,
+    write_events_jsonl,
+    write_summary_json,
     write_timeseries_csv,
 )
 from storbind.scenario import Scenario, load_scenario
@@ -183,15 +190,32 @@ def bench_generator():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_PINNED))
-def test_bench_workload_output_bytes_match_pin(name: str, bench_generator, tmp_path: Path):
+def run_bench_workload(bench_generator, name: str, tmp_path: Path) -> Path:
+    """Run a bench workload as perfbench generates it at seed 1; its output directory."""
     generated = bench_generator.generate(name, 1)
     source = tmp_path / "scenario.yaml"
     source.write_text(generated.text)
     layout = None if generated.static_layout is None else parse_layout(generated.static_layout)
     run_to_directory(load_scenario(source), tmp_path / "out", seed=1, static_layout=layout)
-    got = (sha256(tmp_path / "out" / EVENTS_FILE), sha256(tmp_path / "out" / TIMESERIES_FILE))
-    assert got == BENCH_PINNED[name]
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINNED))
+def test_bench_workload_output_bytes_match_pin(name: str, bench_generator, tmp_path: Path):
+    out = run_bench_workload(bench_generator, name, tmp_path)
+    assert (sha256(out / EVENTS_FILE), sha256(out / TIMESERIES_FILE)) == BENCH_PINNED[name]
+
+
+def assert_indent_2_layout(path: Path) -> None:
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINNED))
+def test_bench_workload_summary_is_laid_out_as_json_dumps(
+    name: str, bench_generator, tmp_path: Path
+):
+    assert_indent_2_layout(run_bench_workload(bench_generator, name, tmp_path) / SUMMARY_FILE)
 
 
 def load_source(name: str) -> Scenario:
@@ -241,6 +265,14 @@ def test_written_event_log_folds_to_the_summary(mode: str, tmp_path: Path):
         folded = fold_summary(scenario, [SimEvent(**json.loads(line)) for line in lines])
         summary = json.loads((tmp_path / name / SUMMARY_FILE).read_text())
         assert folded == {k: v for k, v in summary.items() if k not in NOT_FOLDED}, name
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in REQUESTS_PINNED}))
+def test_summaries_and_comparison_are_laid_out_as_json_dumps(name: str, tmp_path: Path):
+    compare_static_to_directory(load_source(name), parse_layout("rep:3"), tmp_path, seed=1)
+    for path in (tmp_path / "dynamic" / SUMMARY_FILE, tmp_path / "static" / SUMMARY_FILE):
+        assert_indent_2_layout(path)
+    assert_indent_2_layout(tmp_path / "comparison.json")
 
 
 def _decisions(events: Path) -> list[dict]:
@@ -344,3 +376,83 @@ def test_timeseries_writer_matches_the_csv_oracle(series):
         write_timeseries_csv(series, written)
         timeseries_csv_oracle(list(series), oracle)
         assert written.read_bytes() == oracle.read_bytes()
+
+
+# -0.0, a float that prints with an exponent, NaN and the infinities
+EDGE_JSON_FLOATS = st.sampled_from([-0.0, 1e16, float("nan"), float("inf"), float("-inf")])
+# quotes, backslashes, control characters and non-ASCII, which JSON escapes
+JSON_TEXT = st.text(
+    st.characters() | st.sampled_from(['"', "\\", "\n", "\t", "\0", "\x7f", "\u00e9", "\u4e2d"]),
+    max_size=5,
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**70)
+    | st.floats()
+    | EDGE_JSON_FLOATS
+    | JSON_TEXT
+)
+
+
+def _sequences(children):
+    return st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+
+
+def _containers(children):
+    return _sequences(children) | st.dictionaries(JSON_TEXT, children, max_size=4)
+
+
+JSON_TREES = st.recursive(JSON_SCALARS, _containers, max_leaves=12) | _containers(
+    _sequences(st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=3))  # of flat dicts
+    | st.dictionaries(JSON_TEXT, _sequences(JSON_SCALARS), max_size=3)  # of lists and tuples
+)
+
+
+def _written_by_both(write, oracle, obj) -> tuple[bytes, bytes]:
+    with tempfile.TemporaryDirectory() as name:
+        written, expected = Path(name) / "written", Path(name) / "expected"
+        write(obj, written)
+        oracle(obj, expected)
+        return written.read_bytes(), expected.read_bytes()
+
+
+@given(obj=JSON_TREES)
+@example(obj={"b": 1.5, "a": None, "c": "\u00e9", "d": 2**65})  # flat: one encoder call
+@example(obj={"a": {"c": [{"d": (1, "x")}, 1e16], "b": -0.0}, "e": [[], {}, ()]})  # nested
+@example(obj={})  # empty
+def test_summary_writer_matches_the_json_dumps_oracle(obj):
+    written, expected = _written_by_both(write_summary_json, summary_json_oracle, obj)
+    assert written == expected
+
+
+@given(obj=JSON_TREES)
+def test_encoder_without_the_c_accelerator_writes_what_the_c_one_does(obj):
+    with mock.patch.object(report, "c_make_encoder", None):
+        fallback = report._sorted_keys_encoder(",\n  ", ": ")
+    assert fallback(obj) == report._sorted_keys_encoder(",\n  ", ": ")(obj)
+
+
+_ONE_EVENT = SimEvent(time_s=-0.0, seq=2**65, kind="k\u00e9", payload={"x": [1, {"y": None}]})
+
+
+@given(
+    events=st.lists(
+        st.builds(
+            SimEvent,
+            time_s=st.floats() | EDGE_JSON_FLOATS,
+            seq=st.integers(),
+            kind=JSON_TEXT,
+            payload=st.dictionaries(
+                JSON_TEXT, st.recursive(JSON_SCALARS, _containers, max_leaves=4), max_size=4
+            ),
+        ),
+        max_size=4,
+    )
+)
+@example(events=[])
+@example(events=[_ONE_EVENT] * 2049)  # two whole blocks of lines and part of a third
+def test_events_writer_matches_the_json_dumps_oracle(events):
+    written, expected = _written_by_both(write_events_jsonl, events_jsonl_oracle, events)
+    assert written == expected

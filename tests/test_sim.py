@@ -10,13 +10,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import storbind
 from helpers import free_disk_count
+from oracles import overhead_oracle
 from storbind import sim
-from storbind.model import ReplicatedPool, parse_layout
+from storbind.model import DiskSpec, ReplicatedPool, StorageNode, VolumeType, parse_layout
 from storbind.report import EVENTS_FILE, run_to_directory
-from storbind.scenario import build_scenario, load_scenario
+from storbind.scenario import Scenario, build_scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
 from storbind.sim import EventKind, SimEvent, TimeSeries, TimeSeriesPoint, as_number, run_scenario
 from storbind.workload import DemandStreams
@@ -419,6 +422,110 @@ def test_overhead_empty_run_is_null():
     assert result.summary["overhead_total"] is None
     assert result.summary["storage"]["overhead_ratio"] is None
     assert result.summary["decision_latency"] is None
+
+
+FOLD_TYPES = ("a", "b", "c")
+
+
+@st.composite
+def fleets(draw):
+    """Each type's copy count; each node's disk capacities; and groups.
+
+    A group is (node index, its disk indexes, its volumes), carved from
+    its node's disks without overlap. A volume is (type, size_bytes,
+    deleted): every volume is admitted, and the deleted ones are deleted
+    after all admits.
+    """
+    copies = {t: draw(st.integers(1, 3)) for t in FOLD_TYPES}
+    volume = st.tuples(st.sampled_from(FOLD_TYPES), st.integers(1, 2**45), st.booleans())
+    nodes, groups = [], []
+    for n in range(draw(st.integers(1, 3))):
+        capacities = draw(st.lists(st.integers(1, 2**50), min_size=1, max_size=5))
+        nodes.append(capacities)
+        free = list(range(len(capacities)))
+        while free and draw(st.booleans()):
+            k = draw(st.integers(1, len(free)))
+            disks, free = free[:k], free[k:]
+            groups.append((n, disks, draw(st.lists(volume, max_size=5))))
+    return copies, nodes, groups
+
+
+def _fold_inputs(copies, nodes, groups) -> tuple[Scenario, list[SimEvent]]:
+    scenario = Scenario(
+        name="fold",
+        duration_s=1.0,
+        nodes=tuple(
+            StorageNode(f"n{n}", tuple(DiskSpec(f"n{n}-d{d}", c) for d, c in enumerate(caps)))
+            for n, caps in enumerate(nodes)
+        ),
+        volume_types={t: VolumeType(t, parse_layout("jbod"), app_copies=copies[t]) for t in copies},
+        requests=(),
+    )
+    events: list[SimEvent] = []
+
+    def emit(kind: str, payload: dict) -> None:
+        events.append(SimEvent(time_s=0.0, seq=len(events), kind=kind, payload=payload))
+
+    for g, (n, disks, _) in enumerate(groups):
+        emit(EventKind.PROVISIONED, {
+            "request_id": None,
+            "impl_id": f"impl-{g:04d}",
+            "node_id": f"n{n}",
+            "layout": "jbod",
+            "disk_ids": [f"n{n}-d{d}" for d in disks],
+            "usable_capacity_bytes": 1,
+            "total_iops_budget": 1,
+        })
+    for g, (_, _, volumes) in enumerate(groups):
+        for v, (vtype, size, _) in enumerate(volumes):
+            rid = f"r{g}-{v}"
+            emit(EventKind.REQUEST_ARRIVED, {
+                "op": "create", "request_id": rid, "type": vtype, "size_bytes": size
+            })
+            emit(EventKind.ADMITTED, {
+                "request_id": rid,
+                "volume_id": f"vol-{rid}",
+                "impl_id": f"impl-{g:04d}",
+                "min_iops": 0,
+                "size_bytes": size,
+            })
+    for g, (_, _, volumes) in enumerate(groups):
+        for v, (_, _, deleted) in enumerate(volumes):
+            if deleted:
+                emit(EventKind.REQUEST_ARRIVED, {"op": "delete", "volume_id": f"vol-r{g}-{v}"})
+                emit(EventKind.VOLUME_DELETED, {
+                    "volume_id": f"vol-r{g}-{v}", "impl_id": f"impl-{g:04d}"
+                })
+    return scenario, events
+
+
+@given(fleet=fleets())
+@example(
+    # "a" spread over two groups, one mixing it with "b"; a group whose only
+    # volume was deleted, and one that never hosted any
+    fleet=(
+        {"a": 1, "b": 2, "c": 3},
+        [[10, 20, 30], [7]],
+        [
+            (0, [0], [("a", 3, False), ("b", 5, False)]),
+            (0, [1, 2], [("a", 4, False), ("c", 1, True)]),
+            (1, [0], [("c", 9, True)]),
+        ],
+    )
+)
+@example(fleet=({"a": 1, "b": 1, "c": 1}, [[5, 5]], [(0, [0, 1], [])]))
+def test_fold_overheads_match_the_per_volume_oracle(fleet):
+    copies, nodes, groups = fleet
+    scenario, events = _fold_inputs(copies, nodes, groups)
+    folded = sim.fold_summary(scenario, events)
+    expected = overhead_oracle(
+        [
+            (sum(nodes[n][d] for d in disks), [(t, size) for t, size, gone in volumes if not gone])
+            for n, disks, volumes in groups
+        ],
+        copies,
+    )
+    assert {key: folded[key] for key in expected} == expected
 
 
 def test_summary_counts_and_free_disks():
