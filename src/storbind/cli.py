@@ -8,6 +8,7 @@ unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -99,6 +100,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # as stderr does: what the locale cannot encode prints as an escape
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

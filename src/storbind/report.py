@@ -93,14 +93,14 @@ class _CsvFields(dict):
 
 
 def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
-    """One row per point; the numbers need no quoting and are formatted as csv would.
+    """One row per point, in UTF-8; the numbers need no quoting and are formatted as csv would.
 
     A block's time is formatted once per time object, and reused only while
     the next block's time is that very object: -0.0 == 0.0 but prints apart.
     A rows object's text is formatted once, keyed by its identity, which is
     stable because `series` keeps every rows object alive. The text is kept
-    for the current and previous interval, long enough for an interval that
-    repeats the last to find it.
+    for the current and previous interval, long enough for a calendar hit
+    on the next interval to find it.
     """
     fields = _CsvFields()
 
@@ -115,7 +115,7 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
     prefix = ""
     current: dict[int, list[str]] = {}
     previous: dict[int, list[str]] = {}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TIMESERIES_HEADER) + "\n")
         write = fh.write
         for t, rows in series.blocks:

@@ -26,7 +26,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import eq, is_
+from operator import eq
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
@@ -83,9 +83,9 @@ Rows = tuple[tuple[str, float, float, int | None], ...]
 class TimeSeries(Sequence[TimeSeriesPoint]):
     """The per-volume time series, held as one block of rows per group-interval.
 
-    `blocks` is a list of `(t, rows)`. An interval that repeats its group's
-    last one appends that interval's `rows` object itself, so a repeat
-    costs one entry. Read as a sequence, it is the points in order: one
+    `blocks` is a list of `(t, rows)`. A calendar hit appends its group's
+    last allocating interval's `rows` object itself, so a hit costs one
+    entry. Read as a sequence, it is the points in order: one
     `TimeSeriesPoint(t, *row)` per row of each block.
     """
 
@@ -128,7 +128,7 @@ class SimResult:
 
 @dataclass
 class _GroupShare:
-    """One group's degraded budget, membership, and last sampled interval's inputs and rows.
+    """One group's degraded budget, membership, and last allocating interval's caps and rows.
 
     Budget and degradation factor are fixed for the group's life, so the
     degraded budget is computed once. `StorageManager` swaps the group's
@@ -139,17 +139,15 @@ class _GroupShare:
     a walk (`walks`). They are rebuilt only when the record is swapped;
     attach and detach keep them.
 
-    An interval repeats the last one that allocated when its demands, its
-    caps and the group's ledger record all do. A repeated interval reuses
-    the allocation's achieved IOPS and caps, and skips the throttle step.
-    `demands` and `rows` are the last sampled interval's, and `until` the
-    earliest time any of its volumes' demand can differ from them (the
-    group's demand calendar): before then, with the same ledger record and
-    caps, an interval samples nothing and appends `rows` itself.
+    `caps` and `rows` are the last allocating interval's, and `until` the
+    earliest time any hosted volume's demand can differ from that
+    interval's (the group's demand calendar). An interval before then,
+    with the same ledger record and caps, is a calendar hit: it samples
+    nothing, appends `rows` itself, and skips the throttle step. Every
+    other interval samples, allocates and runs the throttle step.
     """
 
     capacity: int
-    demands: dict[str, float] = field(default_factory=dict)
     caps: Mapping[str, int] = field(default_factory=dict)
     impl: StorageImplementation | None = None
     volume_ids: list[str] = field(default_factory=list)
@@ -331,13 +329,14 @@ class _Engine:
             share = self._shares[impl.impl_id] = _GroupShare(
                 capacity_degradation(impl.total_iops_budget, self.scenario.control.degradation)
             )
-        same_inputs = impl is share.impl and caps == share.caps
-        if same_inputs and t < share.until:
+        if impl is share.impl and caps == share.caps and t < share.until:
             # A calendar hit: no volume's demand can have changed since the
-            # last sampled interval, so sampling would return the very float
-            # objects that interval had. That interval was an allocation or
-            # a repeat of one, so this is a repeat too (below), and its rows,
-            # demands included, are this interval's.
+            # last allocating interval, so sampling would return the very
+            # float objects that interval had. With the same ledger and caps,
+            # allocate_iops would return the same achieved IOPS. That interval
+            # ran the pure compute_throttle on these same inputs and got back
+            # the caps in force, so the throttle step would emit nothing. Its
+            # rows are this interval's.
             self.timeseries.append(t, share.rows)
             return
         if impl is not share.impl:
@@ -352,29 +351,10 @@ class _Engine:
         demands = {vid: demand(vid, model, t) for vid, model in zip(volume_ids, models)}
         # a walk can differ on the next interval, so the minimum is `t` itself
         share.until = t if share.walks else min(map(self.streams.until, models, repeat(t)))
-        repeated = same_inputs and demands == share.demands
-        if not repeated:
-            achieved = allocate_iops(demands, caps, share.capacity)
-            share.caps = caps
-            share.rows = _rows(volume_ids, demands, achieved, caps)
-        elif not all(map(is_, demands.values(), share.demands.values())):
-            # this interval's own demand: -0.0 equals 0.0 in the key but prints apart
-            share.rows = tuple(
-                (vid, float(demands[vid]), achieved_iops, cap)
-                for vid, _, achieved_iops, cap in share.rows
-            )
-        share.demands = demands
+        achieved = allocate_iops(demands, caps, share.capacity)
+        share.caps = caps
+        share.rows = _rows(volume_ids, demands, achieved, caps)
         self.timeseries.append(t, share.rows)
-        if repeated:
-            # Every interval since the last allocation had these demands, caps
-            # and ledger. That allocating interval ran compute_throttle on the
-            # achieved IOPS, reservations and caps in force that this one would
-            # pass, and it returned caps equal to those in force, or this
-            # interval would not repeat. compute_throttle is pure, so the step
-            # would return the same caps again and emit nothing. Demands are
-            # in the key too, so the skip holds if the rule comes to read them.
-            # A calendar hit (above) is a case of this repeat.
-            return
         current = manager.throttle_tick(achieved, self.scenario.control)
         if current == caps:
             return

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 import yaml
 
+import storbind
 from storbind.cli import main
 from storbind.scenarios import scenario_path
 
@@ -69,6 +73,33 @@ def test_timeseries_quotes_volume_ids_the_csv_way(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["time_s", "volume_id", "demand_iops", "achieved_iops", "cap_iops"]
     assert {row[1] for row in rows[1:]} == {f"vol-{i}" for i in ids}
+
+
+def test_run_writes_the_same_bytes_in_an_ascii_locale(tmp_path):
+    path = tmp_path / "accented.yaml"
+    accented = "  - {time: 0, op: create, id: \u00e91, type: plain, size: 1G}\n"
+    path.write_text("name: d\u00e9mo\n" + MINI + accented, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = str(Path(storbind.__file__).parents[1])
+    outs = []
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    for locale in (ascii_locale, {"PYTHONUTF8": "1"}):
+        out = tmp_path / f"out-{len(outs)}"
+        argv = ["run", "--scenario", str(path), "--out", str(out)]
+        cli = [sys.executable, "-m", "storbind.cli"]
+        done = subprocess.run(cli + argv, env={**env, **locale}, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        outs.append((done.stdout, out))
+    (ascii_stdout, ascii_out), (_, utf8_out) = outs
+    # the summary's name is escaped where the locale cannot print it
+    assert ascii_stdout.startswith(b"scenario d\\xe9mo: seed 0")
+    assert "vol-\u00e91" in (utf8_out / "timeseries.csv").read_text(encoding="utf-8")
+    for filename in ("events.jsonl", "timeseries.csv"):
+        assert (ascii_out / filename).read_bytes() == (utf8_out / filename).read_bytes()
+    summaries = [json.loads((out / "summary.json").read_bytes()) for out in (ascii_out, utf8_out)]
+    for summary in summaries:
+        del summary["decision_latency"]  # wall-clock time
+    assert summaries[0] == summaries[1]
 
 
 def test_run_is_reproducible_byte_for_byte(tmp_path):

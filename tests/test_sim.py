@@ -191,6 +191,33 @@ def test_fair_share_is_recomputed_only_when_demand_or_caps_change(monkeypatch):
     assert calls == {"allocate": 5, "degrade": 1}
 
 
+@pytest.mark.xfail(
+    strict=True, reason="a volume demanding less than its reservation counts as a violator"
+)
+def test_no_throttle_when_every_demand_fits_the_budget():
+    # 10 + 60 + 60 + 60 = 190 IOPS fits the group's 200, yet vol-a, which
+    # gets all it asks for, is below its 50 reservation
+    data = mini_scenario(
+        duration_s=20,
+        nodes=[
+            {"node_id": "n1", "disks": {"count": 4, "capacity": "1T", "profiled_iops": 100}}
+        ],
+        volume_types={"reserved": {"raid": 6, "width": 4, "min-iops": 50}},
+        requests=[
+            {"time": 0, "op": "create", "id": r, "type": "reserved", "size": "100G"}
+            for r in "abcd"
+        ],
+        workloads=[
+            {"volume": f"vol-{r}", "constant": iops} for r, iops in zip("abcd", (10, 60, 60, 60))
+        ],
+        control={"interval_s": 5, "throttle_floor_iops": 50},
+    )
+    result = run_scenario(build_scenario(data), seed=0)
+    provisioned = [e for e in result.events if e.kind == EventKind.PROVISIONED]
+    assert [e.payload["total_iops_budget"] for e in provisioned] == [200]
+    assert [e for e in result.events if e.kind.startswith("throttle-")] == []
+
+
 def test_a_repeated_interval_skips_the_throttle_step(monkeypatch):
     scenario = load_scenario(scenario_path("noisy-neighbor"))
     expected = run_scenario(scenario, seed=0)
@@ -209,7 +236,8 @@ def test_a_repeated_interval_skips_the_throttle_step(monkeypatch):
 
 
 def test_a_repeated_interval_writes_its_own_demand():
-    # -0.0 == 0.0, so the 10 s interval repeats the 5 s one; its row says -0.0
+    # the trace's next point expires the calendar at 10 s, so that interval
+    # allocates, although -0.0 == 0.0; its row says -0.0
     data = mini_scenario(duration_s=15)
     data["workloads"] = [{"volume": "vol-r1", "trace": [[0, 0.0], [10, -0.0]]}]
     result = run_scenario(build_scenario(data), seed=0)
@@ -252,18 +280,38 @@ def test_a_trace_point_off_the_interval_grid_changes_the_next_row():
     ]
 
 
-def test_a_group_with_a_walk_samples_every_volume_every_interval(monkeypatch):
+# a still walk demands the same 0.0 on every interval
+@pytest.mark.parametrize(
+    "walk", [{"mean": 100, "jitter": 30}, {"mean": 0, "jitter": 0}], ids=["moving", "still"]
+)
+def test_a_group_with_a_walk_samples_every_volume_every_interval(monkeypatch, walk):
     data = mini_scenario(duration_s=20)
     data["requests"].append(
         {"time": 0, "op": "create", "id": "r2", "type": "plain", "size": "100G"}
     )
     data["workloads"] = [
-        {"volume": "vol-r1", "walk": {"mean": 100, "jitter": 30}},
+        {"volume": "vol-r1", "walk": walk},
         {"volume": "vol-r2", "constant": 40},
     ]
     calls = _record_demand_calls(monkeypatch)
+    steps: list[str] = []
+    allocate, throttle_tick = sim.allocate_iops, sim.StorageManager.throttle_tick
+
+    def recording_allocate(*args):
+        steps.append("allocate")
+        return allocate(*args)
+
+    def recording_tick(manager, stats, config):
+        steps.append("throttle")
+        return throttle_tick(manager, stats, config)
+
+    monkeypatch.setattr(sim, "allocate_iops", recording_allocate)
+    monkeypatch.setattr(sim.StorageManager, "throttle_tick", recording_tick)
     result = run_scenario(build_scenario(data), seed=0)
-    assert calls == [(t, vid) for t in (0.0, 5.0, 10.0, 15.0) for vid in ("vol-r1", "vol-r2")]
+    intervals = (0.0, 5.0, 10.0, 15.0)
+    assert calls == [(t, vid) for t in intervals for vid in ("vol-r1", "vol-r2")]
+    # no calendar hit while a walk is hosted, so every interval allocates and throttles
+    assert steps == ["allocate", "throttle"] * len(intervals)
     assert {p.volume_id for p in result.timeseries} == {"vol-r1", "vol-r2"}
 
 
