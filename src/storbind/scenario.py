@@ -16,6 +16,17 @@ from pathlib import Path
 from typing import AbstractSet, Mapping
 
 import yaml
+from yaml.events import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 
 from .errors import ConfigError, InputError, LayoutError, ParseError, ScenarioError
 from .model import (
@@ -98,20 +109,96 @@ for _tag in ("bool", "int", "float", "timestamp", "str"):
 # libyaml's parser feeding the same Python constructors, when PyYAML has it
 _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
 
+_BAIL = object()  # `_from_events` leaves the text to a whole loader
+_NO_KEY = object()
+_STR_TAG = "tag:yaml.org,2002:str"
+
 
 def _parse(text: str) -> object:
-    """The key tree of `text`, parsed by libyaml when PyYAML has it, unless
-    the text holds a tag or a byte-order mark: libyaml reads a bare `!` as
-    '' where `_Loader` reads None, and drops marks `_Loader` keeps. `_Loader`
-    parses again what libyaml fails on and words every diagnostic; a lone
-    surrogate escape fails on both. libyaml also accepts some text `_Loader`
-    rejects, such as a tab after a plain scalar."""
+    """The key tree of `text`. With libyaml, unless the text holds a tag or
+    a byte-order mark, it is built straight from libyaml's events; text the
+    builder leaves alone goes to libyaml's whole loader. libyaml reads a
+    bare `!` as '' where `_Loader` reads None, and drops marks `_Loader`
+    keeps. `_Loader` parses again what libyaml fails on and words every
+    diagnostic, so malformed text is parsed twice; a lone surrogate escape
+    fails on both. libyaml also accepts some text `_Loader` rejects, such as
+    a tab after a plain scalar."""
     if _FAST_LOADER is not None and "!" not in text and "\ufeff" not in text:
         try:
-            return yaml.load(text, Loader=_FAST_LOADER)
+            tree = _from_events(text)
+            return tree if tree is not _BAIL else yaml.load(text, Loader=_FAST_LOADER)
         except Exception:  # any failure: `_Loader` decides, as without libyaml
             pass
     return yaml.load(text, Loader=_Loader)
+
+
+def _from_events(text: str) -> object:
+    """The tree `_FAST_LOADER` gives for `text`, built from its parser's
+    events with its resolver and scalar constructors but with no node tree,
+    or _BAIL on what only its composer and constructor handle: an anchor,
+    an alias, a tag, a plain `<<` (merge) key, a key that is not a scalar
+    or a second document. Raises what the parser or a constructor raises."""
+    loader = _FAST_LOADER(text)
+    next_event, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
+    scalars: dict[str, object] = {}  # plain text -> its value, all immutable
+    root = None
+    documents = 0
+    stack: list[list | dict | None] = []  # the containers enclosing `container`
+    container: list | dict | None = None  # None at the document level
+    key: object = _NO_KEY  # a mapping's key awaiting its value
+    while True:
+        event = next_event()
+        kind = event.__class__
+        if kind is ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                return _BAIL
+            value = event.value
+            plain = event.implicit[0]  # not quoted, not a block: resolved
+            if plain and key is _NO_KEY and container.__class__ is dict and value in ("<<", "="):
+                if value == "<<":
+                    return _BAIL  # a merge key
+                plain = False  # the constructor reads a plain `=` key as a str
+            if plain:
+                try:
+                    value = scalars[value]
+                except KeyError:
+                    tag = resolve(ScalarNode, value, (True, False))
+                    if tag != _STR_TAG:
+                        value = constructors[tag](loader, ScalarNode(tag, value))
+                    scalars[event.value] = value
+            if container.__class__ is list:
+                container.append(value)
+            elif key is not _NO_KEY:
+                container[key] = value
+                key = _NO_KEY
+            elif container is None:
+                root = value
+            else:
+                key = value
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if event.anchor is not None or event.tag is not None:
+                return _BAIL
+            value = {} if kind is MappingStartEvent else []
+            if container.__class__ is list:
+                container.append(value)
+            elif key is not _NO_KEY:
+                container[key] = value
+            elif container is None:
+                root = value
+            else:
+                return _BAIL  # a complex key
+            stack.append(container)
+            container, key = value, _NO_KEY
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            container, key = stack.pop(), _NO_KEY
+        elif kind is DocumentStartEvent:
+            documents += 1
+            if documents > 1:
+                return _BAIL
+        elif kind is StreamEndEvent:
+            return root
+        elif kind is AliasEvent:
+            return _BAIL
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -168,6 +255,8 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
 def _unknown_keys(raw: dict, known: AbstractSet[str], where: str, diags: list[str]) -> None:
     """One diagnostic per key of `raw` outside `known`, in repr order (keys
     of mixed types do not compare)."""
+    if raw.keys() <= known:
+        return
     for key in sorted(raw.keys() - known, key=repr):
         diags.append(f"{where}: unknown key {key!r}")
 

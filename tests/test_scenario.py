@@ -415,15 +415,18 @@ TESTS = Path(__file__).resolve().parent
 
 @pytest.fixture(scope="module")
 def shipped_files(tmp_path_factory) -> list[Path]:
-    """Every bundled scenario, both fixtures, and one perfbench workload."""
-    generated = tmp_path_factory.mktemp("perfbench") / "qos-steady.yaml"
-    subprocess.run(
-        [sys.executable, str(TESTS.parent / "perfbench" / "scenarios.py"),
-         "--workload", "qos-steady", "--seed", "1", "--out", str(generated)],
-        check=True,
-    )
+    """Every bundled scenario, both fixtures, and the three perfbench
+    workloads as perfbench generates them at seed 1."""
+    work = tmp_path_factory.mktemp("perfbench")
+    generated = [work / f"{name}.yaml" for name in ("churn-gc", "place-burst", "qos-steady")]
+    for path in generated:
+        subprocess.run(
+            [sys.executable, str(TESTS.parent / "perfbench" / "scenarios.py"),
+             "--workload", path.stem, "--seed", "1", "--out", str(path)],
+            check=True,
+        )
     bundled = [scenario_path(name) for name in bundled_names()]
-    return [*bundled, *sorted((TESTS / "data").glob("*.yaml")), generated]
+    return [*bundled, *sorted((TESTS / "data").glob("*.yaml")), *generated]
 
 
 @needs_libyaml
@@ -480,11 +483,27 @@ def test_a_bare_tag_loads_the_same_without_libyaml(tmp_path, monkeypatch, tail):
     assert load_scenario(path) == loaded
 
 
+def _whole_loader_refused(*args, **kwargs):
+    pytest.fail("a whole loader parsed the text")  # not an Exception: `_parse` cannot catch it
+
+
+@needs_libyaml
+def test_shipped_files_are_built_from_libyamls_events(shipped_files, monkeypatch):
+    """No shipped file falls back to a whole loader, which would keep the
+    bytes but lose the builder's speed."""
+    expected = [
+        build_scenario(yaml.load(path.read_text(), Loader=yaml.CSafeLoader), path.stem)
+        for path in shipped_files
+    ]
+    monkeypatch.setattr(yaml, "load", _whole_loader_refused)
+    assert [load_scenario(path) for path in shipped_files] == expected
+
+
 @needs_libyaml
 def test_an_empty_document_is_not_parsed_twice(tmp_path, monkeypatch):
     path = tmp_path / "empty.yaml"
     path.write_text("# nothing here\n")
-    monkeypatch.setattr(scenario, "_Loader", None)  # a second parse would fail
+    monkeypatch.setattr(yaml, "load", _whole_loader_refused)  # neither loader may parse it
     with pytest.raises(ScenarioError) as caught:
         load_scenario(path)
     assert caught.value.diagnostics == ["document: expected a mapping at the top level"]
@@ -497,6 +516,46 @@ def test_malformed_yaml_pins_hold_without_libyaml(tmp_path, capsys, monkeypatch,
             yaml.load(test_cli.MALFORMED_YAML[case][0], Loader=scenario._FAST_LOADER)
     monkeypatch.setattr(scenario, "_FAST_LOADER", None)
     test_cli.test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("case", sorted(test_cli.MALFORMED_YAML))
+def test_malformed_yaml_pins_hold_with_the_event_builder(tmp_path, capsys, monkeypatch, case):
+    """The builder's failure goes straight to `_Loader`, which words the
+    diagnostic: malformed text is parsed twice, not three times."""
+    text = test_cli.MALFORMED_YAML[case][0]
+    if "!" not in text:  # text with a tag skips the builder
+        with pytest.raises(Exception):
+            scenario._from_events(text)
+    loaders, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda source, Loader: loaders.append(Loader) or load(source, Loader))
+    test_cli.test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case)
+    assert loaders == [scenario._Loader] * 2  # validate, then run
+
+
+MERGED = """\
+duration_s: 20
+nodes:
+  - {node_id: n1, disks: &disks {count: 2, capacity: 1G}}
+  - {node_id: n2, disks: *disks}
+volume_types:
+  plain: &plain {jbod: 1}
+  guarded: {<<: *plain, min-iops: 10}
+requests: [{time: 0, op: create, id: r1, type: guarded, size: 1G}]
+"""
+
+
+@needs_libyaml
+def test_text_the_builder_leaves_loads_as_before(tmp_path, monkeypatch):
+    """An anchor, an alias and a merge key: libyaml's whole loader parses it."""
+    path = tmp_path / "merged.yaml"
+    path.write_text(MERGED)
+    assert scenario._from_events(MERGED) is scenario._BAIL
+    loaded = load_scenario(path)
+    assert loaded == build_scenario(yaml.load(MERGED, Loader=yaml.CSafeLoader), "merged")
+    assert loaded.volume_types["guarded"].min_iops == 10
+    monkeypatch.setattr(scenario, "_FAST_LOADER", None)
+    assert load_scenario(path) == loaded
 
 
 # Pieces of YAML text. Left out: a bare `!` tag with no value, which libyaml
@@ -526,3 +585,78 @@ def test_text_both_loaders_accept_gives_equal_trees(text):
     fast, pure = _tree(text, scenario._FAST_LOADER), _tree(text, scenario._Loader)
     if fast is not None and pure is not None:
         assert fast == pure
+
+
+# The builder is held to libyaml's whole loader: the same tree, or it
+# leaves the text to that loader, or it fails where that loader fails.
+BUILDER_PIECES = [*YAML_PIECES, "=", "? ", "1: a", "true: b"]
+
+
+def _built(text: str) -> object:
+    """The repr of the builder's tree, the builder's _BAIL, or None when it raises."""
+    try:
+        tree = scenario._from_events(text)
+    except Exception:
+        return None
+    return tree if tree is scenario._BAIL else repr(tree)
+
+
+@needs_libyaml
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(BUILDER_PIECES), max_size=20).map("".join))
+def test_the_event_builder_gives_libyamls_tree_or_leaves_the_text(text):
+    built = _built(text)
+    if built is not scenario._BAIL:
+        assert built == _tree(text, scenario._FAST_LOADER)
+
+
+BUILDER_AGREES = {
+    "yes": "a: yes\nb: No\n",
+    "hex": "a: 0x1F\n",
+    "underscores": "a: 1_000\nb: 1_0.5\n",
+    "date": "a: 2020-01-01\nb: 2020-01-01 10:00:00+02:00\n",
+    "nan": "a: .NaN\nb: [.nan, -.inf]\n",
+    "tilde": "a: ~\n~: b\n",
+    "empty-value": "a:\nb: [c, ]\n",
+    "duplicate-keys": "a: 1\nb: {c: 2}\na: 3\nb: [4]\n",
+    "equals": "=: 1\nb: '='\n",
+    "block-scalars": "a: |\n  x\n  1\nb: >-\n  x\n  y\n",
+    "mixed-keys": "{1: a, true: b}\n",
+}
+
+
+@needs_libyaml
+@pytest.mark.parametrize("case", sorted(BUILDER_AGREES))
+def test_the_event_builder_agrees_with_libyaml(case):
+    text = BUILDER_AGREES[case]
+    assert _built(text) == _tree(text, scenario._FAST_LOADER) is not None
+
+
+BUILDER_BAILS = {
+    "alias": "a: &x 1\nb: *x\n",
+    "tag": "a: !!int 1\n",
+    "merge-key": "a: {<<: {b: 1}, c: 2}\n",
+    "complex-key": "? [a, b]\n: c\n",
+    "second-document": "a: 1\n---\nb: 2\n",
+}
+
+
+@needs_libyaml
+@pytest.mark.parametrize("case", sorted(BUILDER_BAILS))
+def test_the_event_builder_leaves_the_text(case):
+    assert _built(BUILDER_BAILS[case]) is scenario._BAIL
+
+
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | st.dates(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@needs_libyaml
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.booleans())
+def test_the_event_builder_reads_dumped_trees_as_libyaml_does(tree, flow):
+    text = yaml.safe_dump(tree, default_flow_style=flow)
+    assert _built(text) == _tree(text, scenario._FAST_LOADER) is not None
