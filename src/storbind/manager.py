@@ -37,13 +37,6 @@ class Admission:
 _NO_CAPS: Mapping[str, int] = MappingProxyType({})
 
 
-def _below(observed: int | float | Fraction, bound: int) -> bool:
-    """observed < bound, exactly; a Fraction's denominator is positive."""
-    if type(observed) is Fraction:
-        return observed.numerator < bound * observed.denominator
-    return observed < bound
-
-
 def compute_throttle(
     stats: IntervalStats,
     reservations: Mapping[str, int],
@@ -60,14 +53,23 @@ def compute_throttle(
     re-trigger the violation), and released otherwise. So a deleted volume
     keeps its cap until the caps next change.
 
-    Every comparison is exact. A `Fraction` stat (the fair share's water
-    level) is compared with an int reservation or cap in integers, as
-    `numerator < bound * denominator`, which is what `Fraction.__lt__`
-    computes, without its dispatch on the other operand's type.
+    Every comparison is exact. Reservations and caps are ints, and for an
+    int bound b a `Fraction` q has q < b exactly when floor(q) < b. So a
+    `Fraction` stat is floored once, as `numerator // denominator`, and the
+    int compared. The fair share hands one `Fraction` object, the water
+    level, to every volume at it, so a run of the same object is floored
+    once per call. An int or float stat compares as it is.
     """
-    violators = {
-        volume_id for volume_id, floor in reservations.items() if _below(stats[volume_id], floor)
-    }
+    violators = set()
+    level = whole = None
+    for volume_id, floor in reservations.items():
+        observed = stats[volume_id]
+        if observed.__class__ is Fraction:
+            if observed is not level:
+                level, whole = observed, observed.numerator // observed.denominator
+            observed = whole
+        if observed < floor:
+            violators.add(volume_id)
     if violators:
         return MappingProxyType({
             volume_id: max(floor, floor_iops)
@@ -75,8 +77,12 @@ def compute_throttle(
             if volume_id not in violators
         })
     for volume_id, cap in previous.items():
-        if volume_id in stats and not _below(stats[volume_id], cap):
-            return previous
+        if volume_id in stats:
+            observed = stats[volume_id]
+            if observed.__class__ is Fraction:
+                observed = observed.numerator // observed.denominator
+            if observed >= cap:
+                return previous
     return _NO_CAPS
 
 

@@ -110,23 +110,30 @@ for _tag in ("bool", "int", "float", "timestamp", "str"):
 _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
 
 _BAIL = object()  # `_from_events` leaves the text to a whole loader
+_TAGGED = object()  # `_from_events` met a tag: the text goes to `_Loader`
 _NO_KEY = object()
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
 def _parse(text: str) -> object:
-    """The key tree of `text`. With libyaml, unless the text holds a tag or
-    a byte-order mark, it is built straight from libyaml's events; text the
-    builder leaves alone goes to libyaml's whole loader. libyaml reads a
+    """The key tree of `text`. With libyaml, unless the text holds a
+    byte-order mark, it is built straight from libyaml's events. Text the
+    builder leaves alone goes to libyaml's whole loader, unless it holds a
+    `!` anywhere; text holding a tag goes to `_Loader`. libyaml reads a
     bare `!` as '' where `_Loader` reads None, and drops marks `_Loader`
     keeps. `_Loader` parses again what libyaml fails on and words every
     diagnostic, so malformed text is parsed twice; a lone surrogate escape
     fails on both. libyaml also accepts some text `_Loader` rejects, such as
     a tab after a plain scalar."""
-    if _FAST_LOADER is not None and "!" not in text and "\ufeff" not in text:
+    if _FAST_LOADER is not None and "\ufeff" not in text:
         try:
             tree = _from_events(text)
-            return tree if tree is not _BAIL else yaml.load(text, Loader=_FAST_LOADER)
+            if tree is _BAIL:
+                # a tag may follow what the builder stopped at
+                if "!" not in text:
+                    return yaml.load(text, Loader=_FAST_LOADER)
+            elif tree is not _TAGGED:
+                return tree
         except Exception:  # any failure: `_Loader` decides, as without libyaml
             pass
     return yaml.load(text, Loader=_Loader)
@@ -134,10 +141,11 @@ def _parse(text: str) -> object:
 
 def _from_events(text: str) -> object:
     """The tree `_FAST_LOADER` gives for `text`, built from its parser's
-    events with its resolver and scalar constructors but with no node tree,
-    or _BAIL on what only its composer and constructor handle: an anchor,
-    an alias, a tag, a plain `<<` (merge) key, a key that is not a scalar
-    or a second document. Raises what the parser or a constructor raises."""
+    events with its resolver and scalar constructors but with no node tree.
+    _TAGGED on a tag, which only `_Loader` reads as storbind does, and _BAIL
+    on what only libyaml's composer and constructor handle: an anchor, an
+    alias, a plain `<<` (merge) key, a key that is not a scalar or a second
+    document. Raises what the parser or a constructor raises."""
     loader = _FAST_LOADER(text)
     next_event, resolve, constructors = loader.get_event, loader.resolve, loader.yaml_constructors
     scalars: dict[str, object] = {}  # plain text -> its value, all immutable
@@ -150,7 +158,9 @@ def _from_events(text: str) -> object:
         event = next_event()
         kind = event.__class__
         if kind is ScalarEvent:
-            if event.anchor is not None or event.tag is not None:
+            if event.tag is not None:
+                return _TAGGED
+            if event.anchor is not None:
                 return _BAIL
             value = event.value
             plain = event.implicit[0]  # not quoted, not a block: resolved
@@ -176,7 +186,9 @@ def _from_events(text: str) -> object:
             else:
                 key = value
         elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if event.anchor is not None or event.tag is not None:
+            if event.tag is not None:
+                return _TAGGED
+            if event.anchor is not None:
                 return _BAIL
             value = {} if kind is MappingStartEvent else []
             if container.__class__ is list:

@@ -157,6 +157,9 @@ class _GroupShare:
     until: float = -math.inf
 
 
+_NONE_CAPPED = {}.get  # a row's cap while no cap is in force
+
+
 def _rows(
     volume_ids: Sequence[str],
     demands: Mapping[str, float],
@@ -167,17 +170,25 @@ def _rows(
 
     The volumes that share the water level all hold the one `Fraction`
     that `allocate_iops` made, so it is converted to float once, not once
-    per row.
+    per row. A value that is already a float is kept as it is, and caps
+    are read from a plain dict while none are in force.
     """
     rows = []
     level = level_iops = None
+    cap = caps.get if caps else _NONE_CAPPED
     for vid in volume_ids:
         iops = achieved[vid]
-        if type(iops) is Fraction:
-            if iops is not level:
-                level, level_iops = iops, float(iops)
-            iops = level_iops
-        rows.append((vid, float(demands[vid]), float(iops), caps.get(vid)))
+        if iops.__class__ is not float:
+            if iops.__class__ is Fraction:
+                if iops is not level:
+                    level, level_iops = iops, float(iops)
+                iops = level_iops
+            else:
+                iops = float(iops)
+        demand = demands[vid]
+        if demand.__class__ is not float:
+            demand = float(demand)
+        rows.append((vid, demand, iops, cap(vid)))
     return tuple(rows)
 
 
@@ -329,7 +340,9 @@ class _Engine:
             share = self._shares[impl.impl_id] = _GroupShare(
                 capacity_degradation(impl.total_iops_budget, self.scenario.control.degradation)
             )
-        if impl is share.impl and caps == share.caps and t < share.until:
+        # `until` first: a group that hosts a walk has `until == t`, and so
+        # never reaches the comparison of its caps
+        if impl is share.impl and t < share.until and caps == share.caps:
             # A calendar hit: no volume's demand can have changed since the
             # last allocating interval, so sampling would return the very
             # float objects that interval had. With the same ledger and caps,

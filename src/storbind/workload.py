@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
 from operator import itemgetter
-from typing import Union
+from typing import Callable, Iterator, Union
 
 from .errors import InputError
 
@@ -72,29 +72,56 @@ def _next_point(model: TraceDemand, t: float) -> int:
     return bisect_right(model.points, t, key=_start)
 
 
+def _walk(random: Callable[[], float], value: float, jitter: float) -> Iterator[float]:
+    """A walk's samples: `value` first, then one uniform step in
+    [-jitter, +jitter] per sample, clamped at 0.0.
+
+    Each step is `max(0.0, value + rng.uniform(-jitter, jitter))` in the
+    same float operations in the same order: uniform(a, b) computes
+    `a + (b - a) * random()`, and `jitter - (-jitter)` is exactly
+    `jitter + jitter`. `max(0.0, x)` keeps 0.0 unless x > 0.0, so -0.0 and
+    nan become 0.0.
+    """
+    lo, span = -jitter, jitter + jitter
+    yield value
+    while True:
+        value += lo + span * random()
+        if not value > 0.0:
+            value = 0.0
+        yield value
+
+
 class DemandStreams:
     """Evaluates demand models, holding walk state per volume.
 
-    A walk advances one step per demand() call, so demand() must be called
-    exactly once per control interval for each live volume that walks. A
-    constant or trace volume may be skipped: until() says how long its
-    demand holds, and over that span demand() returns the very same float
-    object on every call. forget() drops a deleted volume's walk, so an id
-    created again starts its walk afresh, at the mean. (A loaded scenario
-    cannot do that: it rejects a duplicate request id, and a volume id is
-    made from its create's request id.)
+    Each walking volume has one generator, built on its first sample from
+    its own bound `random.Random(f"{seed}:{volume_id}").random`, its mean
+    and its jitter; the walk's model is read only then. A walk advances
+    one step per demand() call, so demand() must be called exactly once
+    per control interval for each live volume that walks. A constant or
+    trace volume holds no state and may be skipped: until() says how long
+    its demand holds, and over that span demand() returns the very same
+    float object on every call. forget() drops a deleted volume's walk, so
+    an id created again starts its walk afresh, at the mean. (A loaded
+    scenario cannot do that: it rejects a duplicate request id, and a
+    volume id is made from its create's request id.)
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._walks: dict[str, tuple[random.Random, float]] = {}
+        self._walks: dict[str, Iterator[float]] = {}
 
     def demand(self, volume_id: str, model: DemandModel | None, t: float) -> float:
         """The volume's demand over the interval starting at `t`.
 
         The model's own number, unconverted: a float is already an exact
-        binary rational, so the fair share can compare it exactly.
+        binary rational, so the fair share can compare it exactly. A
+        volume already walking takes its next step before anything else
+        is tested.
         """
+        walk = self._walks.get(volume_id)
+        if walk is not None:
+            return next(walk)
         if model is None:
             return 0.0
         if isinstance(model, ConstantDemand):
@@ -102,7 +129,10 @@ class DemandStreams:
         if isinstance(model, TraceDemand):
             index = _next_point(model, t)
             return model.points[index - 1][1] if index else 0.0
-        return self._walk(volume_id, model)
+        seed_part = self.seed if model.seed is None else model.seed
+        rng = random.Random(f"{seed_part}:{volume_id}")
+        walk = self._walks[volume_id] = _walk(rng.random, float(model.mean), model.jitter)
+        return next(walk)
 
     @staticmethod
     def until(model: DemandModel | None, t: float) -> float:
@@ -122,15 +152,3 @@ class DemandStreams:
     def forget(self, volume_id: str) -> None:
         """Drop the volume's walk state, if it has any."""
         self._walks.pop(volume_id, None)
-
-    def _walk(self, volume_id: str, model: WalkDemand) -> float:
-        state = self._walks.get(volume_id)
-        if state is None:
-            seed_part = self.seed if model.seed is None else model.seed
-            rng = random.Random(f"{seed_part}:{volume_id}")
-            value = float(model.mean)
-        else:
-            rng, value = state
-            value = max(0.0, value + rng.uniform(-model.jitter, model.jitter))
-        self._walks[volume_id] = (rng, value)
-        return value

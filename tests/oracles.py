@@ -6,13 +6,16 @@ of every group and a sort of every node instead of the state database's
 maintained orders; a `csv.writer` for every row instead of one format per
 row; `json.dumps` for every record, and its own indented layout, instead of
 one C encoder built once; a `Fraction` share per volume instead of one per
-group and volume type) so that agreement between the two is meaningful.
+group and volume type; `random.uniform` and `max` on every walk step instead
+of a generator's inlined arithmetic) so that agreement between the two is
+meaningful.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -221,3 +224,16 @@ def overhead_oracle(
         "overhead_by_class": {t: number(m) for t, m in by_type.items()},
         "overhead_total": number(sum(by_type.values())) if by_type else None,
     }
+
+
+def walk_oracle(seed: int, volume_id: str, mean: float, jitter: float, samples: int) -> list[float]:
+    """A walk's first `samples` values: the mean, then one
+    `max(0.0, value + rng.uniform(-jitter, jitter))` step per value, on the
+    `random.Random` seeded from `f"{seed}:{volume_id}"`."""
+    rng = random.Random(f"{seed}:{volume_id}")
+    value = float(mean)
+    values = []
+    for _ in range(samples):
+        values.append(value)
+        value = max(0.0, value + rng.uniform(-jitter, jitter))
+    return values

@@ -212,7 +212,8 @@ def test_a_level_a_hair_under_the_reservation_is_a_violator():
 
 
 def _reference_throttle(stats, reservations, previous, floor_iops):
-    """compute_throttle's rule with Python's own comparisons on every stat."""
+    """compute_throttle's rule with Python's own comparisons on every stat:
+    `Fraction.__lt__` and `Fraction.__ge__` for a `Fraction`."""
     violators = {vid for vid, floor in reservations.items() if stats[vid] < floor}
     if violators:
         return {
@@ -227,29 +228,45 @@ def _reference_throttle(stats, reservations, previous, floor_iops):
 
 @st.composite
 def _throttle_inputs(draw):
-    """Stats like an allocation's around int reservations, and previous caps."""
-    names = ["a", "b", "c", "d", "e"]
+    """Stats like an allocation's around int reservations, and previous caps.
+
+    The stats mix ints, floats and several distinct `Fraction` objects,
+    some equal in value, at, a hair under and a hair over the reservations.
+    """
+    names = ["a", "b", "c", "d", "e", "f"]
     reservations = {vid: draw(st.integers(0, 120)) for vid in names}
-    near = st.sampled_from(sorted(set(reservations.values()))).flatmap(
-        lambda bound: st.integers(-3, 3).map(
-            lambda k: max(Fraction(0), bound + Fraction(k, 2**60))
-        )
+    bound = st.sampled_from(sorted(set(reservations.values())))
+    near = bound.flatmap(
+        lambda b: st.integers(-3, 3).map(lambda k: max(Fraction(0), b + Fraction(k, 2**60)))
     )
-    # the water level: one Fraction object, shared like allocate_iops's
-    level = draw(near | st.fractions(0, 200, max_denominator=10**20))
+    under = st.builds(
+        lambda b, d: Fraction(b * d - 1, d) if b else Fraction(0), bound, st.integers(1, 2**70)
+    )
+    # a fresh object per draw, so equal values need not share one
+    fraction = near | under | st.fractions(0, 200, max_denominator=10**20)
+    # water levels: each one `Fraction` object, shared like allocate_iops's
+    levels = draw(st.lists(fraction, min_size=1, max_size=3))
     stats = {
-        vid: draw(st.just(level) | near | st.integers(0, 200) | st.floats(0, 200))
+        vid: draw(st.sampled_from(levels) | fraction | st.integers(0, 200) | st.floats(0, 200))
         for vid in names
     }
-    caps = st.integers(0, 120) | st.sampled_from(sorted(set(reservations.values())))
+    caps = st.integers(0, 120) | bound
     previous = draw(st.dictionaries(st.sampled_from(names + ["gone"]), caps, max_size=4))
     return stats, reservations, previous, draw(st.integers(0, 100))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(inputs=_throttle_inputs())
 # the level 51 - 2**-60 against a reservation of 51
 @example(inputs=({"a": 2.0**-60, "b": 51 - Fraction(1, 2**60)}, {"a": 0, "b": 51}, {}, 10))
+# two distinct objects of one value, and one just under a reservation of 100
+@example(inputs=(
+    {"a": Fraction(100), "b": Fraction(100), "c": Fraction(100 * 7 - 1, 7)},
+    {"a": 100, "b": 100, "c": 100}, {}, 10,
+))
+# a level exactly at a held cap, then one just under it
+@example(inputs=({"a": Fraction(60), "b": Fraction(60 * 3 - 1, 3)}, {"a": 0, "b": 0}, {"a": 60}, 10))
+@example(inputs=({"a": Fraction(60 * 3 - 1, 3)}, {"a": 0}, {"a": 60}, 10))
 def test_throttle_matches_plain_comparisons(inputs):
     stats, reservations, previous, floor_iops = inputs
     caps = compute_throttle(stats, reservations, previous, floor_iops)

@@ -467,17 +467,19 @@ def test_text_only_the_pure_loader_accepts_loads_as_before(tmp_path, monkeypatch
     assert pure.value.diagnostics == caught.value.diagnostics
 
 
+ONE_CREATE = (
+    "duration_s: 20\nnodes: [{node_id: n1, disks: {count: 1, capacity: 1G}}]\n"
+    "volume_types: {t: {jbod: 1}}\nrequests: [{time: 0, op: create, id: r1, type: t, size: 1G}]\n"
+)
+
+
 @pytest.mark.parametrize(
     "tail",
     ["control: !\n", "workloads: [{volume: vol-r1, walk: {mean: 9, jitter: 1, seed: ! }}]\n"],
 )
 def test_a_bare_tag_loads_the_same_without_libyaml(tmp_path, monkeypatch, tail):
     path = tmp_path / "tagged.yaml"
-    path.write_text(
-        "duration_s: 20\nnodes: [{node_id: n1, disks: {count: 1, capacity: 1G}}]\n"
-        "volume_types: {t: {jbod: 1}}\nrequests: [{time: 0, op: create, id: r1, type: t, size: 1G}]\n"
-        + tail
-    )
+    path.write_text(ONE_CREATE + tail)
     loaded = load_scenario(path)
     monkeypatch.setattr(scenario, "_FAST_LOADER", None)
     assert load_scenario(path) == loaded
@@ -521,12 +523,11 @@ def test_malformed_yaml_pins_hold_without_libyaml(tmp_path, capsys, monkeypatch,
 @needs_libyaml
 @pytest.mark.parametrize("case", sorted(test_cli.MALFORMED_YAML))
 def test_malformed_yaml_pins_hold_with_the_event_builder(tmp_path, capsys, monkeypatch, case):
-    """The builder's failure goes straight to `_Loader`, which words the
-    diagnostic: malformed text is parsed twice, not three times."""
+    """The builder's failure, or a tag it meets, sends the text straight to
+    `_Loader`, which words the diagnostic: malformed text is parsed twice,
+    not three times."""
     text = test_cli.MALFORMED_YAML[case][0]
-    if "!" not in text:  # text with a tag skips the builder
-        with pytest.raises(Exception):
-            scenario._from_events(text)
+    assert _built(text) is (scenario._TAGGED if "!" in text else None)
     loaders, load = [], yaml.load
     monkeypatch.setattr(yaml, "load", lambda source, Loader: loaders.append(Loader) or load(source, Loader))
     test_cli.test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case)
@@ -556,6 +557,45 @@ def test_text_the_builder_leaves_loads_as_before(tmp_path, monkeypatch):
     assert loaded.volume_types["guarded"].min_iops == 10
     monkeypatch.setattr(scenario, "_FAST_LOADER", None)
     assert load_scenario(path) == loaded
+
+
+@needs_libyaml
+@pytest.mark.parametrize(
+    "text",
+    [ONE_CREATE + "# done!\n", ONE_CREATE.replace("id: r1", 'id: "r!1"'), ONE_CREATE.replace("id: r1", "id: 'r1!'")],
+    ids=["comment", "double-quoted", "single-quoted"],
+)
+def test_a_bang_that_is_not_a_tag_is_built_from_libyamls_events(tmp_path, monkeypatch, text):
+    path = tmp_path / "bang.yaml"
+    path.write_text(text)
+    expected = build_scenario(yaml.load(text, Loader=yaml.CSafeLoader), path.stem)
+    assert expected == build_scenario(yaml.load(text, Loader=scenario._Loader), path.stem)
+    with monkeypatch.context() as patched:
+        patched.setattr(yaml, "load", _whole_loader_refused)
+        assert load_scenario(path) == expected
+    monkeypatch.setattr(scenario, "_FAST_LOADER", None)
+    assert load_scenario(path) == expected
+
+
+@needs_libyaml
+@pytest.mark.parametrize(
+    "tail",
+    [
+        "control: !\n",
+        "control: !!map {interval_s: 5}\n",
+        # the builder stops at the anchor, before it meets the tag
+        "control: &c {interval_s: !!int 5}\n",
+    ],
+    ids=["bare", "map", "after-an-anchor"],
+)
+def test_tagged_text_reaches_the_pure_loader_alone(tmp_path, monkeypatch, tail):
+    path = tmp_path / "tagged.yaml"
+    path.write_text(ONE_CREATE + tail)
+    loaders, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda source, Loader: loaders.append(Loader) or load(source, Loader))
+    loaded = load_scenario(path)
+    assert loaders == [scenario._Loader]
+    assert loaded == build_scenario(load(ONE_CREATE + tail, Loader=scenario._Loader), path.stem)
 
 
 # Pieces of YAML text. Left out: a bare `!` tag with no value, which libyaml
@@ -593,12 +633,13 @@ BUILDER_PIECES = [*YAML_PIECES, "=", "? ", "1: a", "true: b"]
 
 
 def _built(text: str) -> object:
-    """The repr of the builder's tree, the builder's _BAIL, or None when it raises."""
+    """The repr of the builder's tree, the builder's _BAIL or _TAGGED, or
+    None when it raises."""
     try:
         tree = scenario._from_events(text)
     except Exception:
         return None
-    return tree if tree is scenario._BAIL else repr(tree)
+    return tree if tree is scenario._BAIL or tree is scenario._TAGGED else repr(tree)
 
 
 @needs_libyaml
@@ -606,7 +647,9 @@ def _built(text: str) -> object:
 @given(st.lists(st.sampled_from(BUILDER_PIECES), max_size=20).map("".join))
 def test_the_event_builder_gives_libyamls_tree_or_leaves_the_text(text):
     built = _built(text)
-    if built is not scenario._BAIL:
+    if built is scenario._TAGGED:
+        assert "!" in text
+    elif built is not scenario._BAIL:
         assert built == _tree(text, scenario._FAST_LOADER)
 
 
@@ -632,19 +675,22 @@ def test_the_event_builder_agrees_with_libyaml(case):
     assert _built(text) == _tree(text, scenario._FAST_LOADER) is not None
 
 
+# text -> what the builder gives back: libyaml's whole loader takes it from
+# there, or `_Loader` for a tag
 BUILDER_BAILS = {
-    "alias": "a: &x 1\nb: *x\n",
-    "tag": "a: !!int 1\n",
-    "merge-key": "a: {<<: {b: 1}, c: 2}\n",
-    "complex-key": "? [a, b]\n: c\n",
-    "second-document": "a: 1\n---\nb: 2\n",
+    "alias": ("a: &x 1\nb: *x\n", scenario._BAIL),
+    "tag": ("a: !!int 1\n", scenario._TAGGED),
+    "merge-key": ("a: {<<: {b: 1}, c: 2}\n", scenario._BAIL),
+    "complex-key": ("? [a, b]\n: c\n", scenario._BAIL),
+    "second-document": ("a: 1\n---\nb: 2\n", scenario._BAIL),
 }
 
 
 @needs_libyaml
 @pytest.mark.parametrize("case", sorted(BUILDER_BAILS))
 def test_the_event_builder_leaves_the_text(case):
-    assert _built(BUILDER_BAILS[case]) is scenario._BAIL
+    text, left_as = BUILDER_BAILS[case]
+    assert _built(text) is left_as
 
 
 _TREES = st.recursive(

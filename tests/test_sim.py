@@ -628,6 +628,43 @@ def test_folded_groups_match_the_end_state(mode):
         ), path.name
 
 
+def test_a_walk_survives_its_groups_membership_changes():
+    # neighbours are admitted into vol-r1's group and deleted mid-run, so
+    # the group's membership is rebuilt on each; a walk's state is its
+    # volume's, so vol-r1 walks on as if it were sampled alone
+    data = mini_scenario(duration_s=60)
+    create = {"op": "create", "type": "plain", "size": "100G"}
+    data["requests"] += [
+        {**create, "time": 10, "id": "r2"},
+        {**create, "time": 15, "id": "r3"},
+        {"time": 25, "op": "delete", "volume": "vol-r2"},
+        {**create, "time": 30, "id": "r4"},
+        {"time": 40, "op": "delete", "volume": "vol-r3"},
+    ]
+    walks = {
+        "vol-r1": {"mean": 100, "jitter": 30},
+        "vol-r2": {"mean": 50, "jitter": 80},
+        "vol-r4": {"mean": 10, "jitter": 5},
+    }
+    data["workloads"] = [
+        *({"volume": vid, "walk": walk} for vid, walk in walks.items()),
+        {"volume": "vol-r3", "constant": 40},
+    ]
+    scenario = build_scenario(data)
+    result = run_scenario(scenario, seed=3)
+    admitted = [e.payload["impl_id"] for e in result.events if e.kind == EventKind.ADMITTED]
+    assert admitted == ["impl-0001"] * 4
+    columns = {
+        vid: [(p.time_s, p.demand_iops) for p in result.timeseries if p.volume_id == vid]
+        for vid in walks
+    }
+    assert [t for t, _ in columns["vol-r2"]] == [10.0, 15.0, 20.0]
+    for vid, column in columns.items():
+        alone = DemandStreams(seed=3)
+        model = scenario.workloads[vid]
+        assert column == [(t, alone.demand(vid, model, t)) for t, _ in column], vid
+
+
 def test_same_seed_same_run_walk_demand():
     data = mini_scenario(duration_s=100)
     data["workloads"] = [{"volume": "vol-r1", "walk": {"mean": 100, "jitter": 30}}]

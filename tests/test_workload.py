@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from math import inf
+from math import copysign, inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import walk_oracle
 from storbind.errors import InputError
 from storbind.workload import ConstantDemand, DemandStreams, TraceDemand, WalkDemand
 
@@ -119,6 +122,42 @@ def test_a_forgotten_walk_starts_again_at_the_mean():
     streams.forget("vol-a")
     streams.forget("vol-never-sampled")
     assert [streams.demand("vol-a", model, float(t)) for t in range(5)] == first
+
+
+# subnormal and zero jitters, means at or near zero, and jitters far above
+# the mean, so walks cross zero and are clamped
+_MEANS = st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0, 1e6) | st.integers(0, 10**6)
+_JITTERS = (
+    st.just(0.0)
+    | st.floats(0, 2.2250738585072014e-308)
+    | st.floats(0, 1e6)
+    | st.integers(0, 10**6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    volume_id=st.text(max_size=6),
+    mean=_MEANS,
+    jitter=_JITTERS,
+    steps=st.integers(1, 80),
+    again=st.integers(0, 80),
+)
+@example(seed=0, volume_id="vol-a", mean=0.0, jitter=0.0, steps=5, again=5)
+@example(seed=1, volume_id="vol-a", mean=0.0, jitter=5e-324, steps=40, again=3)
+@example(seed=2, volume_id="vol-a", mean=1.0, jitter=100.0, steps=40, again=40)
+def test_a_walk_steps_as_random_uniform_does(seed, volume_id, mean, jitter, steps, again):
+    model = WalkDemand(mean=mean, jitter=jitter)
+    streams = DemandStreams(seed)
+    expected = list(map(float.hex, walk_oracle(seed, volume_id, mean, jitter, max(steps, again))))
+    walked = [streams.demand(volume_id, model, float(t)) for t in range(steps)]
+    assert list(map(float.hex, walked)) == expected[:steps]
+    assert all(copysign(1.0, value) == 1.0 for value in walked)  # never -0.0
+    # a forgotten walk restarts at the mean
+    streams.forget(volume_id)
+    walked = [streams.demand(volume_id, model, float(t)) for t in range(again)]
+    assert list(map(float.hex, walked)) == expected[:again]
 
 
 def test_walk_validation():
