@@ -102,11 +102,8 @@ class StorageManager:
         # manager of one broker; admit adds to it and delete_volume removes
         self._owners = owners
         self.caps: Mapping[str, int] = _NO_CAPS
-        # volume_id -> min_iops of the hosted volumes, and the ledger record it
-        # was built for: admit and delete swap the record, attach and detach
-        # keep min_iops
+        # volume_id -> min_iops of the hosted volumes, kept by admit and delete
         self._reservations: dict[str, int] = {}
-        self._reservations_of: StorageImplementation | None = None
 
     def admit(self, request: VolumeRequest) -> Admission:
         """Charge a request to this group, which the scheduler chose, and host its volume.
@@ -126,6 +123,7 @@ class StorageManager:
             )
         self.volumes[volume_id] = Volume(volume_id, size, min_iops)
         self._owners[volume_id] = self
+        self._reservations[volume_id] = min_iops
         self._publish(
             allocated_iops=impl.allocated_iops + min_iops,
             allocated_capacity_bytes=impl.allocated_capacity_bytes + size,
@@ -141,6 +139,7 @@ class StorageManager:
             )
         del self.volumes[volume_id]
         del self._owners[volume_id]
+        del self._reservations[volume_id]
         self._publish(
             allocated_iops=self.impl.allocated_iops - volume.min_iops,
             allocated_capacity_bytes=self.impl.allocated_capacity_bytes - volume.size_bytes,
@@ -177,9 +176,6 @@ class StorageManager:
                 f"impl {self.impl.impl_id}: stats must cover exactly the hosted volumes"
                 f" (missing {missing}, stray {stray})"
             )
-        if self._reservations_of is not self.impl:
-            self._reservations = {volume_id: v.min_iops for volume_id, v in self.volumes.items()}
-            self._reservations_of = self.impl
         self.caps = compute_throttle(
             stats, self._reservations, self.caps, config.throttle_floor_iops
         )

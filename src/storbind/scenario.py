@@ -106,33 +106,26 @@ class _Loader(yaml.SafeLoader):
 for _tag in ("bool", "int", "float", "timestamp", "str"):
     _Loader.add_constructor(f"tag:yaml.org,2002:{_tag}", _Loader.construct_located)
 
-# libyaml's parser feeding the same Python constructors, when PyYAML has it
+# libyaml's parser, whose events `_from_events` builds from, when PyYAML has it
 _FAST_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else None
 
-_BAIL = object()  # `_from_events` leaves the text to a whole loader
-_TAGGED = object()  # `_from_events` met a tag: the text goes to `_Loader`
+_BAIL = object()  # `_from_events` leaves the text to `_Loader`
 _NO_KEY = object()
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
 def _parse(text: str) -> object:
-    """The key tree of `text`. With libyaml, unless the text holds a
-    byte-order mark, it is built straight from libyaml's events. Text the
-    builder leaves alone goes to libyaml's whole loader, unless it holds a
-    `!` anywhere; text holding a tag goes to `_Loader`. libyaml reads a
-    bare `!` as '' where `_Loader` reads None, and drops marks `_Loader`
-    keeps. `_Loader` parses again what libyaml fails on and words every
-    diagnostic, so malformed text is parsed twice; a lone surrogate escape
-    fails on both. libyaml also accepts some text `_Loader` rejects, such as
-    a tab after a plain scalar."""
+    """The key tree of `text`, as `_Loader` reads it. With libyaml, unless
+    the text holds a byte-order mark (libyaml drops marks `_Loader` keeps),
+    the tree is built straight from libyaml's events; text the builder
+    leaves or fails on is read by `_Loader` exactly as without libyaml. So
+    `_Loader` words every diagnostic, and malformed text is parsed twice; a
+    lone surrogate escape fails on both. libyaml also accepts some text
+    `_Loader` rejects, such as a tab after a plain scalar."""
     if _FAST_LOADER is not None and "\ufeff" not in text:
         try:
             tree = _from_events(text)
-            if tree is _BAIL:
-                # a tag may follow what the builder stopped at
-                if "!" not in text:
-                    return yaml.load(text, Loader=_FAST_LOADER)
-            elif tree is not _TAGGED:
+            if tree is not _BAIL:
                 return tree
         except Exception:  # any failure: `_Loader` decides, as without libyaml
             pass
@@ -140,10 +133,11 @@ def _parse(text: str) -> object:
 
 
 def _from_events(text: str) -> object:
-    """The tree `_FAST_LOADER` gives for `text`, built from its parser's
-    events with its resolver and scalar constructors but with no node tree.
-    _TAGGED on a tag, which only `_Loader` reads as storbind does, and _BAIL
-    on what only libyaml's composer and constructor handle: an anchor, an
+    """The tree `_Loader` gives for `text` wherever `_Loader` accepts it,
+    built from libyaml's parser events with its resolver and scalar
+    constructors but with no node tree. _BAIL, which leaves the text to
+    `_Loader`, on a tag (libyaml reads a bare `!` as '' where `_Loader`
+    reads None) and on what the builder does not follow: an anchor, an
     alias, a plain `<<` (merge) key, a key that is not a scalar or a second
     document. Raises what the parser or a constructor raises."""
     loader = _FAST_LOADER(text)
@@ -158,9 +152,7 @@ def _from_events(text: str) -> object:
         event = next_event()
         kind = event.__class__
         if kind is ScalarEvent:
-            if event.tag is not None:
-                return _TAGGED
-            if event.anchor is not None:
+            if event.tag is not None or event.anchor is not None:
                 return _BAIL
             value = event.value
             plain = event.implicit[0]  # not quoted, not a block: resolved
@@ -186,9 +178,7 @@ def _from_events(text: str) -> object:
             else:
                 key = value
         elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if event.tag is not None:
-                return _TAGGED
-            if event.anchor is not None:
+            if event.tag is not None or event.anchor is not None:
                 return _BAIL
             value = {} if kind is MappingStartEvent else []
             if container.__class__ is list:
@@ -552,12 +542,15 @@ def _build_workloads(
 def _build_demand(
     raw: object, kind: str, where: str, steps: int | None, diags: list[str]
 ) -> DemandModel | None:
+    """One volume's demand model. A demand of -0.0 (a constant, a trace
+    value or a walk mean) is read as 0.0, `x + 0.0` being x for every other
+    float, so no time-series row says -0.000000."""
     try:
         if kind == "constant":
             if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 diags.append(f"{where}.constant: expected a number")
                 return None
-            return ConstantDemand(iops=float(raw))
+            return ConstantDemand(iops=float(raw) + 0.0)
         if kind == "trace":
             if not isinstance(raw, list):
                 diags.append(f"{where}.trace: expected a list of [time, iops] pairs")
@@ -571,7 +564,7 @@ def _build_demand(
                 ):
                     diags.append(f"{where}.trace: expected [time, iops] pairs of numbers")
                     return None
-                points.append((float(pair[0]), float(pair[1])))
+                points.append((float(pair[0]), float(pair[1]) + 0.0))
             return TraceDemand(points=tuple(points))
         if not isinstance(raw, dict):
             diags.append(f"{where}.walk: expected a mapping with mean and jitter")
@@ -589,7 +582,7 @@ def _build_demand(
         if steps is not None and not math.isfinite(mean + 2.0 * jitter * steps):
             diags.append(f"{where}.walk: mean + 2 x jitter x {steps} intervals is not finite")
             return None
-        return WalkDemand(mean=mean, jitter=jitter, seed=seed)
+        return WalkDemand(mean=mean + 0.0, jitter=jitter, seed=seed)
     except (InputError, OverflowError) as exc:
         diags.append(f"{where}.{kind}: {exc}")
         return None

@@ -413,6 +413,21 @@ def test_walk_that_can_overflow_is_an_input_error(tmp_path, capsys, value, code)
         assert (out / "timeseries.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "demand",
+    ["constant: -0.0", "trace: [[0, -0.0]]", "walk: {mean: -0.0, jitter: 0}"],
+    ids=["constant", "trace", "walk"],
+)
+def test_a_negative_zero_demand_is_written_as_zero(tmp_path, demand):
+    path = tmp_path / "zero.yaml"
+    path.write_text(MINI + f"workloads: [{{volume: vol-r1, {demand}}}]\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows if ",vol-r1," in row] == ["0.000000"] * 4
+    assert "-0.000000" not in "".join(rows)
+
+
 def test_missing_scenario_file_is_a_user_error(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == 2
 

@@ -307,6 +307,27 @@ def test_throttle_tick_reads_the_reservations_of_the_volumes_hosted_now():
     assert dict(caps) == {"vol-ra": 100, "vol-rc": 60}
 
 
+def test_a_refused_admit_or_delete_leaves_the_next_throttle_step_unchanged():
+    # with vol-rb the one violator, a reservation a refused op changed would
+    # change the caps: vol-ra at 500 is a violator too, and without vol-rb
+    # nobody is; a reservation for vol-rc would not be in the stats
+    config = ControlConfig(throttle_floor_iops=60)
+    stats = {"vol-ra": 150, "vol-rb": 40}
+    plain, refused = make_manager(), make_manager()
+    for mgr in (plain, refused):
+        mgr.admit(req("ra", min_iops=100))
+        mgr.admit(req("rb", min_iops=50))
+        mgr.attach("vol-rb", "vm-1")
+    with pytest.raises(ConflictError):
+        refused.admit(req("ra", min_iops=500))  # a duplicate volume id
+    with pytest.raises(ConflictError):
+        refused.admit(req("rc", min_iops=1000))  # over the group's budget
+    with pytest.raises(InvalidStateError):
+        refused.delete_volume("vol-rb", now=1.0)
+    caps = dict(refused.throttle_tick(stats, config))
+    assert caps == dict(plain.throttle_tick(stats, config)) == {"vol-ra": 100}
+
+
 def test_throttle_tick_caps_reject_item_assignment():
     mgr = make_manager()
     mgr.admit(req("ra", min_iops=100))

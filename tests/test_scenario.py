@@ -489,6 +489,13 @@ def _whole_loader_refused(*args, **kwargs):
     pytest.fail("a whole loader parsed the text")  # not an Exception: `_parse` cannot catch it
 
 
+def _record_loaders(monkeypatch) -> list:
+    """The Loader of each `yaml.load` call from now on, which still loads."""
+    loaders, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda source, Loader: loaders.append(Loader) or load(source, Loader))
+    return loaders
+
+
 @needs_libyaml
 def test_shipped_files_are_built_from_libyamls_events(shipped_files, monkeypatch):
     """No shipped file falls back to a whole loader, which would keep the
@@ -527,9 +534,8 @@ def test_malformed_yaml_pins_hold_with_the_event_builder(tmp_path, capsys, monke
     `_Loader`, which words the diagnostic: malformed text is parsed twice,
     not three times."""
     text = test_cli.MALFORMED_YAML[case][0]
-    assert _built(text) is (scenario._TAGGED if "!" in text else None)
-    loaders, load = [], yaml.load
-    monkeypatch.setattr(yaml, "load", lambda source, Loader: loaders.append(Loader) or load(source, Loader))
+    assert _built(text) is (scenario._BAIL if "!" in text else None)
+    loaders = _record_loaders(monkeypatch)
     test_cli.test_malformed_yaml_diagnostic_text_is_pinned(tmp_path, capsys, case)
     assert loaders == [scenario._Loader] * 2  # validate, then run
 
@@ -548,12 +554,17 @@ requests: [{time: 0, op: create, id: r1, type: guarded, size: 1G}]
 
 @needs_libyaml
 def test_text_the_builder_leaves_loads_as_before(tmp_path, monkeypatch):
-    """An anchor, an alias and a merge key: libyaml's whole loader parses it."""
+    """An anchor, an alias and a merge key: the pure loader alone parses it,
+    into what libyaml's whole loader gives."""
     path = tmp_path / "merged.yaml"
     path.write_text(MERGED)
     assert scenario._from_events(MERGED) is scenario._BAIL
-    loaded = load_scenario(path)
-    assert loaded == build_scenario(yaml.load(MERGED, Loader=yaml.CSafeLoader), "merged")
+    expected = build_scenario(yaml.load(MERGED, Loader=yaml.CSafeLoader), "merged")
+    with monkeypatch.context() as patched:
+        loaders = _record_loaders(patched)
+        loaded = load_scenario(path)
+    assert loaders == [scenario._Loader]
+    assert loaded == expected
     assert loaded.volume_types["guarded"].min_iops == 10
     monkeypatch.setattr(scenario, "_FAST_LOADER", None)
     assert load_scenario(path) == loaded
@@ -575,27 +586,6 @@ def test_a_bang_that_is_not_a_tag_is_built_from_libyamls_events(tmp_path, monkey
         assert load_scenario(path) == expected
     monkeypatch.setattr(scenario, "_FAST_LOADER", None)
     assert load_scenario(path) == expected
-
-
-@needs_libyaml
-@pytest.mark.parametrize(
-    "tail",
-    [
-        "control: !\n",
-        "control: !!map {interval_s: 5}\n",
-        # the builder stops at the anchor, before it meets the tag
-        "control: &c {interval_s: !!int 5}\n",
-    ],
-    ids=["bare", "map", "after-an-anchor"],
-)
-def test_tagged_text_reaches_the_pure_loader_alone(tmp_path, monkeypatch, tail):
-    path = tmp_path / "tagged.yaml"
-    path.write_text(ONE_CREATE + tail)
-    loaders, load = [], yaml.load
-    monkeypatch.setattr(yaml, "load", lambda source, Loader: loaders.append(Loader) or load(source, Loader))
-    loaded = load_scenario(path)
-    assert loaders == [scenario._Loader]
-    assert loaded == build_scenario(load(ONE_CREATE + tail, Loader=scenario._Loader), path.stem)
 
 
 # Pieces of YAML text. Left out: a bare `!` tag with no value, which libyaml
@@ -628,18 +618,18 @@ def test_text_both_loaders_accept_gives_equal_trees(text):
 
 
 # The builder is held to libyaml's whole loader: the same tree, or it
-# leaves the text to that loader, or it fails where that loader fails.
+# leaves the text to the pure loader, or it fails where libyaml fails.
 BUILDER_PIECES = [*YAML_PIECES, "=", "? ", "1: a", "true: b"]
 
 
 def _built(text: str) -> object:
-    """The repr of the builder's tree, the builder's _BAIL or _TAGGED, or
-    None when it raises."""
+    """The repr of the builder's tree, the builder's _BAIL, or None when it
+    raises."""
     try:
         tree = scenario._from_events(text)
     except Exception:
         return None
-    return tree if tree is scenario._BAIL or tree is scenario._TAGGED else repr(tree)
+    return tree if tree is scenario._BAIL else repr(tree)
 
 
 @needs_libyaml
@@ -647,10 +637,17 @@ def _built(text: str) -> object:
 @given(st.lists(st.sampled_from(BUILDER_PIECES), max_size=20).map("".join))
 def test_the_event_builder_gives_libyamls_tree_or_leaves_the_text(text):
     built = _built(text)
-    if built is scenario._TAGGED:
-        assert "!" in text
-    elif built is not scenario._BAIL:
+    if built is not scenario._BAIL:
         assert built == _tree(text, scenario._FAST_LOADER)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(BUILDER_PIECES), max_size=20).map("".join))
+def test_text_the_pure_loader_accepts_parses_as_the_pure_loader_reads_it(text):
+    """The loader's one rule, with or without libyaml."""
+    pure = _tree(text, scenario._Loader)
+    if pure is not None:
+        assert repr(scenario._parse(text)) == pure
 
 
 BUILDER_AGREES = {
@@ -675,22 +672,44 @@ def test_the_event_builder_agrees_with_libyaml(case):
     assert _built(text) == _tree(text, scenario._FAST_LOADER) is not None
 
 
-# text -> what the builder gives back: libyaml's whole loader takes it from
-# there, or `_Loader` for a tag
+# texts the builder leaves to `_Loader`, by name
 BUILDER_BAILS = {
-    "alias": ("a: &x 1\nb: *x\n", scenario._BAIL),
-    "tag": ("a: !!int 1\n", scenario._TAGGED),
-    "merge-key": ("a: {<<: {b: 1}, c: 2}\n", scenario._BAIL),
-    "complex-key": ("? [a, b]\n: c\n", scenario._BAIL),
-    "second-document": ("a: 1\n---\nb: 2\n", scenario._BAIL),
+    "alias": "a: &x 1\nb: *x\n",
+    "tag": "a: !!int 1\n",
+    "merge-key": "a: {<<: {b: 1}, c: 2}\n",
+    "complex-key": "? [a, b]\n: c\n",
+    "second-document": "a: 1\n---\nb: 2\n",
 }
 
 
 @needs_libyaml
 @pytest.mark.parametrize("case", sorted(BUILDER_BAILS))
 def test_the_event_builder_leaves_the_text(case):
-    text, left_as = BUILDER_BAILS[case]
-    assert _built(text) is left_as
+    assert _built(BUILDER_BAILS[case]) is scenario._BAIL
+
+
+LEFT_TO_THE_PURE_LOADER = {
+    **BUILDER_BAILS,
+    "bare": ONE_CREATE + "control: !\n",
+    "map": ONE_CREATE + "control: !!map {interval_s: 5}\n",
+    # the builder stops at the anchor, before it meets the tag
+    "after-an-anchor": ONE_CREATE + "control: &c {interval_s: !!int 5}\n",
+}
+
+
+@needs_libyaml
+@pytest.mark.parametrize("case", sorted(LEFT_TO_THE_PURE_LOADER))
+def test_tagged_text_reaches_the_pure_loader_alone(monkeypatch, case):
+    """Text the builder leaves, tagged or not, is read by `_Loader` alone."""
+    text = LEFT_TO_THE_PURE_LOADER[case]
+    expected = _tree(text, scenario._Loader)  # None for a complex key or a second document
+    loaders = _record_loaders(monkeypatch)
+    try:
+        parsed = repr(scenario._parse(text))
+    except yaml.YAMLError:
+        parsed = None
+    assert parsed == expected
+    assert loaders == [scenario._Loader]
 
 
 _TREES = st.recursive(

@@ -22,7 +22,7 @@ from storbind.report import EVENTS_FILE, run_to_directory
 from storbind.scenario import Scenario, build_scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
 from storbind.sim import EventKind, SimEvent, TimeSeries, TimeSeriesPoint, as_number, run_scenario
-from storbind.workload import DemandStreams
+from storbind.workload import DemandStreams, TraceDemand
 
 GiB = 1024**3
 DATA = Path(__file__).parent / "data"
@@ -237,10 +237,11 @@ def test_a_repeated_interval_skips_the_throttle_step(monkeypatch):
 
 def test_a_repeated_interval_writes_its_own_demand():
     # the trace's next point expires the calendar at 10 s, so that interval
-    # allocates, although -0.0 == 0.0; its row says -0.0
-    data = mini_scenario(duration_s=15)
-    data["workloads"] = [{"volume": "vol-r1", "trace": [[0, 0.0], [10, -0.0]]}]
-    result = run_scenario(build_scenario(data), seed=0)
+    # allocates, although -0.0 == 0.0; its row says -0.0 (the loader reads a
+    # -0.0 demand as 0.0, so the model is built here)
+    model = TraceDemand(points=((0.0, 0.0), (10.0, -0.0)))
+    loaded = build_scenario(mini_scenario(duration_s=15))
+    result = run_scenario(dataclasses.replace(loaded, workloads={"vol-r1": model}), seed=0)
     assert [math.copysign(1, p.demand_iops) for p in result.timeseries] == [1, 1, -1]
 
 
