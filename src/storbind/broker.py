@@ -75,16 +75,17 @@ class StorageBroker:
         raises ConflictError.
         """
         node = self._node(decision.node_id)
-        free = self._free[decision.node_id]
-        taken = set(decision.disk_ids)
-        if len(taken) != len(decision.disk_ids):
+        if len(set(decision.disk_ids)) != len(decision.disk_ids):
             raise InputError(f"provision on {decision.node_id}: duplicate disk ids")
-        free_ids = {d.disk_id for d in free}
+        # the live free pool by id, in disk_id order; what is left is the new pool
+        pool = {d.disk_id: d for d in self._free[decision.node_id]}
         disks = []
         for disk_id in decision.disk_ids:
-            disks.append(node.disk(disk_id))
-            if disk_id not in free_ids:
+            disk = pool.pop(disk_id, None)
+            if disk is None:
+                node.disk(disk_id)  # a disk the node lacks raises InputError
                 raise ConflictError(f"node {decision.node_id}: disk {disk_id} is not free")
+            disks.append(disk)
         capacity = usable_capacity(decision.layout, disks)
         budget = iops_budget(decision.layout, disks)
 
@@ -98,7 +99,7 @@ class StorageBroker:
             total_iops_budget=budget,
             idle_since=now,
         )
-        remaining = tuple(d for d in free if d.disk_id not in taken)
+        remaining = tuple(pool.values())
         self._free[decision.node_id] = remaining
         manager = StorageManager(impl, self.statedb, self.volume_owners)
         self.managers[impl.impl_id] = manager

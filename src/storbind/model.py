@@ -372,6 +372,13 @@ def usable_capacity(layout: LayoutKind, disks: Sequence[DiskSpec]) -> int:
     return _usable(layout, [d.capacity_bytes for d in disks])
 
 
+def capacity_bound(layout: LayoutKind, largest_disk_bytes: int) -> int:
+    """Bytes `layout` offers over disks none larger than `largest_disk_bytes`:
+    at least `usable_capacity` over any `disk_count(layout)` such disks,
+    since both capacity rules only grow as any member grows."""
+    return _usable(layout, [largest_disk_bytes] * disk_count(layout))
+
+
 def iops_budget(layout: LayoutKind, disks: Sequence[DiskSpec]) -> int:
     """Worst-case small-block IOPS an implementation may promise: the
     capacity rule applied to per-disk profiled floors."""

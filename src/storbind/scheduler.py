@@ -19,6 +19,7 @@ from .model import (
     LayoutKind,
     StorageImplementation,
     VolumeType,
+    capacity_bound,
     disk_count,
     iops_budget,
     redundancy_factor,
@@ -120,12 +121,21 @@ def _provision_plan(
     stops at the first with too few, so a full fleet reads no free pool.
     Returns (plan, any_count_sufficient, any_size_shortfall) so the caller
     can name the most specific reject reason when plan is None.
+
+    A request larger than the layout holds over `disk_count(layout)`
+    copies of the snapshot's largest disk fits no candidate set, so its
+    result is known from the first node alone and no free pool is read.
     """
     layout = request.volume_type.layout
     need = disk_count(layout)
+    ranked_nodes = snapshot.ranked_nodes
+    if request.size_bytes > capacity_bound(layout, snapshot.largest_disk_bytes):
+        # every node with enough disks would be short on bytes
+        any_count = bool(ranked_nodes) and -ranked_nodes[0][0] >= need
+        return None, any_count, any_count
     any_count = False
     any_size_short = False
-    for neg_free, node_id in snapshot.ranked_nodes:
+    for neg_free, node_id in ranked_nodes:
         if -neg_free < need:
             break
         any_count = True

@@ -5,14 +5,15 @@ managers publish their frozen implementation records. Both are stored
 as given. Alongside them the database keeps the two orders the
 scheduler walks, each moved one entry per report with `bisect`: every
 layout's groups by (-remaining_iops, impl_id), and every node by
-(-free disk count, node_id). `view` reads the live state for a caller
-that decides before the next report; `snapshot` copies it.
+(-free disk count, node_id), plus the largest disk any broker report
+has carried. `view` reads the live state for a caller that decides
+before the next report; `snapshot` copies it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -28,6 +29,10 @@ class ClusterSnapshot:
     """Every report and both orders: live from `view`, copied by `snapshot`.
 
     A layout with no groups has no entry in `ranked_groups`.
+    `largest_disk_bytes` is a running maximum over every disk any broker
+    report has carried, 0 before the first disk. Pools may later shrink,
+    grow, or be replaced by smaller disks, but it never falls, so it
+    stays at least the capacity of every free disk in `nodes`.
     """
 
     # node_id -> that node's free disks, in disk_id order
@@ -37,6 +42,7 @@ class ClusterSnapshot:
     ranked_groups: Mapping[LayoutKind, Sequence[RankedGroup]]
     # every node as (-len(free disks), node_id), ascending
     ranked_nodes: Sequence[tuple[int, str]]
+    largest_disk_bytes: int
 
 
 class StateDatabase:
@@ -54,6 +60,15 @@ class StateDatabase:
         self._removed: set[str] = set()
         self._ranked_groups: dict[LayoutKind, list[RankedGroup]] = {}
         self._ranked_nodes: list[tuple[int, str]] = []
+        # every field but the largest disk is a live reference, so one view
+        # serves every caller until a report carries a larger disk
+        self._view = ClusterSnapshot(
+            nodes=MappingProxyType(self._nodes),
+            implementations=MappingProxyType(self._impls),
+            ranked_groups=MappingProxyType(self._ranked_groups),
+            ranked_nodes=self._ranked_nodes,
+            largest_disk_bytes=0,
+        )
 
     def upsert_broker_report(self, node_id: str, free_disks: tuple[DiskSpec, ...]) -> None:
         ranked = self._ranked_nodes
@@ -62,6 +77,12 @@ class StateDatabase:
             del ranked[bisect_left(ranked, (-len(old), node_id))]
         insort(ranked, (-len(free_disks), node_id))
         self._nodes[node_id] = free_disks
+        largest = self._view.largest_disk_bytes
+        for disk in free_disks:
+            if disk.capacity_bytes > largest:
+                largest = disk.capacity_bytes
+        if largest > self._view.largest_disk_bytes:
+            self._view = replace(self._view, largest_disk_bytes=largest)
 
     def upsert_manager_report(self, report: StorageImplementation) -> None:
         if not 0 <= report.allocated_iops <= report.total_iops_budget:
@@ -97,14 +118,10 @@ class StateDatabase:
         """The live state behind read-only wrappers, copied nowhere.
 
         Valid until the next report moves its entries: the one thread
-        driving a ControlPlane reads it to a decision, then executes.
+        driving a ControlPlane reads it to a decision, then executes. The
+        same object is returned until a report carries a larger disk.
         """
-        return ClusterSnapshot(
-            nodes=MappingProxyType(self._nodes),
-            implementations=MappingProxyType(self._impls),
-            ranked_groups=MappingProxyType(self._ranked_groups),
-            ranked_nodes=self._ranked_nodes,
-        )
+        return self._view
 
     def snapshot(self) -> ClusterSnapshot:
         """A copy of the state that later reports never change."""
@@ -115,6 +132,7 @@ class StateDatabase:
                 {layout: tuple(ranked) for layout, ranked in self._ranked_groups.items()}
             ),
             ranked_nodes=tuple(self._ranked_nodes),
+            largest_disk_bytes=self._view.largest_disk_bytes,
         )
 
     def _unrank(self, report: StorageImplementation) -> None:

@@ -121,14 +121,20 @@ def test_provision_unknown_node_and_disks():
 
 
 def test_provision_checks_each_disk_in_order():
-    broker, _ = make_broker()
+    broker, db = make_broker()
     broker.provision(broker.make_order("node1", Jbod()), now=0.0)
-    # node1-d00 is taken and node1-d99 does not exist: the first named disk decides
-    with pytest.raises(InputError):
-        broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d99", "node1-d00")), now=1.0)
-    with pytest.raises(ConflictError):
-        broker.provision(Provision("node1", ReplicatedPool(2), ("node1-d00", "node1-d99")), now=1.0)
+    before = db.snapshot()
+    rep3 = ReplicatedPool(3)
+    # node1-d00 is taken and node1-d99 does not exist: a repeated id decides first
+    with pytest.raises(InputError, match="duplicate disk ids"):
+        broker.provision(Provision("node1", rep3, ("node1-d00", "node1-d99", "node1-d00")), now=1.0)
+    # then the first named disk that fails, after any free ones
+    with pytest.raises(InputError, match="no disk node1-d99"):
+        broker.provision(Provision("node1", rep3, ("node1-d01", "node1-d99", "node1-d00")), now=1.0)
+    with pytest.raises(ConflictError, match="disk node1-d00 is not free"):
+        broker.provision(Provision("node1", rep3, ("node1-d01", "node1-d00", "node1-d99")), now=1.0)
     assert free_disk_count(broker) == {"node1": 9, "node2": 7}
+    assert db.snapshot() == before
 
 
 def test_provision_order_validation():

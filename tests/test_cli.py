@@ -80,7 +80,9 @@ def test_run_writes_the_same_bytes_in_an_ascii_locale(tmp_path):
     accented = "  - {time: 0, op: create, id: \u00e91, type: plain, size: 1G}\n"
     path.write_text("name: d\u00e9mo\n" + MINI + accented, encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
-    env["PYTHONPATH"] = str(Path(storbind.__file__).parents[1])
+    # storbind's own source first, then the caller's path, which may supply PyYAML
+    src = str(Path(storbind.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     outs = []
     ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     for locale in (ascii_locale, {"PYTHONUTF8": "1"}):

@@ -6,6 +6,8 @@ tests/oracles.py scan every group and sort every node instead; after
 every step of a random report history both must decide alike, and so
 must the live view. A counted 10,000-node snapshot shows which records a
 decision reads, and a 10,000-node control plane decides on the live view.
+Small fleets pin the largest-disk bound at its edge: a size equal to it
+is placed as the walk places it, one byte more is rejected unwalked.
 """
 
 from __future__ import annotations
@@ -50,10 +52,13 @@ NODE_IDS = 4
 
 # (min_iops, size): fits, short on budget, short on bytes, short on both
 ASKS = ((0, GiB), (300, GiB), (0, 3 * TiB), (100, 3 * TiB))
+# each layout's data disks: it holds data disks x the largest disk at most
+DATA_DISKS = (1, 2, 1, 2, 1)
 REQUESTS = [
     VolumeRequest("r1", VolumeType(name="t", layout=layout, min_iops=min_iops), size)
-    for layout in LAYOUTS
-    for min_iops, size in ASKS
+    for layout, data in zip(LAYOUTS, DATA_DISKS)
+    # sizes at and just over the most the largest disk (1 TiB) can give
+    for min_iops, size in ASKS + ((0, data * TiB), (0, data * TiB + 1))
 ]
 
 group_op = st.tuples(
@@ -122,10 +127,15 @@ def test_schedulers_match_the_linear_scan_after_every_step(history):
     db = StateDatabase()
     layouts: dict[str, object] = {}
     removed: set[str] = set()
+    largest = 0
     for op in history:
         apply(db, op, layouts, removed)
+        if op[0] == "node" and op[2]:  # a nonempty pool of op[4]-byte disks
+            largest = max(largest, op[4])
         snap = db.snapshot()
         view = db.view()
+        # a running maximum: pools that shrink or get smaller disks never lower it
+        assert view.largest_disk_bytes == snap.largest_disk_bytes >= largest
         for req in REQUESTS:
             assert schedule(req, snap) == schedule_oracle(req, snap)
             assert schedule_static(req, snap) == schedule_static_oracle(req, snap)
@@ -232,6 +242,55 @@ def test_decisions_read_only_what_they_need_on_a_10k_node_fleet():
     assert schedule(reuse, counted) == schedule_oracle(reuse, snap) == UseExisting("impl-0000")
     assert record_reads and set(record_reads) == {RAID6_4}
     assert pool_reads == [] and impl_reads == []
+
+    # oversized: two 1 TiB disks hold 1 TiB as rep:2, so no node is walked
+    huge = VolumeRequest("r4", VolumeType(name="t", layout=ReplicatedPool(2)), TiB + 1)
+    assert schedule(huge, counted) == schedule_oracle(huge, snap) == Reject(RejectReason.NO_CAPACITY)
+    assert pool_reads == []
+
+
+def test_the_largest_disk_bounds_a_fresh_build_exactly():
+    # mixed capacities: the widest node has small disks, the largest sit on node-b
+    db = StateDatabase()
+    pools = {"node-a": (TiB,) * 5, "node-b": (4 * TiB,) * 3, "node-c": (2 * TiB, 3 * TiB)}
+    for node_id, sizes in pools.items():
+        db.upsert_broker_report(
+            node_id, tuple(DiskSpec(f"{node_id}-d{i:02d}", size) for i, size in enumerate(sizes))
+        )
+    view = db.view()
+    assert view.largest_disk_bytes == db.snapshot().largest_disk_bytes == 4 * TiB
+    # striped: 2 data disks x 4 TiB; pooled: 2 x 4 TiB over 2 replicas
+    for n, (layout, bound, disk_ids) in enumerate((
+        (Raid(width=3, parity_count=1), 8 * TiB, ("node-b-d00", "node-b-d01", "node-b-d02")),
+        (ReplicatedPool(2), 4 * TiB, ("node-b-d00", "node-b-d01")),
+    )):
+        at = VolumeRequest("r1", VolumeType(name="t", layout=layout), bound)
+        assert schedule(at, view) == schedule_oracle(at, view) == Provision("node-b", layout, disk_ids)
+        over = VolumeRequest("r2", VolumeType(name="t", layout=layout), bound + 1)
+        assert schedule(over, view) == schedule_oracle(over, view) == Reject(RejectReason.NO_CAPACITY)
+        # with a group of the layout out of budget, the reason is the budget, as before
+        db.upsert_manager_report(
+            StorageImplementation(f"impl-{n:04d}", "node-a", layout, (), TiB, 100, 100)
+        )
+        short = VolumeRequest("r3", VolumeType(name="t", layout=layout, min_iops=50), bound + 1)
+        assert schedule(short, view) == schedule_oracle(short, view)
+        assert schedule(short, view) == Reject(RejectReason.NO_IOPS_BUDGET)
+
+
+def test_an_oversized_create_with_too_few_disks_anywhere_names_the_disks():
+    huge = VolumeRequest("r1", VolumeType(name="t", layout=ReplicatedPool(2)), 100 * TiB)
+    empty = StateDatabase()
+    assert empty.view().largest_disk_bytes == 0
+    assert schedule(huge, empty.view()) == schedule_oracle(huge, empty.view()) == Reject(
+        RejectReason.NO_RAW_DISKS
+    )
+    # every node has fewer free disks than rep:2 takes
+    db = StateDatabase()
+    db.upsert_broker_report("node0", (DiskSpec("node0-d00", TiB),))
+    db.upsert_broker_report("node1", ())
+    assert schedule(huge, db.view()) == schedule_oracle(huge, db.view()) == Reject(
+        RejectReason.NO_RAW_DISKS
+    )
 
 
 def test_submit_decides_on_the_live_state_without_a_snapshot(monkeypatch):
