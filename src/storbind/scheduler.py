@@ -112,42 +112,6 @@ def candidate_disks(free_disks: Sequence[DiskSpec], layout: LayoutKind) -> tuple
     return tuple(free_disks[: disk_count(layout)])
 
 
-def _provision_plan(
-    snapshot: ClusterSnapshot, request: VolumeRequest
-) -> tuple[Provision | None, bool, bool]:
-    """Try to place a fresh implementation.
-
-    Walks nodes from most free disks to fewest (node_id breaks ties) and
-    stops at the first with too few, so a full fleet reads no free pool.
-    Returns (plan, any_count_sufficient, any_size_shortfall) so the caller
-    can name the most specific reject reason when plan is None.
-
-    A request larger than the layout holds over `disk_count(layout)`
-    copies of the snapshot's largest disk fits no candidate set, so its
-    result is known from the first node alone and no free pool is read.
-    """
-    layout = request.volume_type.layout
-    need = disk_count(layout)
-    ranked_nodes = snapshot.ranked_nodes
-    if request.size_bytes > capacity_bound(layout, snapshot.largest_disk_bytes):
-        # every node with enough disks would be short on bytes
-        any_count = bool(ranked_nodes) and -ranked_nodes[0][0] >= need
-        return None, any_count, any_count
-    any_count = False
-    any_size_short = False
-    for neg_free, node_id in ranked_nodes:
-        if -neg_free < need:
-            break
-        any_count = True
-        disks = candidate_disks(snapshot.nodes[node_id], layout)
-        fits_size = usable_capacity(layout, disks) >= request.size_bytes
-        if fits_size and iops_budget(layout, disks) >= request.volume_type.min_iops:
-            return Provision(node_id, layout, tuple(d.disk_id for d in disks)), True, any_size_short
-        if not fits_size:
-            any_size_short = True
-    return None, any_count, any_size_short
-
-
 def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecision:
     """Decide placement against a snapshot or a live view, creating state nowhere.
 
@@ -155,22 +119,40 @@ def schedule(request: VolumeRequest, snapshot: ClusterSnapshot) -> ScheduleDecis
     most remaining budget, then provision on the node with the most free
     disks, then reject with the most specific exhausted resource. Only
     the requested layout's groups are read.
+
+    The provisioning walk goes from most free disks to fewest (node_id
+    breaks ties) and stops at the first node with too few, so a full
+    fleet reads no free pool. A request larger than the layout holds over
+    `disk_count(layout)` copies of the snapshot's largest disk fits no
+    candidate set, so it walks no node at all.
     """
-    ranked = snapshot.ranked_groups.get(request.volume_type.layout, ())
+    layout = request.volume_type.layout
+    ranked = snapshot.ranked_groups.get(layout, ())
     chosen = _pick_existing(ranked, request)
     if chosen is not None:
         return UseExisting(chosen.impl_id)
 
-    plan, any_count, any_size_short = _provision_plan(snapshot, request)
-    if plan is not None:
-        return plan
+    need = disk_count(layout)
+    ranked_nodes = snapshot.ranked_nodes
+    any_count = bool(ranked_nodes) and -ranked_nodes[0][0] >= need
+    size_short = request.size_bytes > capacity_bound(layout, snapshot.largest_disk_bytes)
+    if any_count and not size_short:
+        for neg_free, node_id in ranked_nodes:
+            if -neg_free < need:
+                break
+            disks = candidate_disks(snapshot.nodes[node_id], layout)
+            fits_size = usable_capacity(layout, disks) >= request.size_bytes
+            if fits_size and iops_budget(layout, disks) >= request.volume_type.min_iops:
+                return Provision(node_id, layout, tuple(d.disk_id for d in disks))
+            if not fits_size:
+                size_short = True
 
     # the last group has the least remaining budget
     if ranked and -ranked[-1][0] < request.volume_type.min_iops:
         return Reject(RejectReason.NO_IOPS_BUDGET)
     if not any_count:
         return Reject(RejectReason.NO_RAW_DISKS)
-    if ranked or any_size_short:
+    if ranked or size_short:
         # every surviving match and at least one fresh candidate lacked bytes
         return Reject(RejectReason.NO_CAPACITY)
     # some node had the disks; none was short on bytes, so all lacked budget

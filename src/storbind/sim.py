@@ -128,31 +128,27 @@ class SimResult:
 
 @dataclass
 class _GroupShare:
-    """One group's degraded budget, membership, and last allocating interval's caps and rows.
+    """One group's degraded budget, membership, and last allocating interval's rows.
 
-    Budget and degradation factor are fixed for the group's life, so the
-    degraded budget is computed once. `StorageManager` swaps the group's
-    ledger record on every admit and delete, and on nothing else, so the
-    record's identity stands for the reservations and for the set of
-    hosted volumes. `impl` is the record the membership was derived from:
-    `volume_ids` sorted, their demand `models`, and whether any of them is
-    a walk (`walks`). They are rebuilt only when the record is swapped;
-    attach and detach keep them.
+    The engine builds a share on the first interval its group hosts
+    volumes, and drops it when it admits to or deletes from the group:
+    the only changes to the group's reservations and hosted volumes. So
+    the degraded budget, `volume_ids` sorted, their demand `models`, and
+    whether any of them is a walk (`walks`) are computed once per
+    membership. Attach and detach keep the share.
 
-    `caps` and `rows` are the last allocating interval's, and `until` the
-    earliest time any hosted volume's demand can differ from that
-    interval's (the group's demand calendar). An interval before then,
-    with the same ledger record and caps, is a calendar hit: it samples
-    nothing, appends `rows` itself, and skips the throttle step. Every
-    other interval samples, allocates and runs the throttle step.
+    `rows` are the last allocating interval's, and `until` the earliest
+    time any hosted volume's demand can differ from that interval's (the
+    group's demand calendar); a throttle step that changes the caps resets
+    it. An interval before then is a calendar hit: it samples nothing,
+    appends `rows` itself, and skips the throttle step. Every other
+    interval samples, allocates and runs the throttle step.
     """
 
     capacity: int
-    caps: Mapping[str, int] = field(default_factory=dict)
-    impl: StorageImplementation | None = None
-    volume_ids: list[str] = field(default_factory=list)
-    models: list[DemandModel | None] = field(default_factory=list)
-    walks: bool = False
+    volume_ids: list[str]
+    models: list[DemandModel | None]
+    walks: bool
     rows: Rows = ()
     until: float = -math.inf
 
@@ -240,7 +236,6 @@ class _Engine:
 
     def _collect_garbage(self, t: float) -> None:
         for impl in self.plane.broker.garbage_collect(t, self.scenario.control):
-            self._shares.pop(impl.impl_id, None)
             self.emit(
                 t,
                 EventKind.GC_RECLAIMED,
@@ -258,6 +253,7 @@ class _Engine:
         try:
             if req.op == "delete":
                 impl_id, _ = self.plane.delete_volume(req.volume_id, t)
+                self._shares.pop(impl_id, None)
                 self.streams.forget(req.volume_id)
                 self.emit(
                     t,
@@ -302,6 +298,7 @@ class _Engine:
             self._emit_provisioned(t, request.request_id, outcome.provisioned)
         admission = outcome.admission
         assert admission is not None
+        self._shares.pop(admission.impl_id, None)
         self.emit(
             t,
             EventKind.ADMITTED,
@@ -337,40 +334,34 @@ class _Engine:
         impl, caps = manager.impl, manager.caps
         share = self._shares.get(impl.impl_id)
         if share is None:
-            share = self._shares[impl.impl_id] = _GroupShare(
-                capacity_degradation(impl.total_iops_budget, self.scenario.control.degradation)
-            )
-        # `until` first: a group that hosts a walk has `until == t`, and so
-        # never reaches the comparison of its caps
-        if impl is share.impl and t < share.until and caps == share.caps:
+            budget = capacity_degradation(impl.total_iops_budget, self.scenario.control.degradation)
+            volume_ids = sorted(manager.volumes)
+            models = [self.scenario.workloads.get(vid) for vid in volume_ids]
+            walks = any(isinstance(model, WalkDemand) for model in models)
+            share = self._shares[impl.impl_id] = _GroupShare(budget, volume_ids, models, walks)
+        elif t < share.until:
             # A calendar hit: no volume's demand can have changed since the
             # last allocating interval, so sampling would return the very
-            # float objects that interval had. With the same ledger and caps,
-            # allocate_iops would return the same achieved IOPS. That interval
-            # ran the pure compute_throttle on these same inputs and got back
-            # the caps in force, so the throttle step would emit nothing. Its
-            # rows are this interval's.
+            # float objects that interval had. The share outlives no admit or
+            # delete and no caps change, so allocate_iops would return the
+            # same achieved IOPS. That interval ran the pure compute_throttle
+            # on these same inputs and got back the caps in force, so the
+            # throttle step would emit nothing. Its rows are this interval's.
             self.timeseries.append(t, share.rows)
             return
-        if impl is not share.impl:
-            # an admit or a delete: the hosted volumes may differ
-            workloads = self.scenario.workloads
-            share.impl = impl
-            share.volume_ids = sorted(manager.volumes)
-            share.models = [workloads.get(vid) for vid in share.volume_ids]
-            share.walks = any(isinstance(model, WalkDemand) for model in share.models)
         volume_ids, models = share.volume_ids, share.models
         demand = self.streams.demand
         demands = {vid: demand(vid, model, t) for vid, model in zip(volume_ids, models)}
         # a walk can differ on the next interval, so the minimum is `t` itself
         share.until = t if share.walks else min(map(self.streams.until, models, repeat(t)))
         achieved = allocate_iops(demands, caps, share.capacity)
-        share.caps = caps
         share.rows = _rows(volume_ids, demands, achieved, caps)
         self.timeseries.append(t, share.rows)
         current = manager.throttle_tick(achieved, self.scenario.control)
         if current == caps:
             return
+        # the next interval allocates under the new caps
+        share.until = -math.inf
         # decided from this interval's observations, in force for the next
         if current:
             self.emit(

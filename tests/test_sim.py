@@ -416,6 +416,22 @@ def test_gc_drops_the_reclaimed_groups_fair_share_state():
     assert {m.impl.impl_id for m in engine.plane.managers()} == {"impl-0004"}
 
 
+def test_a_groups_fair_share_state_ends_with_its_last_volume():
+    # each 900G volume fills a 1T disk, so r2 gets a group of its own; r1's
+    # group empties at 20 s, well inside the 300 s GC dwell
+    data = mini_scenario()
+    data["requests"] = [
+        {"time": 0, "op": "create", "id": "r1", "type": "plain", "size": "900G"},
+        {"time": 0, "op": "create", "id": "r2", "type": "plain", "size": "900G"},
+        {"time": 20, "op": "delete", "volume": "vol-r1"},
+    ]
+    engine = sim._Engine(build_scenario(data), 0, None)
+    engine.run()
+    assert {m.impl.impl_id for m in engine.plane.managers()} == {"impl-0001", "impl-0002"}
+    assert set(engine._shares) == {m.impl.impl_id for m in engine.plane.managers() if m.volumes}
+    assert set(engine._shares) == {"impl-0002"}
+
+
 def test_gc_period_slows_collection():
     data = mini_scenario(duration_s=120)
     data["requests"].append({"time": 5, "op": "delete", "volume": "vol-r1"})
