@@ -8,7 +8,7 @@ interval and caps non-violators while any reserved volume runs under its floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -155,7 +155,8 @@ class StorageManager:
             raise InvalidStateError(
                 f"volume {volume_id} is already attached to {volume.attached_to}"
             )
-        attached = replace(volume, attached_to=instance_id)
+        # built directly, as _publish builds its record
+        attached = Volume(volume.volume_id, volume.size_bytes, volume.min_iops, instance_id)
         self.volumes[volume_id] = attached
         return attached
 
@@ -163,7 +164,7 @@ class StorageManager:
         volume = self._get(volume_id)
         if volume.attached_to is None:
             raise InvalidStateError(f"volume {volume_id} is not attached")
-        detached = replace(volume, attached_to=None)
+        detached = Volume(volume.volume_id, volume.size_bytes, volume.min_iops)
         self.volumes[volume_id] = detached
         return detached
 

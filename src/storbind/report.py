@@ -16,11 +16,11 @@ import json
 from itertools import islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .model import LayoutKind
 from .scenario import Scenario
-from .sim import Rows, SimEvent, SimResult, TimeSeries, run_scenario
+from .sim import Row, SimEvent, SimResult, TimeSeries, run_scenario
 
 EVENTS_FILE = "events.jsonl"
 TIMESERIES_FILE = "timeseries.csv"
@@ -97,14 +97,15 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
 
     A block's time is formatted once per time object, and reused only while
     the next block's time is that very object: -0.0 == 0.0 but prints apart.
-    A rows object's text is formatted once, keyed by its identity, which is
-    stable because `series` keeps every rows object alive. The text is kept
-    for the current and previous interval, long enough for a calendar hit
-    on the next interval to find it.
+    A block's text is formatted once, keyed by its identity, which is
+    stable because `series` keeps every block alive. The text is kept for
+    the current and previous interval, long enough for a calendar hit on
+    the next interval to find it. A block is read as a sequence of rows,
+    whether it is the engine's `RowBlock` or a tuple of row tuples.
     """
     fields = _CsvFields()
 
-    def texts_of(rows: Rows) -> list[str]:
+    def texts_of(rows: Sequence[Row]) -> list[str]:
         # csv writes None as "" and an int as str() does
         return [
             _TIMESERIES_ROW % (fields[volume_id], demand, achieved, "" if cap is None else cap)
@@ -118,16 +119,15 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TIMESERIES_HEADER) + "\n")
         write = fh.write
-        for t, rows in series.blocks:
-            if not rows:
-                continue
+        for t, rows in zip(series.times, series.blocks):
             if t is not last_t:
                 last_t, prefix = t, "%.6f," % t
                 previous, current = current, {}
             key = id(rows)
-            # rows is not empty, so neither is its text
+            # an empty block's text is empty, and so is formatted again each time
             texts = current[key] = current.get(key) or previous.get(key) or texts_of(rows)
-            write(prefix + prefix.join(texts))
+            if texts:
+                write(prefix + prefix.join(texts))
 
 
 _CONTAINERS = (dict, list, tuple)

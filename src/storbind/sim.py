@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import eq
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
 from .errors import InputError, InvalidStateError, NotFoundError
@@ -76,41 +77,106 @@ class TimeSeriesPoint(NamedTuple):
     cap_iops: int | None
 
 
-# one group-interval's rows: (volume_id, demand, achieved, cap) in volume_id order
-Rows = tuple[tuple[str, float, float, int | None], ...]
+# one time-series row: (volume_id, demand, achieved, cap)
+Row = tuple[str, float, float, int | None]
+
+
+class RowBlock(Sequence[Row]):
+    """One allocating group-interval's rows, held compactly.
+
+    `volume_ids` is the group share's own sorted list, shared and not
+    copied (a share never changes it). `values` holds each volume's demand
+    and achieved IOPS in turn, in `volume_ids` order, as doubles; `caps`
+    is each volume's cap in that order while any cap is in force, else
+    None. Read as a sequence, it is one `(volume_id, demand, achieved,
+    cap)` tuple per volume.
+    """
+
+    __slots__ = ("volume_ids", "values", "caps")
+
+    def __init__(
+        self, volume_ids: Sequence[str], values: array, caps: tuple[int | None, ...] | None
+    ) -> None:
+        self.volume_ids = volume_ids
+        self.values = values
+        self.caps = caps
+
+    def __len__(self) -> int:
+        return len(self.volume_ids)
+
+    def __iter__(self) -> Iterator[Row]:
+        values, caps = iter(self.values), self.caps
+        # each row takes its demand and then its achieved IOPS from one iterator
+        return zip(self.volume_ids, values, values, repeat(None) if caps is None else caps)
+
+    def __getitem__(self, index):  # an int gives a row, a slice a list of them
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self.volume_ids))[index]  # IndexError out of range
+        cap = None if self.caps is None else self.caps[i]
+        return (self.volume_ids[i], self.values[2 * i], self.values[2 * i + 1], cap)
+
+
+def row_block(
+    volume_ids: Sequence[str],
+    demands: Collection[IopsValue],
+    achieved: Collection[IopsValue],
+    caps: Mapping[str, int],
+) -> RowBlock:
+    """One allocating group-interval's block; `demands` and `achieved` in `volume_ids` order.
+
+    Each value is stored as float() of it. The volumes that share the
+    water level all hold the one `Fraction` that `allocate_iops` made, so
+    it is converted once, not once per row, as float() converts a
+    `Fraction`: true division of its numerator by its denominator.
+    """
+    for level in achieved:
+        if level.__class__ is Fraction:
+            level_iops = level.numerator / level.denominator
+            achieved = [level_iops if iops is level else iops for iops in achieved]
+            break
+    values = [0.0] * (2 * len(volume_ids))
+    values[::2] = demands
+    values[1::2] = achieved
+    return RowBlock(
+        volume_ids, array("d", values), tuple(map(caps.get, volume_ids)) if caps else None
+    )
 
 
 class TimeSeries(Sequence[TimeSeriesPoint]):
     """The per-volume time series, held as one block of rows per group-interval.
 
-    `blocks` is a list of `(t, rows)`. A calendar hit appends its group's
-    last allocating interval's `rows` object itself, so a hit costs one
-    entry. Read as a sequence, it is the points in order: one
+    `times` and `blocks` are parallel lists: the rows of `blocks[i]`, a
+    `RowBlock` or any other sequence of `(volume_id, demand, achieved,
+    cap)` rows, are at `times[i]`. A calendar hit appends its group's last
+    allocating interval's block itself, so a hit costs one entry in each.
+    Read as a sequence, it is the points in order: one
     `TimeSeriesPoint(t, *row)` per row of each block.
     """
 
-    def __init__(self, blocks: Iterable[tuple[float, Rows]] = ()) -> None:
-        self.blocks: list[tuple[float, Rows]] = []
-        self._len = 0
+    def __init__(self, blocks: Iterable[tuple[float, Sequence[Row]]] = ()) -> None:
+        self.times: list[float] = []
+        self.blocks: list[Sequence[Row]] = []
         for t, rows in blocks:
             self.append(t, rows)
 
-    def append(self, t: float, rows: Rows) -> None:
-        self.blocks.append((t, rows))
-        self._len += len(rows)
+    def append(self, t: float, rows: Sequence[Row]) -> None:
+        self.times.append(t)
+        self.blocks.append(rows)
 
     def __len__(self) -> int:
-        return self._len
+        # counted when asked, so that an append does not call a block's __len__
+        return sum(map(len, self.blocks))
 
     def __iter__(self) -> Iterator[TimeSeriesPoint]:
-        for t, rows in self.blocks:
+        for t, rows in zip(self.times, self.blocks):
             for row in rows:
                 yield TimeSeriesPoint(t, *row)
 
     def __getitem__(self, index):  # an int gives a point, a slice a list of them
         if isinstance(index, slice):
             return list(self)[index]
-        position = range(self._len)[index]  # IndexError out of range
+        position = range(len(self))[index]  # IndexError out of range
         return next(islice(self, position, None))
 
     def __eq__(self, other: object) -> bool:
@@ -128,7 +194,7 @@ class SimResult:
 
 @dataclass
 class _GroupShare:
-    """One group's degraded budget, membership, and last allocating interval's rows.
+    """One group's degraded budget, membership, and last allocating interval's block.
 
     The engine builds a share on the first interval its group hosts
     volumes, and drops it when it admits to or deletes from the group:
@@ -137,7 +203,7 @@ class _GroupShare:
     whether any of them is a walk (`walks`) are computed once per
     membership. Attach and detach keep the share.
 
-    `rows` are the last allocating interval's, and `until` the earliest
+    `block` is the last allocating interval's, and `until` the earliest
     time any hosted volume's demand can differ from that interval's (the
     group's demand calendar); a throttle step that changes the caps resets
     it. An interval before then is a calendar hit: it samples nothing,
@@ -149,43 +215,8 @@ class _GroupShare:
     volume_ids: list[str]
     models: list[DemandModel | None]
     walks: bool
-    rows: Rows = ()
+    block: RowBlock | None = None
     until: float = -math.inf
-
-
-_NONE_CAPPED = {}.get  # a row's cap while no cap is in force
-
-
-def _rows(
-    volume_ids: Sequence[str],
-    demands: Mapping[str, float],
-    achieved: Mapping[str, IopsValue],
-    caps: Mapping[str, int],
-) -> Rows:
-    """One allocating group-interval's rows, in `volume_ids` order.
-
-    The volumes that share the water level all hold the one `Fraction`
-    that `allocate_iops` made, so it is converted to float once, not once
-    per row. A value that is already a float is kept as it is, and caps
-    are read from a plain dict while none are in force.
-    """
-    rows = []
-    level = level_iops = None
-    cap = caps.get if caps else _NONE_CAPPED
-    for vid in volume_ids:
-        iops = achieved[vid]
-        if iops.__class__ is not float:
-            if iops.__class__ is Fraction:
-                if iops is not level:
-                    level, level_iops = iops, float(iops)
-                iops = level_iops
-            else:
-                iops = float(iops)
-        demand = demands[vid]
-        if demand.__class__ is not float:
-            demand = float(demand)
-        rows.append((vid, demand, iops, cap(vid)))
-    return tuple(rows)
 
 
 def as_number(value: Fraction) -> int | float:
@@ -346,8 +377,8 @@ class _Engine:
             # delete and no caps change, so allocate_iops would return the
             # same achieved IOPS. That interval ran the pure compute_throttle
             # on these same inputs and got back the caps in force, so the
-            # throttle step would emit nothing. Its rows are this interval's.
-            self.timeseries.append(t, share.rows)
+            # throttle step would emit nothing. Its block is this interval's.
+            self.timeseries.append(t, share.block)
             return
         volume_ids, models = share.volume_ids, share.models
         demand = self.streams.demand
@@ -355,8 +386,9 @@ class _Engine:
         # a walk can differ on the next interval, so the minimum is `t` itself
         share.until = t if share.walks else min(map(self.streams.until, models, repeat(t)))
         achieved = allocate_iops(demands, caps, share.capacity)
-        share.rows = _rows(volume_ids, demands, achieved, caps)
-        self.timeseries.append(t, share.rows)
+        # both in volume_ids order: allocate_iops keeps the order of `demands`
+        share.block = row_block(volume_ids, demands.values(), achieved.values(), caps)
+        self.timeseries.append(t, share.block)
         current = manager.throttle_tick(achieved, self.scenario.control)
         if current == caps:
             return

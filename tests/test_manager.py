@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,33 @@ def test_detach_unattached_volume():
     mgr.admit(req("r1"))
     with pytest.raises(InvalidStateError):
         mgr.detach("vol-r1")
+
+
+def test_attach_and_detach_swap_in_a_record_that_differs_only_in_its_attachment():
+    mgr = make_manager()
+    mgr.admit(req("r1", min_iops=30))
+    admitted = mgr.volumes["vol-r1"]
+    attached = mgr.attach("vol-r1", "vm-1")
+    assert mgr.volumes["vol-r1"] is attached
+    assert attached == dataclasses.replace(admitted, attached_to="vm-1")
+    assert admitted.attached_to is None  # the old record is left as it was
+    detached = mgr.detach("vol-r1")
+    assert mgr.volumes["vol-r1"] is detached
+    assert detached == admitted and detached is not admitted
+
+
+def test_attach_checks_the_instance_before_the_volume_and_its_state():
+    mgr = make_manager()
+    mgr.admit(req("r1"))
+    mgr.attach("vol-r1", "vm-1")
+    with pytest.raises(InputError):
+        mgr.attach("vol-none", "")
+    with pytest.raises(InputError):
+        mgr.attach("vol-r1", "")
+    with pytest.raises(NotFoundError):
+        mgr.attach("vol-none", "vm-2")
+    with pytest.raises(NotFoundError):
+        mgr.detach("vol-none")
 
 
 def test_admission_publishes_report():

@@ -271,6 +271,25 @@ def test_constant_demand_is_sampled_only_when_the_group_changes(monkeypatch):
     assert len(result.timeseries) == 6 + 4
 
 
+def test_a_calendar_hit_appends_its_groups_last_allocating_block_itself():
+    data = mini_scenario(duration_s=30)
+    data["requests"].append(
+        {"time": 10, "op": "create", "id": "r2", "type": "plain", "size": "100G"}
+    )
+    data["workloads"] = [{"volume": "vol-r1", "constant": 40}]
+    series = run_scenario(build_scenario(data), seed=0).timeseries
+    assert series.times == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
+    blocks = series.blocks
+    assert all(isinstance(block, sim.RowBlock) for block in blocks)
+    # allocated at t=0, and at t=10 when vol-r2 joins; every other interval is a hit
+    assert [block is blocks[0] for block in blocks] == [True, True, False, False, False, False]
+    assert [block is blocks[2] for block in blocks] == [False, False, True, True, True, True]
+    assert [list(block) for block in (blocks[0], blocks[2])] == [
+        [("vol-r1", 40.0, 40.0, None)],
+        [("vol-r1", 40.0, 40.0, None), ("vol-r2", 0.0, 0.0, None)],
+    ]
+
+
 def test_a_trace_point_off_the_interval_grid_changes_the_next_row():
     data = mini_scenario(duration_s=20)
     data["workloads"] = [{"volume": "vol-r1", "trace": [[0, 10], [7, 20]]}]
