@@ -24,7 +24,10 @@ IntervalStats = Mapping[str, Union[int, float, Fraction]]
 
 @dataclass(frozen=True)
 class Admission:
-    """The group a request was charged to, under the request's own `volume_id`."""
+    """The group a request was charged to, under the request's own `volume_id`.
+
+    Each manager builds its one `Admission` once and returns it from every admit.
+    """
 
     impl_id: str
 
@@ -102,6 +105,8 @@ class StorageManager:
         # manager of one broker; admit adds to it and delete_volume removes
         self._owners = owners
         self.caps: Mapping[str, int] = _NO_CAPS
+        # an impl_id never changes, so neither does what admit returns
+        self._admission = Admission(impl.impl_id)
         # volume_id -> min_iops of the hosted volumes, kept by admit and delete
         self._reservations: dict[str, int] = {}
 
@@ -129,7 +134,7 @@ class StorageManager:
             allocated_capacity_bytes=impl.allocated_capacity_bytes + size,
             idle_since=None,
         )
-        return Admission(impl.impl_id)
+        return self._admission
 
     def delete_volume(self, volume_id: str, now: float) -> Volume:
         volume = self._get(volume_id)
@@ -187,18 +192,18 @@ class StorageManager:
     ) -> None:
         """Swap in the updated record and publish that same object."""
         impl = self.impl
-        # built directly: dataclasses.replace is ~1.5x slower, and this runs
-        # on every admit and delete
+        # built positionally: keywords cost ~1.7x and `_replace` ~2x, and
+        # this runs on every admit and delete
         self.impl = StorageImplementation(
-            impl_id=impl.impl_id,
-            node_id=impl.node_id,
-            layout=impl.layout,
-            disk_ids=impl.disk_ids,
-            usable_capacity_bytes=impl.usable_capacity_bytes,
-            total_iops_budget=impl.total_iops_budget,
-            allocated_iops=allocated_iops,
-            allocated_capacity_bytes=allocated_capacity_bytes,
-            idle_since=idle_since,
+            impl.impl_id,
+            impl.node_id,
+            impl.layout,
+            impl.disk_ids,
+            impl.usable_capacity_bytes,
+            impl.total_iops_budget,
+            allocated_iops,
+            allocated_capacity_bytes,
+            idle_since,
         )
         self.statedb.upsert_manager_report(self.impl)
 

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import ConfigError, InputError, LayoutError, ParseError
 
@@ -285,14 +285,17 @@ class Volume:
             raise InputError(f"volume {self.volume_id}: min_iops must be >= 0")
 
 
-@dataclass(frozen=True)
-class StorageImplementation:
+class StorageImplementation(NamedTuple):
     """A materialized layout over concrete disks, with its admission ledger.
 
     The one record of a group: its manager swaps in a new one on each
     admit or delete and publishes that same object to the state database.
     idle_since is set exactly while the group hosts no volume; the garbage
     collector uses it to find reclaim candidates.
+
+    A `NamedTuple`, cheap to build and without a per-record `__dict__`,
+    since one is built on every admit and delete. Equality and hash are
+    those of the tuple of its fields.
     """
 
     impl_id: str

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -30,22 +30,24 @@ from .statedb import ClusterSnapshot, RankedGroup
 
 @dataclass(frozen=True)
 class VolumeRequest:
-    """One tenant ask: a volume of `size_bytes` shaped like `volume_type`."""
+    """One tenant ask: a volume of `size_bytes` shaped like `volume_type`.
+
+    `volume_id`, the id of the volume the request creates when admitted,
+    follows from `request_id`: it is computed once, when the request is
+    built, and takes no part in `==`, `hash` or `repr`.
+    """
 
     request_id: str
     volume_type: VolumeType
     size_bytes: int
+    volume_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.request_id:
             raise InputError("request_id must be nonempty")
         if self.size_bytes <= 0:
             raise InputError(f"request {self.request_id}: size must be > 0")
-
-    @property
-    def volume_id(self) -> str:
-        """The id of the volume this request creates when admitted."""
-        return volume_id_for(self.request_id)
+        object.__setattr__(self, "volume_id", volume_id_for(self.request_id))
 
 
 def volume_id_for(request_id: str) -> str:

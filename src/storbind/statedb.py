@@ -50,7 +50,8 @@ class StateDatabase:
 
     One thread drives it, so nothing is locked. Reports for an
     implementation that was already removed (reclaimed) are rejected, so
-    a straggling manager cannot resurrect a dead ledger. Each accepted
+    a straggling manager cannot resurrect a dead ledger, and so are
+    reports that give a known group another layout. Each accepted
     report moves exactly one entry of the group or node order.
     """
 
@@ -98,12 +99,20 @@ class StateDatabase:
         if report.impl_id in self._removed:
             raise ConsistencyError(f"impl {report.impl_id}: unknown (already reclaimed)")
         old = self._impls.get(report.impl_id)
-        if old is not None:
-            self._unrank(old)
-        insort(
-            self._ranked_groups.setdefault(report.layout, []),
-            (-report.remaining_iops, report.impl_id, report),
-        )
+        if old is None:
+            ranked = self._ranked_groups.setdefault(report.layout, [])
+        else:
+            # a group keeps its layout for life; managers hand on the very
+            # object, so `is` settles it without the layout's Python `__eq__`
+            if old.layout is not report.layout and old.layout != report.layout:
+                raise ConsistencyError(
+                    f"impl {report.impl_id}: layout {report.layout} reported, has {old.layout}"
+                )
+            # one layout-keyed lookup moves a known group: its order may
+            # empty here for an instant, and the insort refills it
+            ranked = self._ranked_groups[old.layout]
+            del ranked[bisect_left(ranked, (-old.remaining_iops, old.impl_id))]
+        insort(ranked, (-report.remaining_iops, report.impl_id, report))
         self._impls[report.impl_id] = report
 
     def remove_manager_report(self, impl_id: str) -> None:
@@ -111,7 +120,11 @@ class StateDatabase:
         old = self._impls.pop(impl_id, None)
         if old is None:
             raise NotFoundError(f"impl {impl_id}: no report to remove")
-        self._unrank(old)
+        ranked = self._ranked_groups[old.layout]
+        # (key, id) sorts just before (key, id, record); ids are unique
+        del ranked[bisect_left(ranked, (-old.remaining_iops, impl_id))]
+        if not ranked:
+            del self._ranked_groups[old.layout]
         self._removed.add(impl_id)
 
     def view(self) -> ClusterSnapshot:
@@ -134,11 +147,3 @@ class StateDatabase:
             ranked_nodes=tuple(self._ranked_nodes),
             largest_disk_bytes=self._view.largest_disk_bytes,
         )
-
-    def _unrank(self, report: StorageImplementation) -> None:
-        """Take a stored record out of its layout's order."""
-        ranked = self._ranked_groups[report.layout]
-        # (key, id) sorts just before (key, id, record); ids are unique
-        del ranked[bisect_left(ranked, (-report.remaining_iops, report.impl_id))]
-        if not ranked:
-            del self._ranked_groups[report.layout]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from helpers import free_disk_count
@@ -72,7 +70,7 @@ def test_forged_ledger_conflicts_without_mutation():
     # group and its real ledger, which has no budget left, raises
     manager = plane.broker.manager_for("impl-0001")
     real = manager.impl
-    plane.statedb.upsert_manager_report(replace(real, allocated_iops=0))
+    plane.statedb.upsert_manager_report(real._replace(allocated_iops=0))
     before = plane.statedb.snapshot()
     with pytest.raises(ConflictError, match="request r2 needs 100 IOPS"):
         plane.submit(req("r2", min_iops=100), now=1.0)

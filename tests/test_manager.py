@@ -9,14 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from storbind.cluster import ControlPlane
 from storbind.errors import ConflictError, InputError, InvalidStateError, NotFoundError
 from storbind.fairshare import allocate_iops
-from storbind.manager import StorageManager, compute_throttle
+from storbind.manager import Admission, StorageManager, compute_throttle
 from storbind.model import (
     ControlConfig,
     DiskSpec,
     Raid,
     StorageImplementation,
+    StorageNode,
     VolumeType,
 )
 from storbind.scheduler import VolumeRequest
@@ -174,6 +176,71 @@ def test_report_shape():
     rep = db.snapshot().implementations["impl-0001"]
     assert rep is mgr.impl
     assert (len(mgr.volumes), rep.allocated_iops, rep.idle_since) == (0, 0, 5.0)
+
+
+def test_the_group_record_keeps_its_fields_through_provision_admit_and_delete():
+    plane = ControlPlane([StorageNode("node1", tuple(DiskSpec(f"d{i}", TiB, 100) for i in range(4)))])
+    provisioned = plane.submit(req("r1", min_iops=30, size=GiB), now=5.0).provisioned
+    mgr = plane.broker.manager_for("impl-0001")
+    shape = dict(
+        impl_id="impl-0001",
+        node_id="node1",
+        layout=RAID6_4,
+        disk_ids=("d0", "d1", "d2", "d3"),
+        usable_capacity_bytes=2 * TiB,
+        total_iops_budget=200,
+    )
+    after_admit = mgr.impl
+    mgr.delete_volume("vol-r1", now=9.0)
+    records = {
+        "provision": (provisioned, dict(shape, allocated_iops=0, allocated_capacity_bytes=0, idle_since=5.0)),
+        "admit": (after_admit, dict(shape, allocated_iops=30, allocated_capacity_bytes=GiB, idle_since=None)),
+        "delete": (mgr.impl, dict(shape, allocated_iops=0, allocated_capacity_bytes=0, idle_since=9.0)),
+    }
+    for step, (record, fields) in records.items():
+        assert type(record) is StorageImplementation, step
+        assert record._asdict() == fields, step
+        assert record == StorageImplementation(**fields), step
+        assert hash(record) == hash(StorageImplementation(**fields)), step
+        assert repr(record) == "StorageImplementation(" + ", ".join(
+            f"{name}={value!r}" for name, value in fields.items()
+        ) + ")", step
+    assert (after_admit.remaining_iops, after_admit.remaining_capacity_bytes) == (170, 2 * TiB - GiB)
+
+
+def test_the_group_record_is_immutable_and_has_no_instance_dict():
+    mgr = make_manager()
+    mgr.admit(req("r1"))
+    with pytest.raises(AttributeError):
+        mgr.impl.allocated_iops = 0  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        mgr.impl.note = "x"  # type: ignore[attr-defined]
+    assert not hasattr(mgr.impl, "__dict__")
+
+
+def test_the_state_db_ranks_the_managers_own_record():
+    db = StateDatabase()
+    mgr = make_manager(db)
+    steps = (
+        lambda: mgr.admit(req("r1")),
+        lambda: mgr.admit(req("r2")),
+        lambda: mgr.delete_volume("vol-r1", 3.0),
+    )
+    for step in steps:
+        step()
+        view = db.view()
+        assert view.implementations["impl-0001"] is mgr.impl
+        [(key, impl_id, record)] = view.ranked_groups[RAID6_4]
+        assert record is mgr.impl
+        assert (key, impl_id) == (-mgr.impl.remaining_iops, "impl-0001")
+
+
+def test_admit_returns_the_groups_one_admission():
+    mgr = make_manager()
+    first, second = mgr.admit(req("r1")), mgr.admit(req("r2"))
+    assert first is second
+    assert first == Admission("impl-0001")
+    assert first.accepted is True  # perfbench's tracer notes read it
 
 
 # throttle loop

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+
+import pytest
 
 from storbind.model import DiskSpec, Jbod, Raid, ReplicatedPool, StorageImplementation, VolumeType
 from storbind.scheduler import (
@@ -13,6 +16,7 @@ from storbind.scheduler import (
     VolumeRequest,
     schedule,
     schedule_static,
+    volume_id_for,
 )
 from storbind.sim import latency_stats
 from storbind.statedb import StateDatabase
@@ -257,3 +261,26 @@ def test_latency_stats_percentiles():
         "median_s": 0.0025,
         "p99_s": 0.004,
     }
+
+
+def test_a_requests_volume_id_is_computed_once_from_its_request_id():
+    r = request()
+    assert r.volume_id == volume_id_for(r.request_id) == "vol-r1"
+    assert "volume_id" in r.__dict__  # a stored field, not recomputed per read
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.volume_id = "vol-other"  # type: ignore[misc]
+
+
+def test_a_requests_volume_id_takes_no_part_in_eq_hash_or_repr():
+    a, b = request(), request()
+    object.__setattr__(b, "volume_id", "vol-forged")
+    assert a == b and hash(a) == hash(b)
+    assert "volume_id" not in repr(a)
+    assert repr(a) == repr(b)
+
+
+def test_replacing_the_request_id_recomputes_the_volume_id():
+    moved = dataclasses.replace(request(), request_id="r2")
+    assert moved.volume_id == volume_id_for("r2") == "vol-r2"
+    with pytest.raises(ValueError):
+        dataclasses.replace(request(), volume_id="vol-x")

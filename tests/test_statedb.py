@@ -117,6 +117,36 @@ def test_old_snapshot_keeps_deciding_as_it_did():
     assert before != [(schedule(a, db.snapshot()), schedule_static(a, db.snapshot())) for a in asks]
 
 
+def test_a_report_that_changes_a_groups_layout_is_rejected():
+    db = StateDatabase()
+    db.upsert_manager_report(manager_report(allocated_iops=100))
+    db.upsert_manager_report(manager_report("impl-0002", allocated_iops=200))
+    before = db.snapshot()
+    with pytest.raises(ConsistencyError, match="impl-0001: layout rep:3 reported, has raid:4:2"):
+        db.upsert_manager_report(manager_report(layout=ReplicatedPool(3)))
+    assert db.snapshot() == before
+    assert ReplicatedPool(3) not in db.view().ranked_groups
+    # the group still moves within its own layout's order, and nowhere else
+    db.upsert_manager_report(manager_report(allocated_iops=300))
+    ranked = db.view().ranked_groups
+    assert [(key, impl_id) for key, impl_id, _ in ranked[RAID6_4]] == [
+        (-200, "impl-0002"), (-100, "impl-0001"),
+    ]
+    assert list(ranked) == [RAID6_4]
+
+
+def test_an_equal_layout_object_moves_the_group_in_its_order():
+    db = StateDatabase()
+    db.upsert_manager_report(manager_report(layout=Jbod(), total_iops_budget=200))
+    db.upsert_manager_report(manager_report(layout=Jbod(), total_iops_budget=200, allocated_iops=50))
+    report = manager_report(layout=Raid(width=4, parity_count=2), impl_id="impl-0002")
+    db.upsert_manager_report(report)
+    db.upsert_manager_report(report._replace(layout=Raid(width=4, parity_count=2), allocated_iops=10))
+    ranked = db.view().ranked_groups
+    assert [(key, impl_id) for key, impl_id, _ in ranked[Jbod()]] == [(-150, "impl-0001")]
+    assert [(key, impl_id) for key, impl_id, _ in ranked[RAID6_4]] == [(-390, "impl-0002")]
+
+
 def test_upsert_replaces():
     db = StateDatabase()
     db.upsert_manager_report(manager_report(allocated_iops=0))
