@@ -15,6 +15,7 @@ import io
 import json
 from itertools import islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -52,23 +53,44 @@ _encode_event = _sorted_keys_encoder(",", ":")
 # events encoded and written at a time, so memory does not grow with the log
 _EVENTS_PER_WRITE = 1024
 
+# summary pieces joined and written at a time
+_PIECES_PER_WRITE = 1024
+
 # volume_id, demand_iops, achieved_iops, cap_iops; each row's time_s goes before it
 _TIMESERIES_ROW = "%s,%.6f,%.6f,%s\n"
 
 
 def write_events_jsonl(events: Iterable[SimEvent], path: str | Path) -> None:
-    """One compact JSON object with sorted keys per event and line."""
+    """One compact JSON object with sorted keys per event and line.
+
+    The sorted record is always `kind`, `payload`, `seq`, `time_s`, so a
+    line is its kind's head, the payload from the sorted-keys encoder, and
+    the seq and time. An exact int seq and an exact finite float time are
+    written with their own repr, as the encoder writes them; a time is
+    formatted once for a run of events that hold that very object. A head
+    is cached for an exact str kind only, since 1 and True are equal dict
+    keys. Any other seq, time or kind goes through the encoder.
+    """
+    encode = _encode_event
+    heads: dict[str, str] = {}
+    last_time: object = object()  # no event's time
+    time_text = ""
     events = iter(events)
     with open(path, "w") as fh:
         while block := list(islice(events, _EVENTS_PER_WRITE)):
-            lines = [
-                _encode_event(
-                    {"time_s": e.time_s, "seq": e.seq, "kind": e.kind, "payload": e.payload}
-                )
-                for e in block
-            ]
-            lines.append("")
-            fh.write("\n".join(lines))
+            lines = []
+            for time_s, seq, kind, payload in block:
+                if kind.__class__ is not str:
+                    head = '{"kind":%s,"payload":' % encode(kind)
+                elif (head := heads.get(kind)) is None:
+                    head = heads[kind] = '{"kind":%s,"payload":' % encode_basestring_ascii(kind)
+                if time_s is not last_time:
+                    last_time = time_s
+                    finite = time_s.__class__ is float and isfinite(time_s)
+                    time_text = float.__repr__(time_s) if finite else encode(time_s)
+                seq_text = int.__repr__(seq) if seq.__class__ is int else encode(seq)
+                lines.append(f'{head}{encode(payload)},"seq":{seq_text},"time_s":{time_text}}}\n')
+            fh.write("".join(lines))
 
 
 class _CsvFields(dict):
@@ -131,6 +153,15 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
 
 
 _CONTAINERS = (dict, list, tuple)
+# what json writes as a scalar, by exact type: tested before isinstance, which costs more
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _holds_a_container(values: Iterable[object]) -> bool:
+    """Whether any of a container's values is a container; `values` is iterated twice at most."""
+    if _SCALAR_TYPES.issuperset(map(type, values)):
+        return False
+    return any(map(isinstance, values, repeat(_CONTAINERS)))
 
 
 @functools.cache
@@ -144,11 +175,28 @@ def _flat_encoder(level: int) -> Callable[[object], str]:
     return _sorted_keys_encoder(",\n" + "  " * (level + 1), ": ")
 
 
-def _write_indented(obj: object, level: int, write: Callable[[str], object]) -> None:
-    """Write obj as json.dumps(obj, indent=2, sort_keys=True) writes it at nesting `level`.
+def _open_up(text: str, inner: str, outer: str) -> str:
+    """A flat encoder's text of a container with its items on their own lines.
+
+    The encoder writes the brackets; an empty container's text is just them.
+    """
+    if len(text) == 2:
+        return text
+    return text[0] + inner + text[1:-1] + outer + text[-1]
+
+
+def _write_indented(
+    obj: object, level: int, pieces: list[str], write: Callable[[str], object]
+) -> None:
+    """Add obj as json.dumps(obj, indent=2, sort_keys=True) lays it out at nesting `level`.
 
     Dict keys are str. A container that holds no container is one call
     to its level's encoder; only a container of containers is walked here.
+    There an exact str or int value is written as the encoder writes it,
+    and a child that holds no container is written inline with the next
+    level's encoder. The text goes to `pieces`, which are joined and
+    written whenever they reach `_PIECES_PER_WRITE`, so memory does not
+    grow with the summary.
     """
     encode = _flat_encoder(level)
     if isinstance(obj, dict):
@@ -156,14 +204,11 @@ def _write_indented(obj: object, level: int, write: Callable[[str], object]) -> 
     elif isinstance(obj, (list, tuple)):
         values, opener, closer = obj, "[", "]"
     else:
-        write(encode(obj))
-        return
-    if not values:
-        write(opener + closer)
+        pieces.append(encode(obj))
         return
     inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    if not any(map(isinstance, values, repeat(_CONTAINERS))):
-        write(opener + inner + encode(obj)[1:-1] + outer + closer)
+    if not _holds_a_container(values):
+        pieces.append(_open_up(encode(obj), inner, outer))
         return
     if isinstance(obj, dict):
         entries = [
@@ -171,22 +216,37 @@ def _write_indented(obj: object, level: int, write: Callable[[str], object]) -> 
         ]
     else:
         entries = zip(repeat(""), obj)
+    child_encode, child_inner = _flat_encoder(level + 1), inner + "  "
     separator = opener + inner
     for prefix, value in entries:
-        if isinstance(value, _CONTAINERS):
-            write(separator + prefix)
-            _write_indented(value, level + 1, write)
+        if value.__class__ is str:
+            text = encode_basestring_ascii(value)
+        elif value.__class__ is int:
+            text = int.__repr__(value)
+        elif not isinstance(value, _CONTAINERS):
+            text = encode(value)
+        elif not _holds_a_container(value.values() if isinstance(value, dict) else value):
+            text = _open_up(child_encode(value), child_inner, inner)
         else:
-            write(separator + prefix + encode(value))
+            pieces.append(separator + prefix)
+            _write_indented(value, level + 1, pieces, write)
+            separator = "," + inner
+            continue
+        pieces.append(separator + prefix + text)
+        if len(pieces) >= _PIECES_PER_WRITE:
+            write("".join(pieces))
+            pieces.clear()
         separator = "," + inner
-    write(outer + closer)
+    pieces.append(outer + closer)
 
 
 def write_summary_json(summary: dict, path: str | Path) -> None:
     """Exactly json.dumps(summary, indent=2, sort_keys=True) and a newline."""
+    pieces: list[str] = []
     with open(path, "w") as fh:
-        _write_indented(summary, 0, fh.write)
-        fh.write("\n")
+        _write_indented(summary, 0, pieces, fh.write)
+        pieces.append("\n")
+        fh.write("".join(pieces))
 
 
 def run_to_directory(

@@ -67,6 +67,9 @@ class SimEvent(NamedTuple):
     payload: dict[str, JsonValue]
 
 
+_new_tuple = tuple.__new__
+
+
 class TimeSeriesPoint(NamedTuple):
     """One volume's demand and achieved IOPS over one control interval."""
 
@@ -238,7 +241,8 @@ class _Engine:
         self._shares: dict[str, _GroupShare] = {}
 
     def emit(self, time_s: float, kind: str, payload: dict[str, JsonValue]) -> None:
-        self.events.append(SimEvent(time_s, len(self.events), kind, payload))
+        # as SimEvent._make builds it, without the generated __new__'s call overhead
+        self.events.append(_new_tuple(SimEvent, (time_s, len(self.events), kind, payload)))
 
     def run(self) -> SimResult:
         scenario = self.scenario
@@ -528,7 +532,7 @@ def fold_summary(scenario: Scenario, events: Sequence[SimEvent]) -> dict[str, Js
 
     volume_type = {r["volume_id"]: r["type"] for r in requests if r["result"] == "admitted"}
     impls: list[JsonValue] = []
-    raw_by_class: dict[str, Fraction] = {}
+    raw_by_class: dict[str, int | Fraction] = {}
     stored_by_class: dict[str, int] = {}
     total_raw = total_stored = 0
     for impl_id in sorted(groups):
@@ -553,16 +557,18 @@ def fold_summary(scenario: Scenario, events: Sequence[SimEvent]) -> dict[str, Js
         for vid, size in sizes.items():
             cls = volume_type[vid]
             stored_by_type[cls] = stored_by_type.get(cls, 0) + size
-        # the group's raw bytes in proportion to each type's stored bytes, exactly
+        # the group's raw bytes in proportion to each type's stored bytes,
+        # exactly: all of them, an int, to a group's one type
         for cls, type_stored in stored_by_type.items():
-            raw_by_class[cls] = raw_by_class.get(cls, 0) + Fraction(raw * type_stored, stored)
+            share = raw if type_stored == stored else Fraction(raw * type_stored, stored)
+            raw_by_class[cls] = raw_by_class.get(cls, 0) + share
             stored_by_class[cls] = stored_by_class.get(cls, 0) + type_stored
 
     by_class: dict[str, JsonValue] = {}
     total = Fraction(0)
     for cls in sorted(raw_by_class):
         copies = scenario.volume_types[cls].app_copies
-        multiplier = raw_by_class[cls] * copies / stored_by_class[cls]
+        multiplier = Fraction(raw_by_class[cls] * copies, stored_by_class[cls])
         total += multiplier
         by_class[cls] = as_number(multiplier)
     ratio = as_number(Fraction(total_raw, total_stored)) if total_stored else None

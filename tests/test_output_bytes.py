@@ -21,6 +21,7 @@ import importlib.util
 import json
 import sys
 import tempfile
+from enum import IntEnum
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +44,7 @@ from storbind.report import (
 )
 from storbind.scenario import Scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
+from storbind.scheduler import RejectReason
 from storbind.sim import EventKind, SimEvent, TimeSeries, fold_summary
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
@@ -385,6 +387,18 @@ JSON_TEXT = st.text(
     st.characters() | st.sampled_from(['"', "\\", "\n", "\t", "\0", "\x7f", "\u00e9", "\u4e2d"]),
     max_size=5,
 )
+
+
+class _Copies(IntEnum):
+    """An int subclass, which json writes as int.__repr__ does."""
+
+    ONE = 1
+    THREE = 3
+
+
+# members of a str-valued Enum (as a reject reason is) and of an IntEnum:
+# equal to a str or an int, but not of that exact type
+ENUM_SCALARS = st.sampled_from(RejectReason) | st.sampled_from(_Copies)
 JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -393,6 +407,7 @@ JSON_SCALARS = (
     | st.floats()
     | EDGE_JSON_FLOATS
     | JSON_TEXT
+    | ENUM_SCALARS
 )
 
 
@@ -435,15 +450,26 @@ def test_encoder_without_the_c_accelerator_writes_what_the_c_one_does(obj):
 
 
 _ONE_EVENT = SimEvent(time_s=-0.0, seq=2**65, kind="k\u00e9", payload={"x": [1, {"y": None}]})
+# 1 and True are equal dict keys, but are written apart
+_KIND_1_AND_TRUE = [
+    SimEvent(time_s=0.0, seq=0, kind=1, payload={}),
+    SimEvent(time_s=0.0, seq=1, kind=True, payload={}),
+    SimEvent(time_s=0.0, seq=2, kind=1, payload={}),
+]
 
 
 @given(
     events=st.lists(
         st.builds(
             SimEvent,
-            time_s=st.floats() | EDGE_JSON_FLOATS,
-            seq=st.integers(),
-            kind=JSON_TEXT,
+            time_s=(
+                st.floats()
+                | EDGE_JSON_FLOATS
+                | st.integers()
+                | st.sampled_from([float("inf"), float("-inf")])
+            ),
+            seq=st.integers() | st.booleans() | st.sampled_from(_Copies),
+            kind=JSON_TEXT | st.booleans() | st.integers() | st.sampled_from(RejectReason),
             payload=st.dictionaries(
                 JSON_TEXT, st.recursive(JSON_SCALARS, _containers, max_leaves=4), max_size=4
             ),
@@ -453,6 +479,7 @@ _ONE_EVENT = SimEvent(time_s=-0.0, seq=2**65, kind="k\u00e9", payload={"x": [1, 
 )
 @example(events=[])
 @example(events=[_ONE_EVENT] * 2049)  # two whole blocks of lines and part of a third
+@example(events=_KIND_1_AND_TRUE)
 def test_events_writer_matches_the_json_dumps_oracle(events):
     written, expected = _written_by_both(write_events_jsonl, events_jsonl_oracle, events)
     assert written == expected

@@ -598,6 +598,28 @@ def _fold_inputs(copies, nodes, groups) -> tuple[Scenario, list[SimEvent]]:
     )
 )
 @example(fleet=({"a": 1, "b": 1, "c": 1}, [[5, 5]], [(0, [0, 1], [])]))
+@example(
+    # each group hosts one type, so each share is the group's raw bytes as an
+    # int; b's and c's multipliers are whole, a's is not
+    fleet=(
+        {"a": 2, "b": 1, "c": 3},
+        [[10, 20], [9]],
+        [
+            (0, [0], [("a", 3, False), ("a", 5, False)]),
+            (0, [1], [("b", 4, False), ("b", 1, True)]),
+            (1, [0], [("c", 9, False)]),
+        ],
+    )
+)
+@example(
+    # one group shared by two types, with Fraction shares; a also holds a
+    # group alone, so its int share adds to a Fraction (a: 10/3, b: a whole 6)
+    fleet=(
+        {"a": 1, "b": 2, "c": 1},
+        [[12, 7]],
+        [(0, [0], [("a", 1, False), ("b", 3, False)]), (0, [1], [("a", 2, False)])],
+    )
+)
 def test_fold_overheads_match_the_per_volume_oracle(fleet):
     copies, nodes, groups = fleet
     scenario, events = _fold_inputs(copies, nodes, groups)
@@ -610,6 +632,11 @@ def test_fold_overheads_match_the_per_volume_oracle(fleet):
         copies,
     )
     assert {key: folded[key] for key in expected} == expected
+    # an int where the exact multiplier is whole, else a float: 3 == 3.0 would pass above
+    by_class = folded["overhead_by_class"]
+    assert {t: type(m) for t, m in by_class.items()} == {
+        t: type(m) for t, m in expected["overhead_by_class"].items()
+    }
 
 
 def test_summary_counts_and_free_disks():
