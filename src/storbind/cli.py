@@ -84,11 +84,13 @@ def _cmd_compare_static(args: argparse.Namespace) -> int:
     comparison = compare_static_to_directory(scenario, layout, out, seed=args.seed)
     for mode in ("dynamic", "static"):
         side = comparison[mode]
+        if side["overhead_total"] is None:
+            print(f"{mode}: no volume stored")
+            continue
         per_class = ", ".join(
             f"{cls}={mult}x" for cls, mult in sorted(side["overhead_by_class"].items())
         )
-        total = side["overhead_total"]
-        print(f"{mode}: total {total}x" + (f" ({per_class})" if per_class else ""))
+        print(f"{mode}: total {side['overhead_total']}x ({per_class})")
     print(f"  outputs in {out}")
     return 0
 

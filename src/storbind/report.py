@@ -17,11 +17,11 @@ from itertools import islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .model import LayoutKind
 from .scenario import Scenario
-from .sim import Row, SimEvent, SimResult, TimeSeries, run_scenario
+from .sim import RowBlock, SimEvent, SimResult, TimeSeries, block_rows, run_scenario
 
 EVENTS_FILE = "events.jsonl"
 TIMESERIES_FILE = "timeseries.csv"
@@ -122,16 +122,15 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
     A block's text is formatted once, keyed by its identity, which is
     stable because `series` keeps every block alive. The text is kept for
     the current and previous interval, long enough for a calendar hit on
-    the next interval to find it. A block is read as a sequence of rows,
-    whether it is the engine's `RowBlock` or a tuple of row tuples.
+    the next interval to find it. A block's rows are read by `block_rows`.
     """
     fields = _CsvFields()
 
-    def texts_of(rows: Sequence[Row]) -> list[str]:
+    def texts_of(block: RowBlock) -> list[str]:
         # csv writes None as "" and an int as str() does
         return [
             _TIMESERIES_ROW % (fields[volume_id], demand, achieved, "" if cap is None else cap)
-            for volume_id, demand, achieved, cap in rows
+            for volume_id, demand, achieved, cap in block_rows(block)
         ]
 
     last_t: object = None
@@ -141,13 +140,13 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TIMESERIES_HEADER) + "\n")
         write = fh.write
-        for t, rows in zip(series.times, series.blocks):
+        for t, block in zip(series.times, series.blocks):
             if t is not last_t:
                 last_t, prefix = t, "%.6f," % t
                 previous, current = current, {}
-            key = id(rows)
+            key = id(block)
             # an empty block's text is empty, and so is formatted again each time
-            texts = current[key] = current.get(key) or previous.get(key) or texts_of(rows)
+            texts = current[key] = current.get(key) or previous.get(key) or texts_of(block)
             if texts:
                 write(prefix + prefix.join(texts))
 

@@ -26,9 +26,8 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
-from operator import eq
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from itertools import repeat
+from typing import Collection, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .cluster import ControlPlane, RequestOutcome
 from .errors import InputError, InvalidStateError, NotFoundError
@@ -83,45 +82,25 @@ class TimeSeriesPoint(NamedTuple):
 # one time-series row: (volume_id, demand, achieved, cap)
 Row = tuple[str, float, float, int | None]
 
+# one allocating group-interval's rows, held compactly: the group share's own
+# sorted volume ids (shared, not copied), each volume's demand and achieved
+# IOPS in turn as native doubles, and each volume's cap while any cap is in
+# force, else None. The doubles are bytes, not an array.array, which is a
+# GC-tracked type: so a block holds only atoms, and the collector stops
+# tracking it as it does any tuple of atoms.
+RowBlock = tuple[tuple[str, ...], bytes, tuple[int | None, ...] | None]
 
-class RowBlock(Sequence[Row]):
-    """One allocating group-interval's rows, held compactly.
 
-    `volume_ids` is the group share's own sorted list, shared and not
-    copied (a share never changes it). `values` holds each volume's demand
-    and achieved IOPS in turn, in `volume_ids` order, as doubles; `caps`
-    is each volume's cap in that order while any cap is in force, else
-    None. Read as a sequence, it is one `(volume_id, demand, achieved,
-    cap)` tuple per volume.
-    """
-
-    __slots__ = ("volume_ids", "values", "caps")
-
-    def __init__(
-        self, volume_ids: Sequence[str], values: array, caps: tuple[int | None, ...] | None
-    ) -> None:
-        self.volume_ids = volume_ids
-        self.values = values
-        self.caps = caps
-
-    def __len__(self) -> int:
-        return len(self.volume_ids)
-
-    def __iter__(self) -> Iterator[Row]:
-        values, caps = iter(self.values), self.caps
-        # each row takes its demand and then its achieved IOPS from one iterator
-        return zip(self.volume_ids, values, values, repeat(None) if caps is None else caps)
-
-    def __getitem__(self, index):  # an int gives a row, a slice a list of them
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = range(len(self.volume_ids))[index]  # IndexError out of range
-        cap = None if self.caps is None else self.caps[i]
-        return (self.volume_ids[i], self.values[2 * i], self.values[2 * i + 1], cap)
+def block_rows(block: RowBlock) -> Iterator[Row]:
+    """A block's `(volume_id, demand, achieved, cap)` rows, in volume-id order."""
+    volume_ids, values, caps = block
+    values = iter(memoryview(values).cast("d"))
+    # each row takes its demand and then its achieved IOPS from one iterator
+    return zip(volume_ids, values, values, repeat(None) if caps is None else caps)
 
 
 def row_block(
-    volume_ids: Sequence[str],
+    volume_ids: tuple[str, ...],
     demands: Collection[IopsValue],
     achieved: Collection[IopsValue],
     caps: Mapping[str, int],
@@ -141,51 +120,35 @@ def row_block(
     values = [0.0] * (2 * len(volume_ids))
     values[::2] = demands
     values[1::2] = achieved
-    return RowBlock(
-        volume_ids, array("d", values), tuple(map(caps.get, volume_ids)) if caps else None
-    )
+    block_caps = tuple(map(caps.get, volume_ids)) if caps else None
+    return volume_ids, array("d", values).tobytes(), block_caps
 
 
-class TimeSeries(Sequence[TimeSeriesPoint]):
+@dataclass
+class TimeSeries:
     """The per-volume time series, held as one block of rows per group-interval.
 
-    `times` and `blocks` are parallel lists: the rows of `blocks[i]`, a
-    `RowBlock` or any other sequence of `(volume_id, demand, achieved,
-    cap)` rows, are at `times[i]`. A calendar hit appends its group's last
-    allocating interval's block itself, so a hit costs one entry in each.
-    Read as a sequence, it is the points in order: one
-    `TimeSeriesPoint(t, *row)` per row of each block.
+    `times` and `blocks` are parallel lists: the rows of `blocks[i]` are at
+    `times[i]`. A calendar hit appends its group's last allocating
+    interval's block itself, so a hit costs one entry in each. Iterated, it
+    is the points in order: one `TimeSeriesPoint(t, *row)` per row of each
+    block; its length is the number of points.
     """
 
-    def __init__(self, blocks: Iterable[tuple[float, Sequence[Row]]] = ()) -> None:
-        self.times: list[float] = []
-        self.blocks: list[Sequence[Row]] = []
-        for t, rows in blocks:
-            self.append(t, rows)
+    times: list[float] = field(default_factory=list)
+    blocks: list[RowBlock] = field(default_factory=list)
 
-    def append(self, t: float, rows: Sequence[Row]) -> None:
+    def append(self, t: float, block: RowBlock) -> None:
         self.times.append(t)
-        self.blocks.append(rows)
+        self.blocks.append(block)
 
     def __len__(self) -> int:
-        # counted when asked, so that an append does not call a block's __len__
-        return sum(map(len, self.blocks))
+        return sum(1 for block in self.blocks for _ in block_rows(block))
 
     def __iter__(self) -> Iterator[TimeSeriesPoint]:
-        for t, rows in zip(self.times, self.blocks):
-            for row in rows:
+        for t, block in zip(self.times, self.blocks):
+            for row in block_rows(block):
                 yield TimeSeriesPoint(t, *row)
-
-    def __getitem__(self, index):  # an int gives a point, a slice a list of them
-        if isinstance(index, slice):
-            return list(self)[index]
-        position = range(len(self))[index]  # IndexError out of range
-        return next(islice(self, position, None))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass
@@ -210,12 +173,12 @@ class _GroupShare:
     time any hosted volume's demand can differ from that interval's (the
     group's demand calendar); a throttle step that changes the caps resets
     it. An interval before then is a calendar hit: it samples nothing,
-    appends `rows` itself, and skips the throttle step. Every other
+    appends `block` itself, and skips the throttle step. Every other
     interval samples, allocates and runs the throttle step.
     """
 
     capacity: int
-    volume_ids: list[str]
+    volume_ids: tuple[str, ...]
     models: list[DemandModel | None]
     walks: bool
     block: RowBlock | None = None
@@ -370,7 +333,7 @@ class _Engine:
         share = self._shares.get(impl.impl_id)
         if share is None:
             budget = capacity_degradation(impl.total_iops_budget, self.scenario.control.degradation)
-            volume_ids = sorted(manager.volumes)
+            volume_ids = tuple(sorted(manager.volumes))
             models = [self.scenario.workloads.get(vid) for vid in volume_ids]
             walks = any(isinstance(model, WalkDemand) for model in models)
             share = self._shares[impl.impl_id] = _GroupShare(budget, volume_ids, models, walks)

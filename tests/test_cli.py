@@ -460,6 +460,21 @@ def test_compare_static_writes_comparison(tmp_path, capsys):
     assert "static: total 12x" in stdout
 
 
+def test_compare_static_says_when_a_side_stores_no_volume(tmp_path, capsys):
+    # dynamically both creates reject; static rep:3 pools n1's disks and admits the 1T one
+    path = Path(__file__).parent / "data" / "reject-ladder.yaml"
+    out = tmp_path / "cmp"
+    assert main(
+        ["compare-static", "--scenario", str(path), "--layout", "rep:3", "--out", str(out)]
+    ) == 0
+    comparison = json.loads((out / "comparison.json").read_text())
+    assert comparison["dynamic"] == {"overhead_by_class": {}, "overhead_total": None}
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "dynamic: no volume stored",
+        "static: total 4.1953125x (big=4.1953125x)",
+    ]
+
+
 def test_compare_static_identical_when_layout_matches_use(tmp_path):
     path = write_mini(tmp_path)
     out = tmp_path / "cmp"

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import block_of
 from oracles import events_jsonl_oracle, summary_json_oracle, timeseries_csv_oracle
 from storbind import report
 from storbind.model import parse_layout
@@ -45,7 +46,15 @@ from storbind.report import (
 from storbind.scenario import Scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
 from storbind.scheduler import RejectReason
-from storbind.sim import EventKind, SimEvent, TimeSeries, fold_summary
+from storbind.sim import (
+    EventKind,
+    Row,
+    RowBlock,
+    SimEvent,
+    TimeSeries,
+    block_rows,
+    fold_summary,
+)
 from storbind.workload import ConstantDemand, TraceDemand, WalkDemand
 
 DATA = Path(__file__).parent / "data"
@@ -101,6 +110,12 @@ FIXTURES_PINNED = {
         "18906cfb2ec486fa74624fae2f329c06280f979f51bc23a79b440d19f550939d",
         "0810ea1bc13dbca9d72d651994dc44b2b1984fec973e8f70299729c01be0310b",
     ),
+    # the scheduler's reject paths that need a node with too few disks or a
+    # fresh candidate short on bytes; nothing is admitted, so the series is empty
+    "reject-ladder": (
+        "cc5cf063c96823f965792743b23786a19664613fe0ffa3f4a96807b5a497ec0e",
+        "183b393468bc7b316b2709a3dd605a89a3fbcbdfa3bb8e975c87a1f98a028673",
+    ),
 }
 
 # tests/data fixture -> (events.jsonl sha256, timeseries.csv sha256), static rep:3
@@ -127,6 +142,8 @@ REQUESTS_PINNED = {
     ("demand-mix", "rep:3"): "bf6fd12136d6cd58c11a2e05a1c2d62f4d8e4834913c75386c40207fe1c83b5b",
     ("place-mix", "dynamic"): "72def03432a0681b9f9de092063483ccafb35daa269cf77150f82f25f0a553bf",
     ("place-mix", "rep:3"): "28f995ec42b9c3945888fa6e1a8a67f00d3f5965e78f3a14f427ab53ae76a21c",
+    ("reject-ladder", "dynamic"): "4d3e99d8d6d9bcef58b9eb677b2fcd8c43ceafab3fd5deeeb8433ae8afe1a8a6",
+    ("reject-ladder", "rep:3"): "ede5d904fa89deb6336a02194d2d1e1f4e4947b9c7367505cdf132d0f5040688",
 }
 
 
@@ -209,8 +226,20 @@ def test_bench_workload_output_bytes_match_pin(name: str, bench_generator, tmp_p
 
 
 def assert_indent_2_layout(path: Path) -> None:
+    """Fail with the first differing offset and the text around it on each side.
+
+    A whole summary compared with `==` would have pytest diff both texts,
+    which takes far too long on a bench workload's summary.
+    """
     text = path.read_text()
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+    expected = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if text != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+            min(len(text), len(expected)),
+        )
+        around = slice(max(0, at - 80), at + 80)
+        pytest.fail(f"{path}: differs at offset {at}: {text[around]!r} != {expected[around]!r}")
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_PINNED))
@@ -304,6 +333,12 @@ def test_place_mix_still_covers_what_it_pins(tmp_path: Path):
     assert len({d["impl_id"] for d in decisions if d["action"] == "use-existing"}) == 5
 
 
+def test_reject_ladder_still_covers_what_it_pins(tmp_path: Path):
+    run_to_directory(load_scenario(DATA / "reject-ladder.yaml"), tmp_path, seed=0)
+    decisions = _decisions(tmp_path / EVENTS_FILE)
+    assert [d.get("reason") for d in decisions] == ["no-iops-budget", "no-capacity"]
+
+
 def test_demand_mix_still_covers_what_it_pins(tmp_path: Path):
     scenario = load_scenario(DATA / "demand-mix.yaml")
     models = {type(m) for m in scenario.workloads.values()}
@@ -326,50 +361,60 @@ def _flip_zero(x: float) -> float:
     return -x if x == 0 else x
 
 
+# a cap is any int; None where the volume has none
+CAPS = st.none() | st.integers()
+# the characters csv quotes, the one it quotes alone, and any others a
+# scenario can hold (it rejects lone surrogates, which UTF-8 cannot encode)
+VOLUME_IDS = st.text(
+    st.characters(codec="utf-8")
+    | st.sampled_from([",", '"', "\r", "\n", "\0", " ", "\u00e9", "\u4e2d"]),
+    max_size=6,
+)
+IOPS = st.floats() | EDGE_FLOATS
+
+
+@st.composite
+def rows_of_a_block(draw) -> list[Row]:
+    # a group's volume ids are distinct, as the keys of its ledger; none: an empty block
+    volume_ids = draw(st.lists(VOLUME_IDS, unique=True, max_size=4))
+    return [(vid, draw(IOPS), draw(IOPS), draw(CAPS)) for vid in volume_ids]
+
+
+def flipped(block: RowBlock) -> RowBlock:
+    """A new block whose rows equal `block`'s but for the sign of every zero."""
+    return block_of([(v, _flip_zero(d), _flip_zero(a), c) for v, d, a, c in block_rows(block)])
+
+
 @st.composite
 def timeseries_blocks(draw) -> TimeSeries:
-    # the characters csv quotes, the one it quotes alone, and any others
-    chars = st.characters() | st.sampled_from([",", '"', "\r", "\n", "\0", " ", "\u00e9", "\u4e2d"])
-    volume_ids = draw(st.lists(st.text(chars, max_size=6), min_size=1, max_size=4))
-    numbers = st.floats() | EDGE_FLOATS
+    blocks = [block_of(draw(rows_of_a_block()))]
     series = TimeSeries()
-    t, rows = draw(numbers), ()
+    t = draw(IOPS)
     for _ in range(draw(st.integers(0, 8))):
         # the same time object, the other zero (or -t), or a new time
         how = draw(st.sampled_from(["same", "flip", "new"]))
-        t = t if how == "same" else -t if how == "flip" else draw(numbers)
-        # the same rows object, rows equal to it but for the sign of a zero, or new rows
+        t = t if how == "same" else -t if how == "flip" else draw(IOPS)
+        # a block appended before, as on a calendar hit, a new block equal
+        # to one of them but for the sign of a zero, or a new block
         how = draw(st.sampled_from(["shared", "flipped", "new"]))
-        if how == "flipped":
-            rows = tuple((v, _flip_zero(d), _flip_zero(a), c) for v, d, a, c in rows)
-        elif how == "new":
-            rows = tuple(
-                (
-                    draw(st.sampled_from(volume_ids)),
-                    draw(numbers),
-                    draw(numbers),
-                    draw(st.none() | st.integers()),
-                )
-                for _ in range(draw(st.integers(0, 3)))  # 0: an empty block
-            )
-        series.append(t, rows)
+        block = draw(st.sampled_from(blocks))
+        if how != "shared":
+            block = flipped(block) if how == "flipped" else block_of(draw(rows_of_a_block()))
+            blocks.append(block)
+        series.append(t, block)
     return series
 
 
-_ZERO_ROWS = (("vol-a", 0.0, 0.0, None), ("vol-b", 1.5, -0.0, 7))
-_NEG_ZERO_ROWS = tuple((v, _flip_zero(d), _flip_zero(a), c) for v, d, a, c in _ZERO_ROWS)
+_ZERO_BLOCK = block_of([("vol-a", 0.0, 0.0, None), ("vol-b", 1.5, -0.0, 7)])
 
 
 @given(series=timeseries_blocks())
 @example(
     series=TimeSeries(
-        [
-            (0.0, _ZERO_ROWS),
-            (-0.0, _ZERO_ROWS),  # adjacent 0.0 and -0.0; a rows object shared
-            (-0.0, ()),
-            (5.0, _NEG_ZERO_ROWS),  # equal to the last rows but for zero signs
-            (5.0, _ZERO_ROWS),
-        ]
+        # adjacent 0.0 and -0.0 sharing a block, an empty block, then a block
+        # equal to the last but for zero signs
+        times=[0.0, -0.0, -0.0, 5.0, 5.0],
+        blocks=[_ZERO_BLOCK, _ZERO_BLOCK, block_of([]), flipped(_ZERO_BLOCK), _ZERO_BLOCK],
     )
 )
 def test_timeseries_writer_matches_the_csv_oracle(series):

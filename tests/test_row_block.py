@@ -1,9 +1,8 @@
 """Row blocks: the time series' columns for one allocating group-interval.
 
-A block built from rows reads back those rows bit for bit, the
-time-series writer writes the same bytes whether a block is a `RowBlock`
-or a tuple of row tuples, and an engine-built series holds far fewer
-bytes per row than one tuple and two floats per row.
+A block built from rows reads back those rows bit for bit through
+`block_rows`, and an engine-built series holds far fewer bytes per row
+than one tuple and two floats per row.
 """
 
 from __future__ import annotations
@@ -12,17 +11,13 @@ import gc
 import math
 import struct
 import sys
-import tempfile
-from pathlib import Path
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import timeseries_csv_oracle
-from storbind.report import write_timeseries_csv
+from helpers import block_of
 from storbind.scenario import build_scenario
-from storbind.sim import RowBlock, TimeSeries, row_block, run_scenario
+from storbind.sim import TimeSeries, block_rows, row_block, run_scenario
 
 # -0.0, the infinities, nan, the least subnormal, a larger subnormal and the largest float
 EDGE_FLOATS = st.sampled_from(
@@ -39,17 +34,10 @@ VOLUME_IDS = st.text(
 
 
 @st.composite
-def block_rows(draw) -> list[tuple[str, float, float, int | None]]:
+def rows_of_a_block(draw) -> list[tuple[str, float, float, int | None]]:
     # a group's volume ids are distinct, as the keys of its ledger
     volume_ids = draw(st.lists(VOLUME_IDS, unique=True, max_size=6))
     return [(vid, draw(IOPS), draw(IOPS), draw(CAPS)) for vid in volume_ids]
-
-
-def block_of(rows) -> RowBlock:
-    caps = {vid: cap for vid, _, _, cap in rows if cap is not None}
-    return row_block(
-        [vid for vid, *_ in rows], [row[1] for row in rows], [row[2] for row in rows], caps
-    )
 
 
 def bits(row) -> tuple:
@@ -60,20 +48,15 @@ def bits(row) -> tuple:
     return volume_id, struct.pack("<dd", demand, achieved), cap
 
 
-@given(rows=block_rows())
+@given(rows=rows_of_a_block())
 @example(rows=[])
 @example(rows=[("vol-a", -0.0, math.nan, None), ("vol-b", 5e-324, -math.inf, 2**64 + 1)])
 def test_a_block_reads_back_the_rows_it_was_built_from_bit_for_bit(rows):
     block = block_of(rows)
-    expected = list(map(bits, rows))
-    assert len(block) == len(rows)
-    assert list(map(bits, block)) == expected
-    assert [bits(block[i]) for i in range(-len(rows), len(rows))] == expected * 2
-    assert list(map(bits, block[1:3])) == expected[1:3]
-    with pytest.raises(IndexError):
-        block[len(rows)]
+    assert list(map(bits, block_rows(block))) == list(map(bits, rows))
     # caps are kept only while one is in force
-    assert (block.caps is None) == all(cap is None for *_, cap in rows)
+    _, _, caps = block
+    assert (caps is None) == all(cap is None for *_, cap in rows)
 
 
 @st.composite
@@ -92,44 +75,12 @@ def allocations(draw) -> list:
 
 @given(achieved=allocations())
 def test_a_blocks_achieved_iops_read_as_float_of_the_allocation(achieved):
-    volume_ids = [f"vol-{i}" for i in range(len(achieved))]
+    volume_ids = tuple(f"vol-{i}" for i in range(len(achieved)))
     block = row_block(volume_ids, [0.0] * len(achieved), achieved, {})
-    assert block.volume_ids is volume_ids  # shared, not copied
-    assert [struct.pack("<d", row[2]) for row in block] == [
+    assert block[0] is volume_ids  # shared, not copied
+    assert [struct.pack("<d", row[2]) for row in block_rows(block)] == [
         struct.pack("<d", float(iops)) for iops in achieved
     ]
-
-
-@st.composite
-def block_and_tuple_series(draw) -> tuple[TimeSeries, TimeSeries]:
-    """One series of row blocks, and the same rows as tuples, block for block.
-
-    A block shared by several entries, as on a calendar hit, is one tuple
-    shared the same way.
-    """
-    blocks = [block_of(draw(block_rows())) for _ in range(draw(st.integers(1, 3)))]
-    as_tuples = {id(block): tuple(block) for block in blocks}
-    built, given_as_tuples = TimeSeries(), TimeSeries()
-    t = draw(IOPS)
-    for _ in range(draw(st.integers(0, 8))):
-        # the same time object, the other zero (or -t), or a new time
-        how = draw(st.sampled_from(["same", "flip", "new"]))
-        t = t if how == "same" else -t if how == "flip" else draw(IOPS)
-        block = draw(st.sampled_from(blocks))
-        built.append(t, block)
-        given_as_tuples.append(t, as_tuples[id(block)])
-    return built, given_as_tuples
-
-
-@given(series=block_and_tuple_series())
-def test_the_writer_writes_a_series_of_blocks_as_the_same_rows_given_as_tuples(series):
-    built, given_as_tuples = series
-    with tempfile.TemporaryDirectory() as name:
-        paths = [Path(name) / f"{i}.csv" for i in range(3)]
-        write_timeseries_csv(built, paths[0])
-        write_timeseries_csv(given_as_tuples, paths[1])
-        timeseries_csv_oracle(list(built), paths[2])
-        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
 def _bytes_per_row(series: TimeSeries) -> float:
