@@ -1,8 +1,10 @@
 """Row blocks: the time series' columns for one allocating group-interval.
 
 A block built from rows reads back those rows bit for bit through
-`block_rows`, and an engine-built series holds far fewer bytes per row
-than one tuple and two floats per row.
+`block_rows`, the time-series writer writes a series of blocks as the
+same bytes as the rows they were built from, given as tuples, and an
+engine-built series holds far fewer bytes per row than one tuple and two
+floats per row.
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ import gc
 import math
 import struct
 import sys
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import block_of
+from oracles import timeseries_csv_oracle
+from storbind.report import write_timeseries_csv
 from storbind.scenario import build_scenario
-from storbind.sim import TimeSeries, block_rows, row_block, run_scenario
+from storbind.sim import TimeSeries, TimeSeriesPoint, block_rows, row_block, run_scenario
 
 # -0.0, the infinities, nan, the least subnormal, a larger subnormal and the largest float
 EDGE_FLOATS = st.sampled_from(
@@ -81,6 +87,38 @@ def test_a_blocks_achieved_iops_read_as_float_of_the_allocation(achieved):
     assert [struct.pack("<d", row[2]) for row in block_rows(block)] == [
         struct.pack("<d", float(iops)) for iops in achieved
     ]
+
+
+@st.composite
+def block_and_tuple_series(draw) -> tuple[TimeSeries, list[TimeSeriesPoint]]:
+    """One series of row blocks, and its points built from the drawn row tuples.
+
+    The points never pass through a block, so a row that a block packs or
+    reads back wrong shows as a difference. A block shared by several
+    entries, as on a calendar hit, gives its rows at each of them.
+    """
+    drawn = [draw(rows_of_a_block()) for _ in range(draw(st.integers(1, 3)))]
+    blocks = [block_of(rows) for rows in drawn]
+    built, given_as_tuples = TimeSeries(), []
+    t = draw(IOPS)
+    for _ in range(draw(st.integers(0, 8))):
+        # the same time object, the other zero (or -t), or a new time
+        how = draw(st.sampled_from(["same", "flip", "new"]))
+        t = t if how == "same" else -t if how == "flip" else draw(IOPS)
+        i = draw(st.integers(0, len(blocks) - 1))
+        built.append(t, blocks[i])
+        given_as_tuples.extend(TimeSeriesPoint(t, *row) for row in drawn[i])
+    return built, given_as_tuples
+
+
+@given(series=block_and_tuple_series())
+def test_the_writer_writes_a_series_of_blocks_as_the_same_rows_given_as_tuples(series):
+    built, given_as_tuples = series
+    with tempfile.TemporaryDirectory() as name:
+        written, oracle = Path(name) / "written.csv", Path(name) / "oracle.csv"
+        write_timeseries_csv(built, written)
+        timeseries_csv_oracle(given_as_tuples, oracle)
+        assert written.read_bytes() == oracle.read_bytes()
 
 
 def _bytes_per_row(series: TimeSeries) -> float:
