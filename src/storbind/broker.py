@@ -36,8 +36,8 @@ class StorageBroker:
         self.nodes: dict[str, StorageNode] = {}
         self._free: dict[str, tuple[DiskSpec, ...]] = {}
         self.managers: dict[str, StorageManager] = {}
-        # volume_id -> hosting manager; the managers keep it as they admit
-        # and delete, so owner_of is one lookup
+        # volume_id -> hosting manager, written only by ControlPlane.submit and
+        # delete_volume; no manager holds it, so a plane has no reference cycle
         self.volume_owners: dict[str, StorageManager] = {}
         self._impl_seq = 0
         for node in nodes:
@@ -101,7 +101,7 @@ class StorageBroker:
         )
         remaining = tuple(pool.values())
         self._free[decision.node_id] = remaining
-        manager = StorageManager(impl, self.statedb, self.volume_owners)
+        manager = StorageManager(impl, self.statedb)
         self.managers[impl.impl_id] = manager
         self.statedb.upsert_manager_report(impl)
         self.statedb.upsert_broker_report(decision.node_id, remaining)

@@ -84,8 +84,9 @@ class ControlPlane:
         other decision is admitted to the group it names or builds. A
         decision the broker or the manager disagrees with comes only from
         forged reports and raises ConflictError or NotFoundError. A volume
-        id that already exists raises ConflictError before anything is
-        scheduled.
+        id that already exists anywhere in the cluster raises ConflictError
+        before anything is scheduled. Its owner is recorded only once the
+        admit returns, so a refused admit records nothing.
         """
         if request.volume_id in self.broker.volume_owners:
             raise ConflictError(f"volume {request.volume_id} already exists")
@@ -100,12 +101,15 @@ class ControlPlane:
         else:
             manager = self.broker.manager_for(decision.impl_id)
         outcome.admission = manager.admit(request)
+        self.broker.volume_owners[request.volume_id] = manager
         return outcome
 
     def delete_volume(self, volume_id: str, now: float) -> tuple[str, Volume]:
-        """Delete a volume wherever it lives; returns (impl_id, volume)."""
+        """Delete a volume wherever it lives; returns (impl_id, volume). Its
+        owner is dropped once the delete returns: a refused delete keeps it."""
         manager = self.broker.owner_of(volume_id)
         volume = manager.delete_volume(volume_id, now)
+        del self.broker.volume_owners[volume_id]
         return manager.impl.impl_id, volume
 
     def attach_volume(self, volume_id: str, instance_id: str) -> Volume:

@@ -92,18 +92,10 @@ def compute_throttle(
 class StorageManager:
     """Owns one implementation's volumes, ledger, and throttle caps."""
 
-    def __init__(
-        self,
-        impl: StorageImplementation,
-        statedb: StateDatabase,
-        owners: dict[str, StorageManager],
-    ):
+    def __init__(self, impl: StorageImplementation, statedb: StateDatabase):
         self.impl = impl
         self.statedb = statedb
         self.volumes: dict[str, Volume] = {}
-        # volume_id -> hosting manager for the whole cluster, shared by every
-        # manager of one broker; admit adds to it and delete_volume removes
-        self._owners = owners
         self.caps: Mapping[str, int] = _NO_CAPS
         # an impl_id never changes, so neither does what admit returns
         self._admission = Admission(impl.impl_id)
@@ -113,12 +105,13 @@ class StorageManager:
     def admit(self, request: VolumeRequest) -> Admission:
         """Charge a request to this group, which the scheduler chose, and host its volume.
 
-        Raises ConflictError, before anything changes, if the volume id is
-        already hosted anywhere in the cluster or the request does not fit
-        what the group has left (the scheduler read a forged report).
+        Raises ConflictError, before anything changes, if this group already
+        hosts the volume id or the request does not fit what the group has
+        left (the scheduler read a forged report). Uniqueness across the
+        cluster is checked by `ControlPlane.submit`.
         """
         volume_id = request.volume_id
-        if volume_id in self._owners:
+        if volume_id in self.volumes:
             raise ConflictError(f"volume {volume_id} already exists")
         impl, min_iops, size = self.impl, request.volume_type.min_iops, request.size_bytes
         if impl.remaining_iops < min_iops or impl.remaining_capacity_bytes < size:
@@ -127,7 +120,6 @@ class StorageManager:
                 f" {size} bytes, has {impl.remaining_iops} and {impl.remaining_capacity_bytes} left"
             )
         self.volumes[volume_id] = Volume(volume_id, size, min_iops)
-        self._owners[volume_id] = self
         self._reservations[volume_id] = min_iops
         self._publish(
             allocated_iops=impl.allocated_iops + min_iops,
@@ -143,7 +135,6 @@ class StorageManager:
                 f"volume {volume_id} is attached to {volume.attached_to}"
             )
         del self.volumes[volume_id]
-        del self._owners[volume_id]
         del self._reservations[volume_id]
         self._publish(
             allocated_iops=self.impl.allocated_iops - volume.min_iops,

@@ -383,7 +383,7 @@ def _disk_values(raw: dict, where: str, diags: list[str]) -> tuple[int, int] | N
     """Capacity in bytes and profiled IOPS of one disk, or of every disk of
     a shorthand, or None after their diagnostics."""
     capacity = _bytes(raw.get("capacity"), f"{where}.capacity", diags)
-    iops = raw.get("profiled_iops", 200)
+    iops = raw.get("profiled_iops", DiskSpec.profiled_iops)
     if isinstance(iops, bool) or not isinstance(iops, int) or iops < 0:
         diags.append(f"{where}.profiled_iops: expected an integer >= 0")
         return None
@@ -599,17 +599,19 @@ def _build_control(raw: object, diags: list[str]) -> ControlConfig | None:
     _unknown_keys(raw, _CONTROL_KEYS, "control", diags)
 
     kwargs: dict[str, float | int | Fraction] = {}
-    interval = _number(raw.get("interval_s", 5.0), "control.interval_s", diags, 0.0, exclusive=True)
+    interval = raw.get("interval_s", ControlConfig.control_interval_s)
+    interval = _number(interval, "control.interval_s", diags, 0.0, exclusive=True)
     if interval is not None:
         kwargs["control_interval_s"] = interval
-    dwell = _number(raw.get("gc_dwell_s", 300.0), "control.gc_dwell_s", diags, 0.0)
+    dwell = raw.get("gc_dwell_s", ControlConfig.gc_dwell_s)
+    dwell = _number(dwell, "control.gc_dwell_s", diags, 0.0)
     if dwell is not None:
         kwargs["gc_dwell_s"] = dwell
     if "gc_period_s" in raw:
         period = _number(raw.get("gc_period_s"), "control.gc_period_s", diags, 0.0, exclusive=True)
         if period is not None:
             kwargs["gc_period_s"] = period
-    floor = raw.get("throttle_floor_iops", 0)
+    floor = raw.get("throttle_floor_iops", ControlConfig.throttle_floor_iops)
     if isinstance(floor, bool) or not isinstance(floor, int) or floor < 0:
         diags.append(f"control.throttle_floor_iops: expected an integer >= 0, got {floor!r}")
     else:

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import free_disk_count
 from storbind.broker import StorageBroker
+from storbind.cluster import ControlPlane
 from storbind.errors import (
     ConflictError,
     ConsistencyError,
@@ -220,28 +221,32 @@ def test_disk_conservation_under_churn():
 
 
 def test_owner_of_finds_volume():
-    broker, _ = make_broker()
-    manager = broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
-    manager.admit(req("r1"))
-    assert broker.owner_of("vol-r1") is manager
+    plane = ControlPlane(make_nodes({"node1": 10, "node2": 7}))
+    plane.submit(req("r1"), now=0.0)
+    assert plane.broker.owner_of("vol-r1") is plane.broker.manager_for("impl-0001")
     with pytest.raises(NotFoundError):
-        broker.owner_of("vol-none")
+        plane.broker.owner_of("vol-none")
 
 
 def test_volume_ids_are_unique_across_groups():
-    broker, _ = make_broker()
-    first = broker.provision(broker.make_order("node1", RAID6_4), now=0.0)
-    second = broker.provision(broker.make_order("node2", RAID6_4), now=0.0)
-    first.admit(req("r1"))
+    # min_iops=400 is a whole RAID6_4 group's budget on 200-IOPS disks, so
+    # such a create lands on the one group with room left, or on a new one
+    plane = ControlPlane(make_nodes({"node1": 10, "node2": 7}))
+    plane.submit(req("r1", min_iops=400), now=0.0)
+    plane.submit(req("r2", min_iops=400), now=0.0)
+    first, second = plane.managers()
     with pytest.raises(ConflictError):
-        second.admit(req("r1"))
-    assert second.volumes == {}
-    assert broker.owner_of("vol-r1") is first
-    first.delete_volume("vol-r1", now=1.0)
+        plane.submit(req("r1", min_iops=0), now=1.0)
+    assert sorted(second.volumes) == ["vol-r2"]
+    assert plane.broker.owner_of("vol-r1") is first
+    plane.delete_volume("vol-r1", now=1.0)
     with pytest.raises(NotFoundError):
-        broker.owner_of("vol-r1")
-    second.admit(req("r1"))
-    assert broker.owner_of("vol-r1") is second
+        plane.broker.owner_of("vol-r1")
+    plane.submit(req("r3", min_iops=400), now=2.0)
+    plane.delete_volume("vol-r2", now=2.0)
+    plane.submit(req("r1", min_iops=400), now=3.0)
+    assert plane.broker.owner_of("vol-r1") is second
+    assert plane.broker.owner_of("vol-r3") is first
 
 
 def test_duplicate_node_ids_rejected():

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import free_disk_count
 from storbind.cluster import ControlPlane
-from storbind.errors import ConflictError, NotFoundError
+from storbind.errors import ConflictError, InvalidStateError, NotFoundError
 from storbind.model import (
+    ControlConfig,
     DiskSpec,
     Jbod,
     Raid,
@@ -193,3 +196,58 @@ def test_static_submit_binds_by_redundancy():
 
     never = plane.submit(req("r2", layout=ReplicatedPool(4), min_iops=0, size=GiB), now=1.0)
     assert never.decision == Reject(RejectReason.NO_LAYOUT_MATCH)
+
+
+# (op, request number, min_iops); 400 fills a RAID6_4 group of 200-IOPS
+# disks and 5000 fits no group, so it is rejected
+OWNER_OPS = ("create", "delete", "attach", "detach", "gc", "forge-ledger", "forge-disks")
+owner_tapes = st.lists(
+    st.tuples(st.sampled_from(OWNER_OPS), st.integers(0, 3), st.sampled_from([0, 100, 400, 5000])),
+    max_size=30,
+)
+
+
+@given(tape=owner_tapes)
+@example(tape=[
+    ("create", 0, 100),
+    ("create", 1, 5000),  # a reject
+    ("attach", 0, 0),
+    ("delete", 0, 0),  # refused: attached
+    ("detach", 0, 0),
+    ("delete", 0, 0),
+    ("delete", 0, 0),  # refused: already gone
+    ("create", 1, 400),
+    ("forge-disks", 0, 0),
+    ("create", 3, 400),  # refused by the broker: the disks are not free
+    ("forge-ledger", 0, 0),
+    ("create", 2, 400),  # refused by the real ledger
+])
+def test_the_owner_index_is_exactly_the_volumes_the_managers_host(tape):
+    nodes = make_nodes({"node1": 6, "node2": 4})
+    plane = ControlPlane(nodes)
+    for now, (op, n, min_iops) in enumerate(tape):
+        volume_id = f"vol-r{n}"
+        try:
+            if op == "create":
+                plane.submit(req(f"r{n}", min_iops=min_iops), now=now)
+            elif op == "delete":
+                plane.delete_volume(volume_id, now=now)
+            elif op == "attach":
+                plane.attach_volume(volume_id, "vm-1")
+            elif op == "detach":
+                plane.detach_volume(volume_id)
+            elif op == "gc":
+                plane.broker.garbage_collect(now, ControlConfig(gc_dwell_s=0.0))
+            elif op == "forge-ledger":
+                # every group's report hides its allocation, as in
+                # test_forged_ledger_conflicts_without_mutation
+                for manager in plane.managers():
+                    plane.statedb.upsert_manager_report(manager.impl._replace(allocated_iops=0))
+            else:
+                # every disk listed free again, as in test_forged_free_disk_conflicts_without_mutation
+                for node in nodes:
+                    plane.statedb.upsert_broker_report(node.node_id, node.disks)
+        except (ConflictError, InvalidStateError, NotFoundError):
+            pass
+        hosted = {v: m for m in plane.broker.managers.values() for v in m.volumes}
+        assert plane.broker.volume_owners == hosted, (now, op)

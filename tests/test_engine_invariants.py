@@ -24,6 +24,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import cyclic_garbage_of_run
 from oracles import waterfill_oracle
 from storbind.manager import compute_throttle
 from storbind.model import parse_layout
@@ -254,3 +255,11 @@ def test_engine_invariants_hold_on_random_scenarios(data, static, seed):
         result, events, rows = written(scenario, seed, layout)
         check_run(scenario, result)
         assert written(scenario, seed, layout)[1:] == (events, rows)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=scenarios(), static=st.sampled_from(STATIC_LAYOUTS))
+def test_a_finished_random_run_is_freed_by_reference_counts(data, static):
+    scenario = build_scenario(data)
+    for layout in (None, parse_layout(static)):
+        assert cyclic_garbage_of_run(scenario, 0, layout) == 0

@@ -40,7 +40,7 @@ def make_manager(db: StateDatabase | None = None) -> StorageManager:
         total_iops_budget=400,
         idle_since=0.0,
     )
-    return StorageManager(impl, db or StateDatabase(), {})
+    return StorageManager(impl, db or StateDatabase())
 
 
 def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRequest:
@@ -58,7 +58,7 @@ def test_admit_creates_volume_and_charges_ledger():
 
 
 def ledger_state(mgr: StorageManager, db: StateDatabase) -> tuple:
-    return dict(mgr.volumes), dict(mgr._owners), mgr.impl, db.snapshot()
+    return dict(mgr.volumes), mgr.impl, db.snapshot()
 
 
 def test_admit_until_budget_exhausted():

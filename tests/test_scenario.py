@@ -4,6 +4,7 @@ parse held to the pure-Python loader's."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import test_cli
 from storbind import scenario
 from storbind.errors import ScenarioError
-from storbind.model import Jbod, Raid
+from storbind.model import ControlConfig, DiskSpec, Jbod, Raid
 from storbind.scenario import build_scenario, load_scenario
 from storbind.scenarios import bundled_names, scenario_path
 from storbind.scheduler import VolumeRequest
@@ -725,3 +726,31 @@ _TREES = st.recursive(
 def test_the_event_builder_reads_dumped_trees_as_libyaml_does(tree, flow):
     text = yaml.safe_dump(tree, default_flow_style=flow)
     assert _built(text) == _tree(text, scenario._FAST_LOADER) is not None
+
+
+@pytest.mark.parametrize("control", ["control:\n", "control: {}\n", ""])
+def test_unset_knobs_load_as_the_dataclass_defaults(control: str, tmp_path: Path):
+    path = tmp_path / "defaults.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """\
+            name: defaults
+            duration_s: 10
+            nodes:
+              - node_id: n1
+                disks: {count: 2, capacity: 1T}
+              - node_id: n2
+                disks:
+                  - {disk_id: n2-d0, capacity: 1T}
+            volume_types: {plain: {jbod: 1}}
+            requests: []
+            """
+        )
+        + control
+    )
+    loaded = load_scenario(path)
+    # compared with their types: an int 5 would equal 5.0 but print as 5
+    got, default = (dataclasses.astuple(c) for c in (loaded.control, ControlConfig()))
+    assert [(v, type(v)) for v in got] == [(v, type(v)) for v in default]
+    disks = [disk for node in loaded.nodes for disk in node.disks]
+    assert [disk.profiled_iops for disk in disks] == [DiskSpec("d", 1).profiled_iops] * 3

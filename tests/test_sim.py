@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import storbind
-from helpers import free_disk_count
+from helpers import cyclic_garbage_of_run, free_disk_count
 from oracles import overhead_oracle
 from storbind import sim
 from storbind.model import DiskSpec, ReplicatedPool, StorageNode, VolumeType, parse_layout
@@ -797,3 +797,14 @@ def test_as_number():
     assert isinstance(as_number(Fraction(6)), int)
     assert as_number(Fraction(3, 2)) == 1.5
     assert isinstance(as_number(Fraction(3, 2)), float)
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "rep:3", "raid:4:2"])
+@pytest.mark.parametrize(
+    "path", [scenario_path(name) for name in bundled_names()] + sorted(DATA.glob("*.yaml")),
+    ids=lambda path: path.stem,
+)
+def test_a_finished_run_is_freed_by_reference_counts(path: Path, mode: str):
+    scenario = load_scenario(path)
+    layout = None if mode == "dynamic" else parse_layout(mode)
+    assert cyclic_garbage_of_run(scenario, 0, layout) == 0
