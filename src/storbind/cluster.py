@@ -9,7 +9,7 @@ any other report arrives: its decision cannot go stale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from .broker import StorageBroker
 from .errors import ConflictError
@@ -43,8 +43,8 @@ class RequestOutcome:
     admission: Admission | None = None
     # the new group's record as built, before this request's admission
     provisioned: StorageImplementation | None = None
-    # always 1: a decision is executed once (read by perfbench's trace notes)
-    attempts: int = 1
+    # a decision is executed once, so this is a constant (read by perfbench's trace notes)
+    attempts: ClassVar[int] = 1
 
 
 class ControlPlane:

@@ -143,7 +143,7 @@ class TimeSeries:
         self.blocks.append(block)
 
     def __len__(self) -> int:
-        return sum(1 for block in self.blocks for _ in block_rows(block))
+        return sum(len(volume_ids) for volume_ids, _, _ in self.blocks)
 
     def __iter__(self) -> Iterator[TimeSeriesPoint]:
         for t, block in zip(self.times, self.blocks):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import free_disk_count
-from storbind.cluster import ControlPlane
+from storbind.cluster import ControlPlane, RequestOutcome
 from storbind.errors import ConflictError, InvalidStateError, NotFoundError
 from storbind.model import (
     ControlConfig,
@@ -56,6 +58,12 @@ def test_submit_provisions_then_reuses():
     assert second.decision == UseExisting("impl-0001")
     assert second.provisioned is None
     assert second.admission is not None and second.admission.accepted
+
+
+def test_attempts_is_a_constant_one_and_not_a_field():
+    outcome = ControlPlane(make_nodes({"node1": 8})).submit(req("r1"), now=0.0)
+    assert "attempts" not in {f.name for f in dataclasses.fields(RequestOutcome)}
+    assert outcome.attempts == RequestOutcome.attempts == 1
 
 
 def test_submit_reject_has_no_side_effects():
