@@ -21,6 +21,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -276,8 +277,9 @@ PINS: dict[tuple[str, str], tuple[str, str, str, str]] = {
 }
 
 
+FIXTURES = sorted(path.stem for path in DATA.glob("*.yaml"))
 # the bundled scenarios and the fixtures, all run at seed 0
-SOURCES = sorted(bundled_names()) + sorted(path.stem for path in DATA.glob("*.yaml"))
+SOURCES = sorted(bundled_names()) + FIXTURES
 
 
 def source_path(name: str) -> Path:
@@ -370,14 +372,48 @@ def test_every_source_is_pinned_in_every_mode():
     assert list(PINS) == pinned_keys()
 
 
-@pytest.mark.parametrize("source,mode", pinned_keys())
-def test_output_bytes_match_pin(source: str, mode: str, pinned):
-    key = (source, mode)
+def test_every_bundled_scenario_is_pinned():
+    names = sorted(bundled_names())
+    assert [key for key in PINS if key[0] in names] == [(n, m) for n in names for m in MODES]
+
+
+def test_every_bundled_scenario_and_fixture_has_its_requests_pinned():
+    for key in ((source, mode) for source in SOURCES for mode in MODES):
+        assert re.fullmatch("[0-9a-f]{64}", PINS[key][2]), key
+
+
+def assert_pin(pinned, key: tuple[str, str], columns: tuple[str, ...]) -> None:
+    """Fail unless `columns` of the run's row are as pinned, naming those that moved."""
     row, pin = pinned(*key).row, PINS.get(key, (None,) * len(COLUMNS))
-    moved = [column for column, a, b in zip(COLUMNS, row, pin) if a != b]
+    moved = [c for c, a, b in zip(COLUMNS, row, pin) if c in columns and a != b]
     if moved:  # without a traceback, so the row prints as it is pasted
         message = f"{', '.join(moved)} moved; the new row:\n{pin_literal(key, row)}"
         pytest.fail(message, pytrace=False)
+
+
+BYTES = ("events", "timeseries")
+# a fixture's dynamic and rep:3 bytes have a test each of their own
+BYTE_KEYS = [key for key in pinned_keys() if key[0] not in FIXTURES or key[1] == "raid:4:2"]
+
+
+@pytest.mark.parametrize("source,mode", BYTE_KEYS)
+def test_output_bytes_match_pin(source: str, mode: str, pinned):
+    assert_pin(pinned, (source, mode), BYTES)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_output_bytes_match_pin(name: str, pinned):
+    assert_pin(pinned, (name, "dynamic"), BYTES)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_rep3_output_bytes_match_pin(name: str, pinned):
+    assert_pin(pinned, (name, "rep:3"), BYTES)
+
+
+@pytest.mark.parametrize("source,mode", pinned_keys())
+def test_counts_and_requests_match_pin(source: str, mode: str, pinned):
+    assert_pin(pinned, (source, mode), ("requests", "outcome"))
 
 
 # summary entries that are not read from the event log
@@ -413,17 +449,22 @@ def assert_indent_2_layout(path: Path) -> None:
         pytest.fail(f"{path}: differs at offset {at}: {text[around]!r} != {expected[around]!r}")
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_pinned_summaries_are_laid_out_as_json_dumps(mode: str, pinned):
-    for key in IN_MODE[mode]:
-        assert_indent_2_layout(pinned(*key).out / SUMMARY_FILE)
+def pinned_of(pinned, source: str) -> list[Pinned]:
+    return [pinned(*key) for key in pinned_keys() if key[0] == source]
+
+
+@pytest.mark.parametrize("name", bench.WORKLOADS)
+def test_bench_workload_summary_is_laid_out_as_json_dumps(name: str, pinned):
+    for run in pinned_of(pinned, name):
+        assert_indent_2_layout(run.out / SUMMARY_FILE)
 
 
 @pytest.mark.parametrize("name", SOURCES)
-def test_summaries_and_comparison_are_laid_out_as_json_dumps(name: str, tmp_path: Path):
+def test_summaries_and_comparison_are_laid_out_as_json_dumps(name: str, pinned, tmp_path: Path):
     scenario = load_scenario(source_path(name))
     compare_static_to_directory(scenario, parse_layout("rep:3"), tmp_path, seed=1)
-    for path in (tmp_path / "dynamic" / SUMMARY_FILE, tmp_path / "static" / SUMMARY_FILE):
+    compared = (tmp_path / "dynamic" / SUMMARY_FILE, tmp_path / "static" / SUMMARY_FILE)
+    for path in (*compared, *(run.out / SUMMARY_FILE for run in pinned_of(pinned, name))):
         assert_indent_2_layout(path)
     assert_indent_2_layout(tmp_path / "comparison.json")
 
