@@ -349,9 +349,14 @@ class ControlConfig:
         if not 0 < self.degradation <= 1:
             raise ConfigError(f"degradation must be in (0, 1], got {self.degradation}")
 
+    def steps(self, duration_s: float) -> int:
+        """How many control intervals a run of `duration_s` seconds steps."""
+        return math.ceil(duration_s / self.control_interval_s)
+
     @property
-    def effective_gc_period_s(self) -> float:
-        return self.control_interval_s if self.gc_period_s is None else self.gc_period_s
+    def gc_stride(self) -> int:
+        """The collector runs on every `gc_stride`-th interval, as validated."""
+        return 1 if self.gc_period_s is None else round(self.gc_period_s / self.control_interval_s)
 
 
 def _usable(layout: LayoutKind, amounts: Sequence[int]) -> int:

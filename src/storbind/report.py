@@ -15,13 +15,12 @@ import io
 import json
 from itertools import islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .model import LayoutKind
 from .scenario import Scenario
-from .sim import RowBlock, SimEvent, SimResult, TimeSeries, block_rows, run_scenario
+from .sim import EventKind, RowBlock, SimEvent, SimResult, TimeSeries, block_rows, run_scenario
 
 EVENTS_FILE = "events.jsonl"
 TIMESERIES_FILE = "timeseries.csv"
@@ -50,6 +49,13 @@ def _sorted_keys_encoder(item_separator: str, key_separator: str) -> Callable[[o
 
 _encode_event = _sorted_keys_encoder(",", ":")
 
+# each event kind's line head: the sorted record is always kind, payload, seq, time_s
+_EVENT_HEADS = {
+    kind: '{"kind":%s,"payload":' % encode_basestring_ascii(kind)
+    for name, kind in vars(EventKind).items()
+    if name.isupper()
+}
+
 # events encoded and written at a time, so memory does not grow with the log
 _EVENTS_PER_WRITE = 1024
 
@@ -63,33 +69,23 @@ _TIMESERIES_ROW = "%s,%.6f,%.6f,%s\n"
 def write_events_jsonl(events: Iterable[SimEvent], path: str | Path) -> None:
     """One compact JSON object with sorted keys per event and line.
 
-    The sorted record is always `kind`, `payload`, `seq`, `time_s`, so a
-    line is its kind's head, the payload from the sorted-keys encoder, and
-    the seq and time. An exact int seq and an exact finite float time are
-    written with their own repr, as the encoder writes them; a time is
-    formatted once for a run of events that hold that very object. A head
-    is cached for an exact str kind only, since 1 and True are equal dict
-    keys. Any other seq, time or kind goes through the encoder.
+    A line is its kind's head, the payload from the sorted-keys encoder,
+    the line's 0-based index as `seq`, and the time as `float.__repr__`
+    writes it, which is how the encoder writes a finite float; a time is
+    formatted once for a run of events that hold that very object. A kind
+    outside `EventKind` raises KeyError.
     """
-    encode = _encode_event
-    heads: dict[str, str] = {}
+    encode, heads = _encode_event, _EVENT_HEADS
     last_time: object = object()  # no event's time
     time_text = ""
-    events = iter(events)
+    events = enumerate(events)
     with open(path, "w") as fh:
         while block := list(islice(events, _EVENTS_PER_WRITE)):
             lines = []
-            for time_s, seq, kind, payload in block:
-                if kind.__class__ is not str:
-                    head = '{"kind":%s,"payload":' % encode(kind)
-                elif (head := heads.get(kind)) is None:
-                    head = heads[kind] = '{"kind":%s,"payload":' % encode_basestring_ascii(kind)
+            for seq, (time_s, kind, payload) in block:
                 if time_s is not last_time:
-                    last_time = time_s
-                    finite = time_s.__class__ is float and isfinite(time_s)
-                    time_text = float.__repr__(time_s) if finite else encode(time_s)
-                seq_text = int.__repr__(seq) if seq.__class__ is int else encode(seq)
-                lines.append(f'{head}{encode(payload)},"seq":{seq_text},"time_s":{time_text}}}\n')
+                    last_time, time_text = time_s, float.__repr__(time_s)
+                lines.append(f'{heads[kind]}{encode(payload)},"seq":{seq},"time_s":{time_text}}}\n')
             fh.write("".join(lines))
 
 

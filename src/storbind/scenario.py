@@ -235,7 +235,7 @@ def build_scenario(data: object, default_name: str = "scenario") -> Scenario:
     control = _build_control(data.get("control"), diags)
     steps = last_start = None  # the file's interval grid, if it has a valid one
     if duration_s is not None and control is not None:
-        steps = math.ceil(duration_s / control.control_interval_s)
+        steps = control.steps(duration_s)
         last_start = (steps - 1) * control.control_interval_s
     requests, declared = _build_requests(data.get("requests"), vtypes, last_start, diags)
     workloads = _build_workloads(data.get("workloads"), declared, steps, diags)

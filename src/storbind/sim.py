@@ -58,10 +58,9 @@ JsonValue = Union[None, bool, int, float, str, list, dict]
 
 
 class SimEvent(NamedTuple):
-    """One event log record: what happened, when, in global order."""
+    """One event log record: what happened and when; its index in the log is its seq."""
 
     time_s: float
-    seq: int
     kind: str
     payload: dict[str, JsonValue]
 
@@ -205,28 +204,28 @@ class _Engine:
 
     def emit(self, time_s: float, kind: str, payload: dict[str, JsonValue]) -> None:
         # as SimEvent._make builds it, without the generated __new__'s call overhead
-        self.events.append(_new_tuple(SimEvent, (time_s, len(self.events), kind, payload)))
+        self.events.append(_new_tuple(SimEvent, (time_s, kind, payload)))
 
     def run(self) -> SimResult:
-        scenario = self.scenario
-        delta = scenario.control.control_interval_s
-        n_steps = math.ceil(scenario.duration_s / delta)
-        gc_stride = round(scenario.control.effective_gc_period_s / delta)
+        scenario, control = self.scenario, self.scenario.control
+        gc_stride = control.gc_stride
         pending = deque(scenario.requests)
 
+        t = 0.0  # step k starts at k * control_interval_s
         if self.plane.static_layout is not None:
-            for manager in self.plane.preprovision_static(0.0):
-                self._emit_provisioned(0.0, None, manager.impl)
+            for manager in self.plane.preprovision_static(t):
+                self._emit_provisioned(t, None, manager.impl)
 
-        for k in range(n_steps):
-            t = k * delta
+        for k in range(control.steps(scenario.duration_s)):
+            next_t = (k + 1) * control.control_interval_s
             # fixed-layout fleets are never reclaimed
             if self.plane.static_layout is None and k > 0 and k % gc_stride == 0:
                 self._collect_garbage(t)
             while pending and pending[0].time_s <= t:
                 self._handle_request(pending.popleft(), t)
             for manager in self.plane.managers():
-                self._control_tick(manager, t, delta)
+                self._control_tick(manager, t, next_t)
+            t = next_t
 
         return SimResult(
             events=self.events, timeseries=self.timeseries, summary=self._summary()
@@ -326,7 +325,7 @@ class _Engine:
             },
         )
 
-    def _control_tick(self, manager: StorageManager, t: float, delta: float) -> None:
+    def _control_tick(self, manager: StorageManager, t: float, next_t: float) -> None:
         if not manager.volumes:
             return
         impl, caps = manager.impl, manager.caps
@@ -361,10 +360,11 @@ class _Engine:
             return
         # the next interval allocates under the new caps
         share.until = -math.inf
-        # decided from this interval's observations, in force for the next
+        # decided from this interval's observations, in force for the next,
+        # so dated by the start of the step whose allocation it caps
         if current:
             self.emit(
-                t + delta,
+                next_t,
                 EventKind.THROTTLE_APPLIED,
                 {
                     "impl_id": manager.impl.impl_id,
@@ -372,9 +372,7 @@ class _Engine:
                 },
             )
         else:
-            self.emit(
-                t + delta, EventKind.THROTTLE_RELEASED, {"impl_id": manager.impl.impl_id}
-            )
+            self.emit(next_t, EventKind.THROTTLE_RELEASED, {"impl_id": manager.impl.impl_id})
 
     def _summary(self) -> dict[str, JsonValue]:
         """The run's identity, the fold of its event log, and decision_latency.

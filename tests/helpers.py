@@ -6,10 +6,38 @@ import gc
 import tempfile
 
 from storbind.broker import StorageBroker
-from storbind.model import LayoutKind
+from storbind.model import DiskSpec, LayoutKind, Raid, StorageNode, VolumeType
 from storbind.report import run_to_directory
 from storbind.scenario import Scenario
+from storbind.scheduler import VolumeRequest
 from storbind.sim import Row, RowBlock, row_block
+
+TiB = 1024**4
+GiB = 1024**3
+
+RAID6_4 = Raid(width=4, parity_count=2)
+
+
+def make_nodes(spec: dict[str, int], capacity: int = TiB) -> list[StorageNode]:
+    """One node per `spec` entry, holding that many disks of `capacity` bytes."""
+    return [
+        StorageNode(
+            node_id=node_id,
+            disks=tuple(
+                DiskSpec(disk_id=f"{node_id}-d{i:02d}", capacity_bytes=capacity)
+                for i in range(count)
+            ),
+        )
+        for node_id, count in spec.items()
+    ]
+
+
+def req(
+    request_id: str, *, layout: LayoutKind = RAID6_4, min_iops: int = 100, size: int = 100 * GiB
+) -> VolumeRequest:
+    """A create of one volume of type `t`."""
+    vtype = VolumeType(name="t", layout=layout, min_iops=min_iops)
+    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
 
 
 def free_disk_count(broker: StorageBroker) -> dict[str, int]:

@@ -7,8 +7,9 @@ maintained orders; a `csv.writer` for every row instead of one format per
 row; `json.dumps` for every record, and its own indented layout, instead of
 one C encoder built once; a `Fraction` share per volume instead of one per
 group and volume type; `random.uniform` and `max` on every walk step instead
-of a generator's inlined arithmetic) so that agreement between the two is
-meaningful.
+of a generator's inlined arithmetic; Python's own comparisons on every stat
+instead of the throttle step's exact-type shortcuts) so that agreement
+between the two is meaningful.
 """
 
 from __future__ import annotations
@@ -70,6 +71,21 @@ def waterfill_oracle(
             alloc[u] += give
             remaining -= give
     return alloc
+
+
+def throttle_oracle(stats, reservations, previous, floor_iops):
+    """compute_throttle's rule with Python's own comparisons on every stat:
+    `Fraction.__lt__` and `Fraction.__ge__` for a `Fraction`."""
+    violators = {vid for vid, floor in reservations.items() if stats[vid] < floor}
+    if violators:
+        return {
+            vid: max(floor, floor_iops)
+            for vid, floor in reservations.items()
+            if vid not in violators
+        }
+    if any(vid in stats and stats[vid] >= cap for vid, cap in previous.items()):
+        return dict(previous)
+    return {}
 
 
 def _matching_impls(
@@ -172,8 +188,8 @@ def timeseries_csv_oracle(points: Iterable[TimeSeriesPoint], path: str | Path) -
 def events_jsonl_oracle(events: Iterable[SimEvent], path: str | Path) -> None:
     """The event log as `json.dumps` writes it, one record at a time."""
     with open(path, "w") as fh:
-        for e in events:
-            record = {"time_s": e.time_s, "seq": e.seq, "kind": e.kind, "payload": e.payload}
+        for seq, e in enumerate(events):
+            record = {"time_s": e.time_s, "seq": seq, "kind": e.kind, "payload": e.payload}
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import free_disk_count
+from helpers import RAID6_4, free_disk_count, make_nodes, req
 from storbind.broker import StorageBroker
 from storbind.cluster import ControlPlane
 from storbind.errors import (
@@ -14,46 +14,15 @@ from storbind.errors import (
     LayoutError,
     NotFoundError,
 )
-from storbind.model import (
-    ControlConfig,
-    DiskSpec,
-    Jbod,
-    Raid,
-    ReplicatedPool,
-    StorageNode,
-    VolumeType,
-)
-from storbind.scheduler import Provision, VolumeRequest, schedule
+from storbind.model import ControlConfig, Jbod, ReplicatedPool
+from storbind.scheduler import Provision, schedule
 from storbind.statedb import StateDatabase
-
-TiB = 1024**4
-GiB = 1024**3
-
-RAID6_4 = Raid(width=4, parity_count=2)
-
-
-def make_nodes(spec: dict[str, int]) -> list[StorageNode]:
-    return [
-        StorageNode(
-            node_id=node_id,
-            disks=tuple(
-                DiskSpec(disk_id=f"{node_id}-d{i:02d}", capacity_bytes=TiB)
-                for i in range(count)
-            ),
-        )
-        for node_id, count in spec.items()
-    ]
 
 
 def make_broker(spec=None) -> tuple[StorageBroker, StateDatabase]:
     db = StateDatabase()
     broker = StorageBroker(make_nodes(spec or {"node1": 10, "node2": 7}), db)
     return broker, db
-
-
-def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRequest:
-    vtype = VolumeType(name="t", layout=RAID6_4, min_iops=min_iops)
-    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
 
 
 def test_make_order_takes_lex_smallest_free_disks():

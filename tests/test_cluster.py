@@ -8,43 +8,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import free_disk_count
+from helpers import GiB, RAID6_4, TiB, free_disk_count, make_nodes, req
 from storbind.cluster import ControlPlane, RequestOutcome
 from storbind.errors import ConflictError, InvalidStateError, NotFoundError
-from storbind.model import (
-    ControlConfig,
-    DiskSpec,
-    Jbod,
-    Raid,
-    ReplicatedPool,
-    StorageImplementation,
-    StorageNode,
-    VolumeType,
-)
-from storbind.scheduler import Provision, Reject, RejectReason, UseExisting, VolumeRequest
-
-TiB = 1024**4
-GiB = 1024**3
-
-RAID6_4 = Raid(width=4, parity_count=2)
-
-
-def make_nodes(spec: dict[str, int], capacity: int = TiB) -> list[StorageNode]:
-    return [
-        StorageNode(
-            node_id=node_id,
-            disks=tuple(
-                DiskSpec(disk_id=f"{node_id}-d{i:02d}", capacity_bytes=capacity)
-                for i in range(count)
-            ),
-        )
-        for node_id, count in spec.items()
-    ]
-
-
-def req(request_id: str, layout=RAID6_4, min_iops=100, size=100 * GiB) -> VolumeRequest:
-    vtype = VolumeType(name="t", layout=layout, min_iops=min_iops)
-    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
+from storbind.model import ControlConfig, Jbod, ReplicatedPool, StorageImplementation
+from storbind.scheduler import Provision, Reject, RejectReason, UseExisting
 
 
 def test_submit_provisions_then_reuses():

@@ -16,7 +16,6 @@ and the scenario it ran:
 
 from __future__ import annotations
 
-import math
 import tempfile
 from collections import defaultdict
 from pathlib import Path
@@ -176,8 +175,8 @@ def check_run(scenario: Scenario, result: SimResult) -> None:
     rows_at = defaultdict(list)
     for row in result.timeseries:
         rows_at[row.time_s].append(row)
-    # throttle events are decided in a tick but dated to the next one; they
-    # change no membership, so each tick sees every other event up to its time
+    # throttle events are decided in a tick but dated by the next step's start;
+    # they change no membership, so each tick sees every other event up to its time
     events = [e for e in result.events if not e.kind.startswith("throttle-")]
     throttles = [e for e in result.events if e.kind.startswith("throttle-")]
     emitted = {
@@ -190,7 +189,7 @@ def check_run(scenario: Scenario, result: SimResult) -> None:
     delta = scenario.control.control_interval_s
     floor_iops = scenario.control.throttle_floor_iops
     next_event = next_throttle = 0
-    for k in range(math.ceil(scenario.duration_s / delta)):
+    for k in range(scenario.control.steps(scenario.duration_s)):
         t = k * delta
         while next_event < len(events) and events[next_event].time_s <= t:
             apply(events[next_event].kind, events[next_event].payload)
@@ -229,7 +228,8 @@ def check_run(scenario: Scenario, result: SimResult) -> None:
             if current != previous:
                 caps = {vid: current[vid] for vid in sorted(current)} if current else None
                 kind = EventKind.THROTTLE_APPLIED if current else EventKind.THROTTLE_RELEASED
-                replayed[(impl_id, t + delta)] = (kind, caps)
+                # dated by the start of the step whose allocation it caps
+                replayed[(impl_id, (k + 1) * delta)] = (kind, caps)
     assert not rows_at, "rows outside the interval grid"
     assert next_event == len(events)
     assert emitted == replayed

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import GiB, RAID6_4, TiB, req
+from oracles import throttle_oracle
 from storbind.cluster import ControlPlane
 from storbind.errors import ConflictError, InputError, InvalidStateError, NotFoundError
 from storbind.fairshare import allocate_iops
@@ -16,18 +18,10 @@ from storbind.manager import Admission, StorageManager, compute_throttle
 from storbind.model import (
     ControlConfig,
     DiskSpec,
-    Raid,
     StorageImplementation,
     StorageNode,
-    VolumeType,
 )
-from storbind.scheduler import VolumeRequest
 from storbind.statedb import StateDatabase
-
-TiB = 1024**4
-GiB = 1024**3
-
-RAID6_4 = Raid(width=4, parity_count=2)
 
 
 def make_manager(db: StateDatabase | None = None) -> StorageManager:
@@ -41,11 +35,6 @@ def make_manager(db: StateDatabase | None = None) -> StorageManager:
         idle_since=0.0,
     )
     return StorageManager(impl, db or StateDatabase())
-
-
-def req(request_id: str, min_iops: int = 100, size: int = 100 * GiB) -> VolumeRequest:
-    vtype = VolumeType(name="t", layout=RAID6_4, min_iops=min_iops)
-    return VolumeRequest(request_id=request_id, volume_type=vtype, size_bytes=size)
 
 
 def test_admit_creates_volume_and_charges_ledger():
@@ -306,21 +295,6 @@ def test_a_level_a_hair_under_the_reservation_is_a_violator():
     assert not compute_throttle(stats, {"a": 0, "b": 0}, {"b": 51}, 10)
 
 
-def _reference_throttle(stats, reservations, previous, floor_iops):
-    """compute_throttle's rule with Python's own comparisons on every stat:
-    `Fraction.__lt__` and `Fraction.__ge__` for a `Fraction`."""
-    violators = {vid for vid, floor in reservations.items() if stats[vid] < floor}
-    if violators:
-        return {
-            vid: max(floor, floor_iops)
-            for vid, floor in reservations.items()
-            if vid not in violators
-        }
-    if any(vid in stats and stats[vid] >= cap for vid, cap in previous.items()):
-        return dict(previous)
-    return {}
-
-
 @st.composite
 def _throttle_inputs(draw):
     """Stats like an allocation's around int reservations, and previous caps.
@@ -365,7 +339,7 @@ def _throttle_inputs(draw):
 def test_throttle_matches_plain_comparisons(inputs):
     stats, reservations, previous, floor_iops = inputs
     caps = compute_throttle(stats, reservations, previous, floor_iops)
-    assert dict(caps) == _reference_throttle(stats, reservations, previous, floor_iops)
+    assert dict(caps) == throttle_oracle(stats, reservations, previous, floor_iops)
 
 
 def test_throttle_tick_validates_volume_set():

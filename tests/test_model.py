@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import TiB
 from storbind.errors import ConfigError, InputError, LayoutError, ParseError
 from storbind.model import (
     ControlConfig,
@@ -25,8 +26,6 @@ from storbind.model import (
     redundancy_factor,
     usable_capacity,
 )
-
-TiB = 1024**4
 
 
 def disks(n: int, capacity: int = TiB, iops: int = 200, prefix: str = "d") -> list[DiskSpec]:

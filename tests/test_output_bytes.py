@@ -426,10 +426,24 @@ IN_MODE = {mode: [key for key in pinned_keys() if key[1] == mode] for mode in MO
 def test_written_event_log_folds_to_the_summary(mode: str, pinned):
     for key in IN_MODE[mode]:
         run = pinned(*key)
-        lines = (run.out / EVENTS_FILE).read_text().splitlines()
-        folded = fold_summary(run.scenario, [SimEvent(**json.loads(line)) for line in lines])
+        records = (json.loads(line) for line in (run.out / EVENTS_FILE).read_text().splitlines())
+        events = [SimEvent(r["time_s"], r["kind"], r["payload"]) for r in records]
+        folded = fold_summary(run.scenario, events)
         summary = json.loads((run.out / SUMMARY_FILE).read_text())
         assert folded == {k: v for k, v in summary.items() if k not in NOT_FOLDED}, key
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_written_event_log_is_numbered_and_on_the_step_grid(mode: str, pinned):
+    # line i has seq i, times never decrease, and each is a step start k x interval_s
+    for key in IN_MODE[mode]:
+        run = pinned(*key)
+        records = [json.loads(line) for line in (run.out / EVENTS_FILE).read_text().splitlines()]
+        assert [r["seq"] for r in records] == list(range(len(records))), key
+        times = [r["time_s"] for r in records]
+        assert times == sorted(times), key
+        interval = run.scenario.control.control_interval_s
+        assert all(round(t / interval) * interval == t for t in times), key
 
 
 def assert_indent_2_layout(path: Path) -> None:
@@ -659,27 +673,20 @@ def test_encoder_without_the_c_accelerator_writes_what_the_c_one_does(obj):
     assert fallback(obj) == report._sorted_keys_encoder(",\n  ", ": ")(obj)
 
 
-_ONE_EVENT = SimEvent(time_s=-0.0, seq=2**65, kind="k\u00e9", payload={"x": [1, {"y": None}]})
-# 1 and True are equal dict keys, but are written apart
-_KIND_1_AND_TRUE = [
-    SimEvent(time_s=0.0, seq=0, kind=1, payload={}),
-    SimEvent(time_s=0.0, seq=1, kind=True, payload={}),
-    SimEvent(time_s=0.0, seq=2, kind=1, payload={}),
-]
+EVENT_KINDS = [kind for name, kind in vars(EventKind).items() if name.isupper()]
+_ONE_EVENT = SimEvent(time_s=1e16, kind=EventKind.REJECTED, payload={"x": [1, {"\u00e9": 2**65}]})
+# one time object, then another equal to it, then the other zero
+_TIMES = [0.5, float("0.5"), 0.0, -0.0]
 
 
 @given(
     events=st.lists(
         st.builds(
             SimEvent,
-            time_s=(
-                st.floats()
-                | EDGE_JSON_FLOATS
-                | st.integers()
-                | st.sampled_from([float("inf"), float("-inf")])
-            ),
-            seq=st.integers() | st.booleans() | st.sampled_from(_Copies),
-            kind=JSON_TEXT | st.booleans() | st.integers() | st.sampled_from(RejectReason),
+            # an engine's times: step starts, finite and non-negative
+            time_s=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+            | EDGE_FLOATS,
+            kind=st.sampled_from(EVENT_KINDS),
             payload=st.dictionaries(
                 JSON_TEXT, st.recursive(JSON_SCALARS, _containers, max_leaves=4), max_size=4
             ),
@@ -689,10 +696,18 @@ _KIND_1_AND_TRUE = [
 )
 @example(events=[])
 @example(events=[_ONE_EVENT] * 2049)  # two whole blocks of lines and part of a third
-@example(events=_KIND_1_AND_TRUE)
+@example(events=[_ONE_EVENT._replace(time_s=t) for t in _TIMES])
 def test_events_writer_matches_the_json_dumps_oracle(events):
     written, expected = _written_by_both(write_events_jsonl, events_jsonl_oracle, events)
     assert written == expected
+
+
+def test_events_writer_refuses_a_kind_outside_event_kind(tmp_path: Path):
+    assert len(EVENT_KINDS) == len(set(EVENT_KINDS)) == 10
+    path = tmp_path / EVENTS_FILE
+    with pytest.raises(KeyError):
+        write_events_jsonl([SimEvent(0.0, "request-arived", {})], path)
+    assert path.read_text() == ""
 
 
 if __name__ == "__main__":

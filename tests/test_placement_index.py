@@ -19,6 +19,7 @@ from typing import Iterator, Mapping
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import GiB, RAID6_4, TiB
 from oracles import schedule_oracle, schedule_static_oracle
 from storbind.cluster import ControlPlane
 from storbind.model import (
@@ -41,10 +42,7 @@ from storbind.scheduler import (
 )
 from storbind.statedb import StateDatabase
 
-TiB = 1024**4
-GiB = 1024**3
 
-RAID6_4 = Raid(width=4, parity_count=2)
 # redundancy 1, 1.5, 2, 2 and 3: rep:2 and raid6 tie, so static merges them
 LAYOUTS = (Jbod(), Raid(width=3, parity_count=1), ReplicatedPool(2), RAID6_4, ReplicatedPool(3))
 GROUP_IDS = 6

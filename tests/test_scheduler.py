@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from helpers import GiB, RAID6_4, TiB
 from storbind.model import DiskSpec, Jbod, Raid, ReplicatedPool, StorageImplementation, VolumeType
 from storbind.scheduler import (
     Provision,
@@ -21,10 +22,7 @@ from storbind.scheduler import (
 from storbind.sim import latency_stats
 from storbind.statedb import StateDatabase
 
-TiB = 1024**4
-GiB = 1024**3
 
-RAID6_4 = Raid(width=4, parity_count=2)
 FIRST4 = {n: tuple(f"{n}-d{i:02d}" for i in range(4)) for n in ("node1", "node2")}
 
 

@@ -10,11 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import storbind
-from helpers import cyclic_garbage_of_run, free_disk_count
+from helpers import GiB, cyclic_garbage_of_run, free_disk_count
 from oracles import overhead_oracle
 from storbind import sim
 from storbind.model import DiskSpec, ReplicatedPool, StorageNode, VolumeType, parse_layout
@@ -32,7 +33,6 @@ from storbind.sim import (
 )
 from storbind.workload import DemandStreams, TraceDemand
 
-GiB = 1024**3
 DATA = Path(__file__).parent / "data"
 
 
@@ -68,7 +68,6 @@ def test_create_emits_arrival_schedule_provision_admit():
     assert provisioned.payload["impl_id"] == "impl-0001"
     assert provisioned.payload["disk_ids"] == ["n1-d00"]
     assert admitted.payload["volume_id"] == "vol-r1"
-    assert [e.seq for e in result.events] == [0, 1, 2, 3]
 
 
 def test_engine_submits_the_tape_request_itself(monkeypatch):
@@ -224,6 +223,27 @@ def test_no_throttle_when_every_demand_fits_the_budget():
     provisioned = [e for e in result.events if e.kind == EventKind.PROVISIONED]
     assert [e.payload["total_iops_budget"] for e in provisioned] == [200]
     assert [e for e in result.events if e.kind.startswith("throttle-")] == []
+
+
+def test_throttle_events_are_dated_on_the_step_grid():
+    # on a 0.1 s grid k * 0.1 + 0.1 can exceed (k + 1) * 0.1: a throttle
+    # dated by adding the interval to its step's start would fall off the
+    # grid, after the next step's create at 1.3
+    data = yaml.safe_load(scenario_path("noisy-neighbor").read_text())
+    data["duration_s"] = 7
+    data["control"]["interval_s"] = 0.1
+    data["workloads"][1]["trace"] = [[0, 50], [1.2, 500], [4.8, 50]]
+    data["requests"].append(
+        {"time": 1.3, "op": "create", "id": "rc", "type": "besteffort", "size": "100G"}
+    )
+    scenario = build_scenario(data)
+    result = run_scenario(scenario, seed=0)
+    # a throttle decided in the last step is dated by the start of the one after
+    starts = {k * 0.1 for k in range(scenario.control.steps(scenario.duration_s) + 1)}
+    throttles = [e.time_s for e in result.events if e.kind.startswith("throttle-")]
+    assert throttles and set(throttles) <= starts
+    times = [e.time_s for e in result.events]
+    assert times == sorted(times)
 
 
 def test_a_repeated_interval_skips_the_throttle_step(monkeypatch):
@@ -422,13 +442,15 @@ def test_records_are_immutable_and_an_events_line_round_trips(tmp_path):
     point = TimeSeriesPoint(
         time_s=0.0, volume_id="vol-r1", demand_iops=1.0, achieved_iops=1.0, cap_iops=None
     )
-    event = SimEvent(time_s=0.0, seq=0, kind=EventKind.REJECTED, payload={})
-    for record, name in ((point, "cap_iops"), (event, "seq")):
+    event = SimEvent(time_s=0.0, kind=EventKind.REJECTED, payload={})
+    for record, name in ((point, "cap_iops"), (event, "kind")):
         with pytest.raises(AttributeError):
             setattr(record, name, 1)
     result = run_to_directory(load_scenario(scenario_path("noisy-neighbor")), tmp_path, seed=0)
-    lines = (tmp_path / EVENTS_FILE).read_text().splitlines()
-    assert [SimEvent(**json.loads(line)) for line in lines] == result.events
+    records = [json.loads(line) for line in (tmp_path / EVENTS_FILE).read_text().splitlines()]
+    # a line's seq is its index; the rest is the event
+    assert [record.pop("seq") for record in records] == list(range(len(result.events)))
+    assert [SimEvent(**record) for record in records] == result.events
 
 
 def test_gc_drops_the_reclaimed_groups_fair_share_state():
@@ -551,7 +573,7 @@ def _fold_inputs(copies, nodes, groups) -> tuple[Scenario, list[SimEvent]]:
     events: list[SimEvent] = []
 
     def emit(kind: str, payload: dict) -> None:
-        events.append(SimEvent(time_s=0.0, seq=len(events), kind=kind, payload=payload))
+        events.append(SimEvent(time_s=0.0, kind=kind, payload=payload))
 
     for g, (n, disks, _) in enumerate(groups):
         emit(EventKind.PROVISIONED, {
@@ -749,8 +771,6 @@ def test_same_seed_same_run_walk_demand():
 def test_events_are_globally_ordered():
     scn = load_scenario(scenario_path("table3-gc"))
     result = run_scenario(scn, seed=0)
-    seqs = [e.seq for e in result.events]
-    assert seqs == list(range(len(seqs)))
     times = [e.time_s for e in result.events]
     assert times == sorted(times)
 

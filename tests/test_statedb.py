@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import RAID6_4, TiB
 from storbind.errors import ConsistencyError, NotFoundError
 from storbind.model import DiskSpec, Jbod, Raid, ReplicatedPool, StorageImplementation, VolumeType
 from storbind.scheduler import VolumeRequest, schedule, schedule_static
 from storbind.statedb import ClusterSnapshot, StateDatabase
-
-TiB = 1024**4
-RAID6_4 = Raid(width=4, parity_count=2)
 
 
 def free_disks(node_id="node1", n_disks=3) -> tuple[DiskSpec, ...]:
